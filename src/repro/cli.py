@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import constants
 
@@ -84,278 +84,205 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _chaos_config(args) -> "object":
-    from repro.harness.chaos import ChaosConfig
+# ---------------------------------------------------------------------------
+# campaigns: {chaos, churn, broker, fuzz} x {run, replay}, from one table
+# ---------------------------------------------------------------------------
 
-    if args.mutate and args.mutate != "psn-skip":
-        raise SystemExit(f"unknown mutation {args.mutate!r} "
-                         f"(available: psn-skip)")
-    return ChaosConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        messages=args.messages, msg_packets=args.msg_packets,
-        incidents=args.incidents, horizon=args.horizon,
-        loss_rate=args.loss_rate, deployment=args.deployment,
-        mutate=args.mutate or None,
-    )
+#: Every ``run`` flag that sets a config field, declared once:
+#: flag -> (config field, help).  The value type is the type of the
+#: default a campaign lists the flag with.
+_CONFIG_FLAGS = {
+    "--topo": ("topo", "cluster topology"),
+    "--hosts": ("hosts", "star size / fat-tree host limit"),
+    "--k": ("k", "fat-tree arity (fat_tree topo only)"),
+    "--members": ("initial_members", "initial group size"),
+    "--messages": ("messages", "broadcasts per trial"),
+    "--msg-packets": ("msg_packets", "packets per broadcast"),
+    "--incidents": ("incidents", "failure incidents per trial"),
+    "--incidents-max": ("incidents_max", "cap on incidents per schedule"),
+    "--joins": ("joins", "JOIN events per trial"),
+    "--leaves": ("leaves", "voluntary LEAVE events per trial"),
+    "--crashes": ("crashes", "receiver crashes per trial"),
+    "--joins-max": ("joins_max", "cap on JOIN ops per schedule"),
+    "--leaves-max": ("leaves_max", "cap on LEAVE ops per schedule"),
+    "--topics": ("topics", "topic count"),
+    "--min-subs": ("min_subscribers",
+                   "initial subscribers per topic, lower bound"),
+    "--max-subs": ("max_subscribers",
+                   "initial subscribers per topic, upper bound"),
+    "--msg-size": ("msg_size", "publish payload bytes"),
+    "--publish-rate": ("publish_rate",
+                       "Poisson publish arrivals per second"),
+    "--zipf-alpha": ("zipf_alpha", "topic popularity skew (0 = uniform)"),
+    "--churn-rate": ("churn_rate", "subscription toggles per second"),
+    "--cross-rate": ("cross_rate",
+                     "background unicast transfers per second"),
+    "--cross-size": ("cross_size", "bytes per cross-traffic transfer"),
+    "--horizon": ("horizon", "virtual seconds of traffic per trial"),
+    "--coalesce-window": ("coalesce_window",
+                          "MRP delta coalescing window in seconds "
+                          "(0 = one delta per membership op)"),
+    "--loss-rate": ("loss_rate", "baseline random loss on every switch"),
+    "--jct-slack": ("jct_slack", "throughput-oracle ceiling multiplier "
+                                 "over the analytic JCT model"),
+    "--deployment": ("deployment",
+                     "accelerator deployment style under test"),
+    "--mutate": ("mutate", "arm a deliberate protocol mutation to "
+                           "self-test the campaign"),
+}
+_CHOICES = {"--topo": ("star", "fat_tree"),
+            "--deployment": ("inline", "lookaside", "source_routed")}
+
+class CampaignCLI(NamedTuple):
+    """One campaign's row: what its ``run`` subcommand looks like.
+    ``--seed``, ``--no-shrink``, ``--out``, ``--repro-dir`` and
+    ``replay <file>`` are common to all and not listed."""
+
+    module: str                 # holds the ``CAMPAIGN`` declaration
+    help: str
+    trials: Tuple[str, int]     # the trial-count flag and its default
+    flags: Dict[str, object]    # config flag -> this campaign's default
 
 
-def _cmd_chaos_run(args) -> int:
+CAMPAIGNS = {
+    "chaos": CampaignCLI(
+        "repro.harness.chaos",
+        "deterministic invariant-checked chaos campaigns",
+        ("--trials", 5),
+        {"--topo": "star", "--hosts": 6, "--k": 4, "--messages": 3,
+         "--msg-packets": 8, "--incidents": 2, "--horizon": 0.04,
+         "--loss-rate": 0.0, "--deployment": "inline", "--mutate": ""}),
+    "churn": CampaignCLI(
+        "repro.harness.churn",
+        "deterministic membership-churn campaigns (incremental MRP "
+        "joins/leaves, failure pruning)",
+        ("--trials", 5),
+        {"--topo": "star", "--hosts": 8, "--k": 4, "--members": 5,
+         "--messages": 4, "--msg-packets": 8, "--joins": 2, "--leaves": 1,
+         "--crashes": 1, "--horizon": 0.04, "--loss-rate": 0.0,
+         "--mutate": ""}),
+    "broker": CampaignCLI(
+        "repro.apps.brokerfabric",
+        "open-loop broker-fabric pub/sub campaigns (SLO tails, delivery "
+        "amplification, MRP delta coalescing)",
+        ("--trials", 3),
+        {"--topo": "fat_tree", "--hosts": 16, "--k": 4, "--topics": 6,
+         "--min-subs": 3, "--max-subs": 8, "--msg-size": 65536,
+         "--publish-rate": 60000.0, "--zipf-alpha": 0.9,
+         "--churn-rate": 2000.0, "--cross-rate": 4000.0,
+         "--cross-size": 131072, "--horizon": 0.02,
+         "--coalesce-window": 0.0, "--loss-rate": 0.0}),
+    "fuzz": CampaignCLI(
+        "repro.harness.fuzz",
+        "coverage-guided protocol fuzzing with differential deployment "
+        "oracles (every trial runs all three deployments)",
+        ("--budget-trials", 50),
+        {"--topo": "star", "--hosts": 8, "--k": 4, "--members": 6,
+         "--messages": 3, "--msg-packets": 6, "--incidents-max": 2,
+         "--joins-max": 1, "--leaves-max": 1, "--horizon": 0.03,
+         "--loss-rate": 0.0, "--jct-slack": 5.0}),
+}
+
+
+def load_campaign(name: str):
+    """The :class:`repro.harness.campaign.Campaign` behind a CLI noun."""
+    import importlib
+
+    return importlib.import_module(CAMPAIGNS[name].module).CAMPAIGN
+
+
+def _write_json(doc, path: str) -> None:
     import json
 
-    from repro.harness.chaos import run_campaign
-
-    cfg = _chaos_config(args)
-    campaign = run_campaign(cfg, seed=args.seed, trials=args.trials,
-                            shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"chaos: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"chaos-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"chaos: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
-
-
-def _cmd_chaos_replay(args) -> int:
-    import json
-
-    from repro.harness.chaos import replay_reproducer
-
-    try:
-        record = replay_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"chaos: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("chaos: reproducer still failing", file=sys.stderr)
-        return 3
-    print("chaos: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _churn_config(args) -> "object":
-    from repro.harness.churn import ChurnConfig
-
-    if args.mutate and args.mutate != "no-detector":
-        raise SystemExit(f"unknown mutation {args.mutate!r} "
-                         f"(available: no-detector)")
-    return ChurnConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        initial_members=args.members, messages=args.messages,
-        msg_packets=args.msg_packets, joins=args.joins,
-        leaves=args.leaves, crashes=args.crashes, horizon=args.horizon,
-        loss_rate=args.loss_rate, mutate=args.mutate or None,
-    )
-
-
-def _cmd_churn_run(args) -> int:
-    import json
-
-    from repro.harness.churn import run_churn_campaign
-
-    cfg = _churn_config(args)
-    campaign = run_churn_campaign(cfg, seed=args.seed, trials=args.trials,
-                                  shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"churn: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"churn-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"churn: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
-
-
-def _cmd_churn_replay(args) -> int:
-    import json
-
-    from repro.harness.churn import replay_churn_reproducer
-
-    try:
-        record = replay_churn_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"churn: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("churn: reproducer still failing", file=sys.stderr)
-        return 3
-    print("churn: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _broker_config(args) -> "object":
-    from repro.apps.brokerfabric import BrokerFabricConfig
-
-    return BrokerFabricConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k, topics=args.topics,
-        min_subscribers=args.min_subs, max_subscribers=args.max_subs,
-        msg_size=args.msg_size, publish_rate=args.publish_rate,
-        zipf_alpha=args.zipf_alpha, churn_rate=args.churn_rate,
-        cross_rate=args.cross_rate, cross_size=args.cross_size,
-        horizon=args.horizon, loss_rate=args.loss_rate,
-        coalesce_window=args.coalesce_window or None,
-    )
-
-
-def _cmd_broker_run(args) -> int:
-    import json
-
-    from repro.apps.brokerfabric import run_brokerfabric_campaign
-
-    cfg = _broker_config(args)
-    campaign = run_brokerfabric_campaign(cfg, seed=args.seed,
-                                         trials=args.trials,
-                                         shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"broker: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"broker-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"broker: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
-
-
-def _cmd_broker_replay(args) -> int:
-    import json
-
-    from repro.apps.brokerfabric import replay_brokerfabric_reproducer
-
-    try:
-        record = replay_brokerfabric_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"broker: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("broker: reproducer still failing", file=sys.stderr)
-        return 3
-    print("broker: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _fuzz_config(args) -> "object":
-    from repro.harness.fuzz import FuzzConfig
-
-    return FuzzConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        initial_members=args.members, messages=args.messages,
-        msg_packets=args.msg_packets, incidents_max=args.incidents_max,
-        joins_max=args.joins_max, leaves_max=args.leaves_max,
-        horizon=args.horizon, loss_rate=args.loss_rate,
-        jct_slack=args.jct_slack,
-    )
-
-
-def _cmd_fuzz_run(args) -> int:
-    import json
-
-    from repro.harness.fuzz import load_corpus, run_fuzz, save_corpus
-
-    cfg = _fuzz_config(args)
-    corpus_in = []
-    if args.corpus:
-        corpus_in = [s for _, s in load_corpus(args.corpus)]
-    doc = run_fuzz(cfg, seed=args.seed, budget_trials=args.budget_trials,
-                   corpus=corpus_in, shrink=not args.no_shrink)
-    corpus = doc.pop("_corpus")
-    if args.corpus and not args.frozen_corpus:
-        written = save_corpus(args.corpus, cfg, corpus)
-        for path in written:
-            print(f"fuzz: corpus input written to {path}", file=sys.stderr)
     blob = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(blob + "\n")
     else:
         print(blob)
-    n_fail = len(doc["failing_trials"])
-    print(f"fuzz: {args.budget_trials} trial(s), corpus {len(corpus)}, "
-          f"{doc['coverage_keys']} coverage keys "
-          f"[{doc['coverage_signature'][:12]}], {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
 
+
+def _cmd_campaign_run(args) -> int:
+    import os
+
+    name = args.campaign
+    campaign = load_campaign(name)
+    cfg_fields = campaign.config_cls.__dataclass_fields__
+    values = {}
+    for flag in CAMPAIGNS[name].flags:
+        field = _CONFIG_FLAGS[flag][0]
+        value = getattr(args, field)
+        # "" / 0 on the command line mean "unset" for an optional field.
+        values[field] = (value or None
+                         if cfg_fields[field].default is None else value)
+    cfg = campaign.config_cls(**values)
+    if args.session:
+        doc, summary = args.session(args, cfg)
+    else:
+        doc = campaign.run(cfg, seed=args.seed, trials=args.trials,
+                           shrink=not args.no_shrink)
+        summary = f"{args.trials} trial(s)"
+    _write_json(doc, args.out)
+    n_fail = len(doc["failing_trials"])
+    print(f"{name}: {summary}, {n_fail} failing (seed={args.seed})",
+          file=sys.stderr)
+    if n_fail and args.repro_dir:
         os.makedirs(args.repro_dir, exist_ok=True)
         for rep in doc["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"fuzz-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"fuzz: reproducer written to {path}", file=sys.stderr)
+            path = os.path.join(
+                args.repro_dir, f"{name}-seed{args.seed}-t{rep['trial']}.json")
+            _write_json(rep, path)
+            print(f"{name}: reproducer written to {path}", file=sys.stderr)
     return 3 if n_fail else 0
 
 
+def _cmd_campaign_replay(args) -> int:
+    name = args.campaign
+    try:
+        record = load_campaign(name).replay(args.file)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"{name}: cannot replay {args.file}: {exc}", file=sys.stderr)
+        return 2
+    _write_json(record, "")
+    if record["failing"]:
+        print(f"{name}: reproducer still failing", file=sys.stderr)
+        return 3
+    print(f"{name}: reproducer no longer fails (fixed?)", file=sys.stderr)
+    return 0
+
+
+def _fuzz_session(args, cfg):
+    """The fuzz ``run`` body: a corpus-seeded coverage-guided session."""
+    from repro.harness.fuzz import load_corpus, run_fuzz, save_corpus
+
+    corpus_in = []
+    if args.corpus:
+        corpus_in = [s for _, s in load_corpus(args.corpus)]
+    doc = run_fuzz(cfg, seed=args.seed, budget_trials=args.trials,
+                   corpus=corpus_in, shrink=not args.no_shrink)
+    corpus = doc.pop("_corpus")
+    if args.corpus and not args.frozen_corpus:
+        for path in save_corpus(args.corpus, cfg, corpus):
+            print(f"fuzz: corpus input written to {path}", file=sys.stderr)
+    return doc, (f"{args.trials} trial(s), corpus {len(corpus)}, "
+                 f"{doc['coverage_keys']} coverage keys "
+                 f"[{doc['coverage_signature'][:12]}]")
+
+
 def _cmd_fuzz_replay(args) -> int:
-    import json
     import os
 
-    from repro.harness.fuzz import replay_corpus, replay_fuzz_reproducer
+    if not os.path.isdir(args.file):
+        return _cmd_campaign_replay(args)
+    from repro.harness.fuzz import replay_corpus
 
-    if os.path.isdir(args.target):
-        doc = replay_corpus(args.target, jobs=args.jobs)
-        blob = json.dumps(doc, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
-        else:
-            print(blob)
-        print(f"fuzz: replayed {doc['inputs']} corpus input(s), "
-              f"{doc['coverage_keys']} coverage keys "
-              f"[{doc['coverage_signature'][:12]}], "
-              f"{len(doc['failing'])} failing", file=sys.stderr)
-        return 3 if doc["failing"] else 0
-    try:
-        record = replay_fuzz_reproducer(args.target)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"fuzz: cannot replay {args.target}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("fuzz: reproducer still failing", file=sys.stderr)
-        return 3
-    print("fuzz: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
+    doc = replay_corpus(args.file, jobs=args.jobs)
+    _write_json(doc, args.out)
+    print(f"fuzz: replayed {doc['inputs']} corpus input(s), "
+          f"{doc['coverage_keys']} coverage keys "
+          f"[{doc['coverage_signature'][:12]}], "
+          f"{len(doc['failing'])} failing", file=sys.stderr)
+    return 3 if doc["failing"] else 0
 
 
 def _cmd_fuzz_corpus(args) -> int:
@@ -508,6 +435,39 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _add_campaign(sub, name: str):
+    """Register ``<name> run`` and ``<name> replay`` from the table."""
+    row = CAMPAIGNS[name]
+    trials_flag, trials = row.trials
+    campaign = load_campaign(name)
+    p_camp = sub.add_parser(name, help=row.help)
+    camp_sub = p_camp.add_subparsers(dest=f"{name}_command", required=True)
+
+    p_run = camp_sub.add_parser(
+        "run", help="run N seeded trials, shrink any failure")
+    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument(trials_flag, dest="trials", type=int, default=trials)
+    for flag, default in row.flags.items():
+        field, help_text = _CONFIG_FLAGS[flag]
+        choices = (campaign.mutations if flag == "--mutate"
+                   else _CHOICES.get(flag))
+        p_run.add_argument(flag, dest=field, type=type(default),
+                           default=default, choices=choices, help=help_text)
+    p_run.add_argument("--no-shrink", action="store_true",
+                       help="skip reproducer minimization")
+    p_run.add_argument("--out", default="",
+                       help="write campaign JSON here instead of stdout")
+    p_run.add_argument("--repro-dir", default="",
+                       help="directory for per-failure reproducer files")
+    p_run.set_defaults(fn=_cmd_campaign_run, campaign=name, session=None)
+
+    p_replay = camp_sub.add_parser(
+        "replay", help="re-execute a reproducer JSON file")
+    p_replay.add_argument("file", help="reproducer JSON file")
+    p_replay.set_defaults(fn=_cmd_campaign_replay, campaign=name)
+    return p_run, p_replay, camp_sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cepheus-repro",
@@ -536,188 +496,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algorithms", default="cepheus,binomial,chain")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="deterministic invariant-checked chaos campaigns")
-    chaos_sub = p_chaos.add_subparsers(dest="chaos_command", required=True)
+    campaign_parsers = {name: _add_campaign(sub, name) for name in CAMPAIGNS}
 
-    p_run = chaos_sub.add_parser(
-        "run", help="run N seeded trials, shrink any failure")
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--trials", type=int, default=5)
-    p_run.add_argument("--topo", default="star",
-                       choices=("star", "fat_tree"))
-    p_run.add_argument("--hosts", type=int, default=6)
-    p_run.add_argument("--k", type=int, default=4,
-                       help="fat-tree arity (fat_tree topo only)")
-    p_run.add_argument("--messages", type=int, default=3)
-    p_run.add_argument("--msg-packets", type=int, default=8)
-    p_run.add_argument("--incidents", type=int, default=2)
-    p_run.add_argument("--horizon", type=float, default=0.04,
-                       help="virtual seconds of traffic per trial")
-    p_run.add_argument("--loss-rate", type=float, default=0.0)
-    p_run.add_argument("--deployment", default="inline",
-                       choices=("inline", "lookaside", "source_routed"),
-                       help="accelerator deployment style under test")
-    p_run.add_argument("--mutate", default="",
-                       help="arm a deliberate protocol mutation "
-                            "(e.g. psn-skip) to self-test the monitor")
-    p_run.add_argument("--no-shrink", action="store_true",
-                       help="skip reproducer minimization")
-    p_run.add_argument("--out", default="",
-                       help="write campaign JSON here instead of stdout")
-    p_run.add_argument("--repro-dir", default="",
-                       help="directory for per-failure reproducer files")
-    p_run.set_defaults(fn=_cmd_chaos_run)
-
-    p_replay = chaos_sub.add_parser(
-        "replay", help="re-execute a reproducer JSON file")
-    p_replay.add_argument("file")
-    p_replay.set_defaults(fn=_cmd_chaos_replay)
-
-    p_churn = sub.add_parser(
-        "churn", help="deterministic membership-churn campaigns "
-                      "(incremental MRP joins/leaves, failure pruning)")
-    churn_sub = p_churn.add_subparsers(dest="churn_command", required=True)
-
-    p_crun = churn_sub.add_parser(
-        "run", help="run N seeded churn trials, shrink any failure")
-    p_crun.add_argument("--seed", type=int, default=1)
-    p_crun.add_argument("--trials", type=int, default=5)
-    p_crun.add_argument("--topo", default="star",
-                        choices=("star", "fat_tree"))
-    p_crun.add_argument("--hosts", type=int, default=8)
-    p_crun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_crun.add_argument("--members", type=int, default=5,
-                        help="initial group size")
-    p_crun.add_argument("--messages", type=int, default=4)
-    p_crun.add_argument("--msg-packets", type=int, default=8)
-    p_crun.add_argument("--joins", type=int, default=2)
-    p_crun.add_argument("--leaves", type=int, default=1)
-    p_crun.add_argument("--crashes", type=int, default=1)
-    p_crun.add_argument("--horizon", type=float, default=0.04,
-                        help="virtual seconds of traffic per trial")
-    p_crun.add_argument("--loss-rate", type=float, default=0.0)
-    p_crun.add_argument("--mutate", default="",
-                        help="arm a deliberate liveness mutation "
-                             "(no-detector) to self-test the campaign")
-    p_crun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_crun.add_argument("--out", default="",
-                        help="write campaign JSON here instead of stdout")
-    p_crun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_crun.set_defaults(fn=_cmd_churn_run)
-
-    p_creplay = churn_sub.add_parser(
-        "replay", help="re-execute a churn reproducer JSON file")
-    p_creplay.add_argument("file")
-    p_creplay.set_defaults(fn=_cmd_churn_replay)
-
-    p_broker = sub.add_parser(
-        "broker", help="open-loop broker-fabric pub/sub campaigns "
-                       "(SLO tails, delivery amplification, MRP delta "
-                       "coalescing)")
-    broker_sub = p_broker.add_subparsers(dest="broker_command",
-                                         required=True)
-
-    p_brun = broker_sub.add_parser(
-        "run", help="run N seeded open-loop trials, shrink any failure")
-    p_brun.add_argument("--seed", type=int, default=1)
-    p_brun.add_argument("--trials", type=int, default=3)
-    p_brun.add_argument("--topo", default="fat_tree",
-                        choices=("star", "fat_tree"))
-    p_brun.add_argument("--hosts", type=int, default=16)
-    p_brun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_brun.add_argument("--topics", type=int, default=6)
-    p_brun.add_argument("--min-subs", type=int, default=3,
-                        help="initial subscribers per topic, lower bound")
-    p_brun.add_argument("--max-subs", type=int, default=8,
-                        help="initial subscribers per topic, upper bound")
-    p_brun.add_argument("--msg-size", type=int, default=65536)
-    p_brun.add_argument("--publish-rate", type=float, default=60000.0,
-                        help="Poisson publish arrivals per second")
-    p_brun.add_argument("--zipf-alpha", type=float, default=0.9,
-                        help="topic popularity skew (0 = uniform)")
-    p_brun.add_argument("--churn-rate", type=float, default=2000.0,
-                        help="subscription toggles per second")
-    p_brun.add_argument("--cross-rate", type=float, default=4000.0,
-                        help="background unicast transfers per second")
-    p_brun.add_argument("--cross-size", type=int, default=131072)
-    p_brun.add_argument("--horizon", type=float, default=0.02,
-                        help="virtual seconds of open-loop load per trial")
-    p_brun.add_argument("--coalesce-window", type=float, default=0.0,
-                        help="MRP delta coalescing window in seconds "
-                             "(0 = one delta per membership op)")
-    p_brun.add_argument("--loss-rate", type=float, default=0.0)
-    p_brun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_brun.add_argument("--out", default="",
-                        help="write campaign JSON here instead of stdout")
-    p_brun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_brun.set_defaults(fn=_cmd_broker_run)
-
-    p_breplay = broker_sub.add_parser(
-        "replay", help="re-execute a broker-fabric reproducer JSON file")
-    p_breplay.add_argument("file")
-    p_breplay.set_defaults(fn=_cmd_broker_replay)
-
-    p_fuzz = sub.add_parser(
-        "fuzz", help="coverage-guided protocol fuzzing with differential "
-                     "deployment oracles")
-    fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command", required=True)
-
-    p_frun = fuzz_sub.add_parser(
-        "run", help="coverage-guided fuzzing session over chaos/churn "
-                    "schedules (every trial runs all three deployments)")
-    p_frun.add_argument("--seed", type=int, default=1)
-    p_frun.add_argument("--budget-trials", type=int, default=50)
-    p_frun.add_argument("--topo", default="star",
-                        choices=("star", "fat_tree"))
-    p_frun.add_argument("--hosts", type=int, default=8)
-    p_frun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_frun.add_argument("--members", type=int, default=6,
-                        help="initial group size")
-    p_frun.add_argument("--messages", type=int, default=3)
-    p_frun.add_argument("--msg-packets", type=int, default=6)
-    p_frun.add_argument("--incidents-max", type=int, default=2)
-    p_frun.add_argument("--joins-max", type=int, default=1)
-    p_frun.add_argument("--leaves-max", type=int, default=1)
-    p_frun.add_argument("--horizon", type=float, default=0.03,
-                        help="virtual seconds of traffic per trial")
-    p_frun.add_argument("--loss-rate", type=float, default=0.0)
-    p_frun.add_argument("--jct-slack", type=float, default=5.0,
-                        help="throughput-oracle ceiling multiplier over "
-                             "the analytic JCT model")
+    # fuzz alone has a corpus: it seeds `run`, and `replay` accepts one.
+    p_frun, p_freplay, fuzz_sub = campaign_parsers["fuzz"]
     p_frun.add_argument("--corpus", default="",
                         help="corpus directory: seeds the session and "
                              "receives new coverage-reaching inputs")
     p_frun.add_argument("--frozen-corpus", action="store_true",
                         help="read the corpus but do not write new "
                              "entries back")
-    p_frun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_frun.add_argument("--out", default="",
-                        help="write session JSON here instead of stdout")
-    p_frun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_frun.set_defaults(fn=_cmd_fuzz_run)
-
-    p_freplay = fuzz_sub.add_parser(
-        "replay", help="re-execute a corpus directory (deterministic "
-                       "coverage signature) or one reproducer JSON file")
-    p_freplay.add_argument("target",
-                           help="corpus directory or reproducer file")
+    p_frun.set_defaults(session=_fuzz_session)
+    p_freplay.description = ("re-execute a corpus directory (deterministic "
+                             "coverage signature) or one reproducer JSON file")
     p_freplay.add_argument("--jobs", type=int, default=1,
                            help="parallel replay workers (directory only; "
                                 "the signature is jobs-independent)")
     p_freplay.add_argument("--out", default="",
-                           help="write replay JSON here instead of stdout")
+                           help="write replay JSON here instead of stdout "
+                                "(directory only)")
     p_freplay.set_defaults(fn=_cmd_fuzz_replay)
-
     p_fcorpus = fuzz_sub.add_parser(
         "corpus", help="list the inputs of a corpus directory")
     p_fcorpus.add_argument("--corpus", default="tests/harness/corpus",

@@ -1,15 +1,21 @@
 """Experiment harness: one entry per paper table/figure + ablations,
 the parallel cached experiment engine (`repro.harness.engine`), the
 machine-readable bench documents + regression gate
-(`repro.harness.bench`), plus the deterministic chaos campaign runner
-(`repro.harness.chaos`)."""
+(`repro.harness.bench`), plus the campaign kernel
+(`repro.harness.campaign`: schedule -> trial -> shrink -> reproducer)
+and the harnesses declared against it — chaos (`repro.harness.chaos`),
+membership churn (`repro.harness.churn`), coverage-guided fuzzing
+(`repro.harness.fuzz`) and, in `repro.apps.brokerfabric`, the broker
+fabric.  Each exposes a `CAMPAIGN` object: `CAMPAIGN.run(cfg, seed,
+trials)`, `.shrink`, `.load`, `.replay`."""
 
 from repro.harness.bench import compare, headline_metrics, load_document
 from repro.harness.cache import ResultCache, code_fingerprint
+from repro.harness.campaign import Campaign
 from repro.harness.chaos import (ChaosConfig, Incident, Schedule,
-                                 generate_schedule, load_reproducer,
-                                 replay_reproducer, run_campaign, run_trial,
-                                 shrink_schedule)
+                                 generate_schedule, run_trial)
+from repro.harness.churn import (ChurnConfig, ChurnEvent, ChurnSchedule,
+                                 generate_churn_schedule, run_churn_trial)
 from repro.harness.engine import EngineRun, run_engine
 from repro.harness.openloop import (ChurnOp, CrossOp, OpenLoopSchedule,
                                     PublishOp, ZipfSampler,
@@ -30,9 +36,11 @@ __all__ = ["ExperimentResult", "fmt_size", "fmt_time", "format_table",
            "BcastSweep",
            "EngineRun", "run_engine", "ResultCache", "code_fingerprint",
            "headline_metrics", "compare", "load_document",
+           "Campaign",
            "ChaosConfig", "Incident", "Schedule", "generate_schedule",
-           "run_trial", "run_campaign", "shrink_schedule",
-           "load_reproducer", "replay_reproducer",
+           "run_trial",
+           "ChurnConfig", "ChurnEvent", "ChurnSchedule",
+           "generate_churn_schedule", "run_churn_trial",
            "PublishOp", "ChurnOp", "CrossOp", "OpenLoopSchedule",
            "ZipfSampler", "poisson_offsets", "generate_publish_stream",
            "generate_churn_stream", "generate_cross_stream", "schedule_ops",

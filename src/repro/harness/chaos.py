@@ -17,11 +17,13 @@ reproducer:
   cluster, register one multicast group, post the message sequence
   while the incidents fire, and record deliveries + invariant
   violations.  Two runs of the same trial are bit-for-bit identical;
-* a **campaign** runs N trials; every failing trial is replayed through
-  :func:`shrink_schedule`, which greedily drops incidents and trailing
-  messages while the failure persists, and the minimal schedule is
-  dumped as a JSON reproducer that ``cepheus-repro chaos replay``
-  re-executes.
+* a **campaign** runs N trials; every failing trial is shrunk by the
+  shared kernel (:mod:`repro.harness.campaign`), which greedily drops
+  incidents and trailing messages while the failure persists, and the
+  minimal schedule is dumped as a JSON reproducer that ``cepheus-repro
+  chaos replay`` re-executes.  :data:`CAMPAIGN` is this harness's
+  declaration against that kernel: ``CAMPAIGN.run(cfg, seed, trials)``,
+  ``CAMPAIGN.shrink``, ``CAMPAIGN.load`` / ``CAMPAIGN.replay``.
 
 A ``mutate`` knob arms the :data:`repro.transport.qp.psn_tx_hook` fault
 hook inside a trial, deliberately corrupting the protocol — the smoke
@@ -31,31 +33,25 @@ violations rather than vacuously passing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.apps.cluster import Cluster
 from repro.check import InvariantMonitor
 from repro.collectives import CepheusBcast
-from repro.core.accelerator import AcceleratorConfig
+from repro.harness.campaign import (Campaign, CampaignConfig, build_cluster,
+                                    drive_messages)
 from repro.net.failures import FailureInjector
-from repro.net.switch import Switch, SwitchConfig
+from repro.net.switch import Switch
 from repro.transport import qp as qp_state
-from repro.transport.roce import RoceConfig
 
-__all__ = [
-    "ChaosConfig", "Incident", "Schedule", "generate_schedule",
-    "greedy_drop", "run_trial", "run_campaign", "shrink_schedule",
-    "load_reproducer", "replay_reproducer",
-]
-
-REPRODUCER_KIND = "cepheus-chaos-reproducer"
+__all__ = ["CAMPAIGN", "ChaosConfig", "Incident", "Schedule",
+           "generate_schedule", "run_trial"]
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(CampaignConfig):
     """Parameters of one chaos campaign (all trials share these)."""
 
     topo: str = "star"           # "star" | "fat_tree"
@@ -70,14 +66,6 @@ class ChaosConfig:
     retransmit_mode: str = "gbn"
     deployment: str = "inline"   # accelerator style: inline | lookaside | source_routed
     mutate: Optional[str] = None  # "psn-skip" arms the PSN fault hook
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChaosConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -137,23 +125,8 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# cluster construction + target enumeration
+# target enumeration + schedule generation
 # ---------------------------------------------------------------------------
-
-def _build_cluster(cfg: ChaosConfig, trial_seed: int) -> Cluster:
-    sw_cfg = SwitchConfig(loss_rate=cfg.loss_rate, seed=trial_seed)
-    roce = RoceConfig(rto=cfg.rto, retransmit_mode=cfg.retransmit_mode)
-    accel = AcceleratorConfig(deployment=cfg.deployment)
-    if cfg.topo == "star":
-        return Cluster.testbed(cfg.hosts, switch_config=sw_cfg,
-                               accel_config=accel, roce_config=roce)
-    if cfg.topo == "fat_tree":
-        return Cluster.fat_tree_cluster(cfg.k, hosts_limit=cfg.hosts,
-                                        switch_config=sw_cfg,
-                                        accel_config=accel,
-                                        roce_config=roce)
-    raise ValueError(f"unknown chaos topology {cfg.topo!r}")
-
 
 def _enumerate_targets(cluster: Cluster) -> List[Tuple]:
     """Deterministic pool of failure targets for a topology."""
@@ -173,7 +146,7 @@ def _enumerate_targets(cluster: Cluster) -> List[Tuple]:
 def generate_schedule(cfg: ChaosConfig, rng) -> Schedule:
     """Draw one randomized-but-reproducible trial schedule."""
     trial_seed = rng.randrange(1 << 31)
-    cluster = _build_cluster(cfg, 0)   # shape-only; state is discarded
+    cluster = build_cluster(cfg, 0)   # shape-only; state is discarded
     hosts = cluster.topo.host_ips
     sources = tuple(rng.choice(hosts) for _ in range(cfg.messages))
     h = cfg.horizon
@@ -248,7 +221,7 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
     config's deployment — the fuzzer and the stage-coverage regression
     tests use it; plain campaigns skip the instrumentation cost.
     """
-    cluster = _build_cluster(cfg, schedule.trial_seed)
+    cluster = build_cluster(cfg, schedule.trial_seed)
     sim = cluster.sim
     monitor = InvariantMonitor()
     monitor.attach_cluster(cluster)
@@ -283,29 +256,14 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
                 deliveries[_ip] += 1
             algo.qps[ip].on_message = on_msg
 
-        state = {"completed": 0, "done_times": []}
-
-        def post_next() -> None:
-            i = state["completed"]
+        def post(i: int, on_done) -> None:
             src = schedule.sources[i]
             if algo.group.current_source != src:
                 algo.set_source(src)
-
-            def on_done(mid: int, now: float) -> None:
-                state["completed"] += 1
-                state["done_times"].append(now - start)
-                i_next = state["completed"]
-                if i_next < len(schedule.sources):
-                    # Honor the schedule offset, with a short floor that
-                    # lets residual feedback settle before the §III-E
-                    # source switch (which needs idle QPs).
-                    when = max(start + schedule.offsets[i_next],
-                               sim.now + 1e-6)
-                    sim.schedule(when - sim.now, post_next)
-
             algo.qps[src].post_send(size, on_complete=on_done)
 
-        post_next()
+        expected = len(schedule.sources)
+        done = drive_messages(sim, start, schedule.offsets[:expected], post)
         sim.run(until=start + cfg.horizon, max_events=20_000_000)
 
         # All incidents repair before the horizon, so the fabric must be
@@ -315,19 +273,19 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
 
         # Liveness: every message completed, and every member delivered
         # each message it was not itself the source of.
-        expected = len(schedule.sources)
         per_member_ok = all(
             deliveries[ip] == sum(1 for s in schedule.sources if s != ip)
             for ip in members)
-        delivered_all = state["completed"] == expected and per_member_ok
+        delivered_all = len(done) == expected and per_member_ok
         violations = [v.to_dict() for v in monitor.violations]
         return {
             "trial": trial_index,
             "trial_seed": schedule.trial_seed,
             "schedule": schedule.to_dict(),
             "expected_messages": expected,
-            "completed_messages": state["completed"],
-            "done_times_us": [round(t * 1e6, 3) for t in state["done_times"]],
+            "completed_messages": len(done),
+            "done_times_us": [round((at - start) * 1e6, 3)
+                              for _, at in done],
             "deliveries": {str(ip): deliveries[ip] for ip in members},
             "events": sim.events_run,
             "checked": monitor.events_checked,
@@ -344,111 +302,10 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
         monitor.detach()
 
 
-def _fails(cfg: ChaosConfig, schedule: Schedule) -> bool:
-    return bool(run_trial(cfg, schedule)["failing"])
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-# ---------------------------------------------------------------------------
-
-def greedy_drop(items, rebuild, fails):
-    """One greedy delta-debugging pass over ``items``.
-
-    Tries removing each element in turn; ``rebuild(remaining)`` makes
-    the candidate and ``fails(candidate)`` re-runs the trial.  Every
-    removal that still fails is kept.  Shared by the chaos, churn and
-    fuzz shrinkers — each probe is a full deterministic re-run, so the
-    result is guaranteed to reproduce the failure.
-
-    Returns ``(surviving_items, final_candidate)``; the candidate is
-    ``rebuild(items)`` even when nothing could be dropped.
-    """
-    items = list(items)
-    candidate = rebuild(items)
-    i = 0
-    while i < len(items):
-        cand = rebuild(items[:i] + items[i + 1:])
-        if fails(cand):
-            items.pop(i)
-            candidate = cand
-        else:
-            i += 1
-    return items, candidate
-
-
-def shrink_schedule(cfg: ChaosConfig, schedule: Schedule) -> Schedule:
-    """Greedily minimize a failing schedule.
-
-    Drops incidents one at a time, then trailing messages, keeping every
-    reduction that still fails.
-    """
-    _, schedule = greedy_drop(
-        schedule.incidents,
-        lambda inc: replace(schedule, incidents=tuple(inc)),
-        lambda cand: _fails(cfg, cand))
-    sources = list(schedule.sources)
-    while len(sources) > 1:
-        cand = replace(schedule, sources=tuple(sources[:-1]))
-        if _fails(cfg, cand):
-            sources.pop()
-            schedule = cand
-        else:
-            break
-    return schedule
-
-
-# ---------------------------------------------------------------------------
-# campaigns + reproducers
-# ---------------------------------------------------------------------------
-
-def run_campaign(cfg: ChaosConfig, seed: int, trials: int,
-                 shrink: bool = True) -> Dict[str, object]:
-    """Run ``trials`` seeded trials; shrink and package any failures.
-
-    The returned document is fully deterministic for a given
-    (config, seed, trials): running it twice yields identical JSON.
-    """
-    import random
-
-    records: List[Dict[str, object]] = []
-    reproducers: List[Dict[str, object]] = []
-    for t in range(trials):
-        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1 + 1))
-        schedule = generate_schedule(cfg, rng)
-        record = run_trial(cfg, schedule, trial_index=t)
-        records.append(record)
-        if record["failing"]:
-            minimal = shrink_schedule(cfg, schedule) if shrink else schedule
-            final = run_trial(cfg, minimal, trial_index=t)
-            reproducers.append({
-                "kind": REPRODUCER_KIND,
-                "config": cfg.to_dict(),
-                "schedule": minimal.to_dict(),
-                "violations": final["violations"],
-                "delivered_all": final["delivered_all"],
-                "trial": t,
-            })
-    return {
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "trials": trials,
-        "records": records,
-        "failing_trials": [r["trial"] for r in records if r["failing"]],
-        "reproducers": reproducers,
-    }
-
-
-def load_reproducer(path: str) -> Tuple[ChaosConfig, Schedule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != REPRODUCER_KIND:
-        raise ValueError(f"{path} is not a {REPRODUCER_KIND} document")
-    return (ChaosConfig.from_dict(doc["config"]),
-            Schedule.from_dict(doc["schedule"]))
-
-
-def replay_reproducer(path: str) -> Dict[str, object]:
-    """Re-execute a dumped reproducer; returns its (fresh) trial record."""
-    cfg, schedule = load_reproducer(path)
-    return run_trial(cfg, schedule)
+CAMPAIGN = Campaign(
+    name="chaos", config_cls=ChaosConfig, schedule_cls=Schedule,
+    generate=generate_schedule, run_trial=run_trial,
+    droppable=("incidents",), trailing=("sources",),
+    extras=("violations", "delivered_all"),
+    mutations=("psn-skip",),
+)

@@ -253,10 +253,10 @@ class TestChurnHarnessWithCoalescing:
         the failure detector) with coalescing enabled: exactly-once
         delivery and every invariant — including the member-index sync
         check — must hold."""
-        from repro.harness.churn import ChurnConfig, run_churn_campaign
+        from repro.harness.churn import CAMPAIGN, ChurnConfig
 
         cfg = ChurnConfig(coalesce_window=WINDOW)
-        doc = run_churn_campaign(cfg, seed=11, trials=2, shrink=False)
+        doc = CAMPAIGN.run(cfg, seed=11, trials=2, shrink=False)
         assert doc["failing_trials"] == []
         for r in doc["records"]:
             assert r["violations"] == []
@@ -264,11 +264,11 @@ class TestChurnHarnessWithCoalescing:
             assert r["delta_failures"] == []
 
     def test_fat_tree_churn_with_coalescing(self):
-        from repro.harness.churn import ChurnConfig, run_churn_campaign
+        from repro.harness.churn import CAMPAIGN, ChurnConfig
 
         cfg = ChurnConfig(topo="fat_tree", hosts=8, k=4,
                           coalesce_window=WINDOW)
-        doc = run_churn_campaign(cfg, seed=7, trials=1, shrink=False)
+        doc = CAMPAIGN.run(cfg, seed=7, trials=1, shrink=False)
         assert doc["failing_trials"] == []
 
 

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.harness.chaos import (ChaosConfig, Incident, Schedule,
-                                 generate_schedule, load_reproducer,
-                                 run_campaign, run_trial, shrink_schedule)
+from repro.harness.chaos import (CAMPAIGN, ChaosConfig, Incident, Schedule,
+                                 generate_schedule, run_trial)
 
 # Small-but-real: enough horizon for an incident + RTO recovery.
 QUICK = ChaosConfig(hosts=4, messages=2, msg_packets=4,
@@ -74,7 +73,7 @@ def test_mutated_trial_fails_and_shrinks_to_minimum():
     rec = run_trial(cfg, sched)
     assert rec["failing"]
     assert "psn-contiguity" in {v["invariant"] for v in rec["violations"]}
-    minimal = shrink_schedule(cfg, sched)
+    _, minimal = CAMPAIGN.shrink(cfg, sched)
     # the mutation alone causes the failure: no incident is needed
     assert minimal.incidents == ()
     # the skip lands mid-message-2, so both messages must remain
@@ -85,18 +84,18 @@ def test_mutated_trial_fails_and_shrinks_to_minimum():
 def test_campaign_packages_reproducer(tmp_path):
     cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
                       incidents=1, horizon=0.01, mutate="psn-skip")
-    camp = run_campaign(cfg, seed=2, trials=1)
+    camp = CAMPAIGN.run(cfg, seed=2, trials=1)
     assert camp["failing_trials"] == [0]
     (rep,) = camp["reproducers"]
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(rep, sort_keys=True))
-    cfg2, sched2 = load_reproducer(str(path))
+    cfg2, sched2 = CAMPAIGN.load(str(path))
     assert cfg2 == cfg
     assert run_trial(cfg2, sched2)["failing"]
 
 
 def test_campaign_clean_when_unmutated():
-    camp = run_campaign(QUICK, seed=11, trials=2)
+    camp = CAMPAIGN.run(QUICK, seed=11, trials=2)
     assert camp["failing_trials"] == []
     assert camp["reproducers"] == []
 
@@ -105,7 +104,7 @@ def test_load_reproducer_rejects_other_json(tmp_path):
     path = tmp_path / "not_a_repro.json"
     path.write_text(json.dumps({"kind": "something-else"}))
     with pytest.raises(ValueError):
-        load_reproducer(str(path))
+        CAMPAIGN.load(str(path))
 
 
 def test_cli_chaos_run_and_replay(tmp_path, capsys):
@@ -135,7 +134,7 @@ def test_cli_chaos_run_and_replay(tmp_path, capsys):
 def test_campaign_clean_under_alternate_deployments(deployment):
     cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
                       incidents=1, horizon=0.01, deployment=deployment)
-    camp = run_campaign(cfg, seed=7, trials=2)
+    camp = CAMPAIGN.run(cfg, seed=7, trials=2)
     assert camp["failing_trials"] == [], camp
     assert camp["reproducers"] == []
 

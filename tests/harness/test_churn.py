@@ -4,10 +4,8 @@ import json
 
 import pytest
 
-from repro.harness.churn import (ChurnConfig, ChurnEvent, ChurnSchedule,
-                                 generate_churn_schedule, load_churn_reproducer,
-                                 replay_churn_reproducer, run_churn_campaign,
-                                 run_churn_trial, shrink_churn_schedule)
+from repro.harness.churn import (CAMPAIGN, ChurnConfig, ChurnSchedule,
+                                 generate_churn_schedule)
 
 CFG = ChurnConfig()
 
@@ -43,7 +41,7 @@ class TestCampaign:
         """Joins, a voluntary leave, and a crashed receiver during
         in-flight broadcasts: exactly-once to all final members, no
         stalled aggregates, invariants clean across epochs."""
-        doc = run_churn_campaign(CFG, seed=11, trials=3, shrink=False)
+        doc = CAMPAIGN.run(CFG, seed=11, trials=3, shrink=False)
         assert doc["failing_trials"] == []
         for r in doc["records"]:
             assert r["completed_messages"] == CFG.messages
@@ -58,15 +56,15 @@ class TestCampaign:
                 assert r["delta_records"] / joins < r["full_records"]
 
     def test_campaign_is_bit_for_bit_deterministic(self):
-        a = run_churn_campaign(CFG, seed=3, trials=2, shrink=False)
-        b = run_churn_campaign(CFG, seed=3, trials=2, shrink=False)
+        a = CAMPAIGN.run(CFG, seed=3, trials=2, shrink=False)
+        b = CAMPAIGN.run(CFG, seed=3, trials=2, shrink=False)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_no_detector_mutation_fails(self):
         """Self-test: with the failure detector off, a crash must stall
         the group (the campaign detects real liveness bugs)."""
         cfg = ChurnConfig(mutate="no-detector")
-        doc = run_churn_campaign(cfg, seed=11, trials=1, shrink=False)
+        doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=False)
         assert doc["failing_trials"] == [0]
         rec = doc["records"][0]
         assert rec["unpruned_crashes"] or \
@@ -79,31 +77,31 @@ class TestShrinkAndReplay:
         import random
         cfg = ChurnConfig(mutate="no-detector")
         sched = generate_churn_schedule(cfg, random.Random(11))
-        minimal = shrink_churn_schedule(cfg, sched)
+        _, minimal = CAMPAIGN.shrink(cfg, sched)
         kinds = [e.kind for e in minimal.events]
         assert kinds == ["crash"]
         assert len(minimal.offsets) <= len(sched.offsets)
 
     def test_reproducer_roundtrip(self, tmp_path):
         cfg = ChurnConfig(mutate="no-detector")
-        doc = run_churn_campaign(cfg, seed=11, trials=1, shrink=True)
+        doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=True)
         rep = doc["reproducers"][0]
         path = tmp_path / "repro.json"
         path.write_text(json.dumps(rep))
-        cfg2, sched2 = load_churn_reproducer(str(path))
+        cfg2, sched2 = CAMPAIGN.load(str(path))
         assert cfg2.mutate == "no-detector"
-        record = replay_churn_reproducer(str(path))
+        record = CAMPAIGN.replay(str(path))
         assert record["failing"]
 
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"kind": "something-else"}))
         with pytest.raises(ValueError):
-            load_churn_reproducer(str(path))
+            CAMPAIGN.load(str(path))
 
 
 class TestFatTree:
     def test_fat_tree_churn_clean(self):
         cfg = ChurnConfig(topo="fat_tree", hosts=8, k=4)
-        doc = run_churn_campaign(cfg, seed=11, trials=1, shrink=False)
+        doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=False)
         assert doc["failing_trials"] == []
