@@ -34,18 +34,24 @@ from repro import constants
 __all__ = ["main"]
 
 
-def _cmd_experiments(args) -> int:
-    from repro.harness.runner import ALL_EXPERIMENTS, run_experiments
+def _cmd_experiments(args, stream=None) -> int:
+    from repro.harness.runner import run_cli
 
-    names = ([n.strip() for n in args.only.split(",") if n.strip()]
-             if args.only else list(ALL_EXPERIMENTS))
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; "
-              f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
+    try:
+        return run_cli(args, stream=stream)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    run_experiments(names, quick=not args.full, jobs=args.jobs)
-    return 0
+
+
+def _cmd_bench_emit(args) -> int:
+    """``experiments`` with a document always written and the tables
+    silenced."""
+    import io
+
+    args.emit = args.emit or ("BENCH_full.json" if args.full
+                              else "BENCH_quick.json")
+    return _cmd_experiments(args, None if args.verbose else io.StringIO())
 
 
 def _cmd_demo(args) -> int:
@@ -300,47 +306,6 @@ def _cmd_fuzz_corpus(args) -> int:
     return 0
 
 
-def _cmd_bench_emit(args) -> int:
-    import json
-
-    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
-    from repro.harness.engine import run_engine
-    from repro.harness.runner import ALL_EXPERIMENTS
-
-    names = ([n.strip() for n in args.only.split(",") if n.strip()]
-             if args.only else list(ALL_EXPERIMENTS))
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; "
-              f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    quick = not args.full
-    run = run_engine(names, quick=quick, jobs=args.jobs, cache=cache,
-                     stream=sys.stdout if args.verbose else _NullStream())
-    out = args.out or ("BENCH_quick.json" if quick else "BENCH_full.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(run.document(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"bench: {len(names)} experiment(s) in {run.total_wall_s:.1f}s "
-          f"({run.executed} executed, {run.cache_hits} cached, "
-          f"jobs={args.jobs}) -> {out}", file=sys.stderr)
-    return 0
-
-
-class _NullStream:
-    def write(self, _text: str) -> int:
-        return 0
-
-    def flush(self) -> None:
-        pass
-
-
 def _cmd_bench_compare(args) -> int:
     from repro.harness import bench
 
@@ -469,6 +434,8 @@ def _add_campaign(sub, name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.runner import add_arguments
+
     parser = argparse.ArgumentParser(
         prog="cepheus-repro",
         description="Cepheus (HPCA 2024) reproduction toolkit",
@@ -477,12 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments",
                            help="reproduce the paper's tables/figures")
-    p_exp.add_argument("--only", default="",
-                       help="comma-separated experiment ids")
-    p_exp.add_argument("--full", action="store_true",
-                       help="paper-scale parameters (slow)")
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="experiment worker processes")
+    add_arguments(p_exp)
     p_exp.set_defaults(fn=_cmd_experiments)
 
     p_demo = sub.add_parser("demo", help="60-second broadcast comparison")
@@ -527,19 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_emit = bench_sub.add_parser(
-        "emit", help="run the suite (parallel, cached) and write BENCH JSON")
-    p_emit.add_argument("--full", action="store_true",
-                        help="paper-scale parameters (slow)")
-    p_emit.add_argument("--only", default="",
-                        help="comma-separated experiment ids")
-    p_emit.add_argument("--jobs", type=int, default=1,
-                        help="experiment worker processes")
-    p_emit.add_argument("--out", default="",
-                        help="output path (default BENCH_<mode>.json)")
-    p_emit.add_argument("--cache-dir", default="",
-                        help="result-cache directory (default .bench_cache)")
-    p_emit.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
+        "emit", help="run the suite (parallel, cached) and write BENCH JSON",
+        description="Run the suite and write the BENCH document "
+                    "(--out defaults to BENCH_<mode>.json).")
+    add_arguments(p_emit, emit_flag="--out")
     p_emit.add_argument("--verbose", action="store_true",
                         help="also print the paper-style tables")
     p_emit.set_defaults(fn=_cmd_bench_emit)

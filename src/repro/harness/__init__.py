@@ -1,4 +1,5 @@
-"""Experiment harness: one entry per paper table/figure + ablations,
+"""Experiment harness: one registry entry per paper table/figure,
+ablation and extension study (`repro.harness.runner.ALL_EXPERIMENTS`),
 the parallel cached experiment engine (`repro.harness.engine`), the
 machine-readable bench documents + regression gate
 (`repro.harness.bench`), plus the campaign kernel

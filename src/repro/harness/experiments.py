@@ -2,9 +2,8 @@
 :class:`~repro.harness.report.ExperimentResult`.
 
 Every function takes a ``quick`` flag: ``quick=True`` shrinks sizes and
-group scales so the whole suite runs in minutes under pytest-benchmark;
-``quick=False`` runs the paper-faithful parameters (used to produce
-EXPERIMENTS.md).  Scale substitutions are spelled out in each
+group scales so the whole registry runs in minutes; ``quick=False``
+runs the paper-faithful parameters (used to produce EXPERIMENTS.md).  Scale substitutions are spelled out in each
 docstring and in the result's ``notes``.
 """
 

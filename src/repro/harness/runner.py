@@ -6,8 +6,11 @@
 ``python -m repro.harness.runner --jobs 4``   parallel fan-out
 ``python -m repro.harness.runner --jobs 4 --emit BENCH_quick.json``
 
-Experiments are pure functions of (id, quick); ``--jobs`` fans them
-out across a process pool and ``--cache-dir`` (default
+:data:`ALL_EXPERIMENTS` is the only way an evaluation table is
+produced; ``cepheus-repro experiments`` is this module's parser and
+``cepheus-repro bench emit`` the same :func:`run_cli` with the tables
+silenced.  Experiments are pure functions of (id, quick); ``--jobs``
+fans them out across a process pool and ``--cache-dir`` (default
 ``.bench_cache``; ``--no-cache`` disables) memoizes results keyed by
 (id, config hash, code fingerprint) so unchanged experiments are
 skipped on re-runs.  ``--emit`` writes the consolidated machine-
@@ -21,10 +24,11 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.harness import ablations, experiments
+from repro.harness import ablations, experiments, extensions
 from repro.harness.report import ExperimentResult
 
-__all__ = ["ALL_EXPERIMENTS", "run_experiments", "main"]
+__all__ = ["ALL_EXPERIMENTS", "select", "run_experiments",
+           "add_arguments", "run_cli", "main"]
 
 ALL_EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
     "fig7b": experiments.fig7b_memory,
@@ -48,7 +52,26 @@ ALL_EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
     "abl-retx": ablations.ablation_retransmit_filter,
     "abl-deploy": ablations.ablation_deployment,
     "abl-mem": ablations.ablation_state_memory,
+    "ext-allreduce": extensions.ext_allreduce,
+    "ext-inreduce": extensions.ext_inreduce,
+    "ext-irn": extensions.ext_irn,
+    "ext-mixed": extensions.ext_mixed,
+    "ext-reg": extensions.ext_reg,
+    "ext-workload": extensions.ext_workload,
 }
+
+
+def select(only: str = "") -> List[str]:
+    """Registry ids named by an ``--only`` value (all when empty), in
+    request order with repeats dropped; ``ValueError`` on an unknown id."""
+    names = list(dict.fromkeys(
+        n.strip() for n in only.split(",") if n.strip()))
+    names = names or list(ALL_EXPERIMENTS)
+    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiments: {unknown}; "
+                         f"available: {sorted(ALL_EXPERIMENTS)}")
+    return names
 
 
 def run_experiments(names: List[str], quick: bool = True, stream=None,
@@ -70,47 +93,58 @@ def run_experiments(names: List[str], quick: bool = True, stream=None,
     return run.results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Cepheus evaluation harness")
+def add_arguments(parser: argparse.ArgumentParser,
+                  emit_flag: str = "--emit") -> None:
+    """The flags every registry entry point takes (``bench emit``
+    spells the output flag ``--out``)."""
     parser.add_argument("--full", action="store_true",
                         help="paper-scale parameters (slow)")
     parser.add_argument("--only", default="",
                         help="comma-separated experiment ids")
     parser.add_argument("--jobs", type=int, default=1,
                         help="experiment worker processes (default 1)")
-    parser.add_argument("--emit", default="",
-                        help="write the consolidated BENCH JSON here")
     parser.add_argument("--cache-dir", default="",
                         help="result-cache directory (default .bench_cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
-    args = parser.parse_args(argv)
-    names = ([n.strip() for n in args.only.split(",") if n.strip()]
-             if args.only else list(ALL_EXPERIMENTS))
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiments: {unknown}; "
-                     f"have {sorted(ALL_EXPERIMENTS)}")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    parser.add_argument(emit_flag, dest="emit", default="",
+                        help="write the consolidated BENCH JSON here")
 
+
+def run_cli(args, *, stream=None) -> int:
+    """Select, run and optionally emit: the body of ``experiments``,
+    ``bench emit`` and ``python -m repro.harness.runner``.  Tables
+    print to ``stream``; raises ``ValueError`` on an unknown id or
+    ``--jobs < 1``."""
     from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.harness.engine import run_engine
 
+    names = select(args.only)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     run = run_engine(names, quick=not args.full, jobs=args.jobs,
-                     cache=cache, stream=sys.stdout)
-    print(f"{len(names)} experiment(s) in {run.total_wall_s:.1f}s "
-          f"({run.executed} executed, {run.cache_hits} cached, "
-          f"jobs={args.jobs})", file=sys.stderr)
+                     cache=cache, stream=stream)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             json.dump(run.document(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"bench document written to {args.emit}", file=sys.stderr)
+    print(f"{len(names)} experiment(s) in {run.total_wall_s:.1f}s "
+          f"({run.executed} executed, {run.cache_hits} cached, "
+          f"jobs={args.jobs})" + (f" -> {args.emit}" if args.emit else ""),
+          file=sys.stderr)
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Cepheus evaluation harness")
+    add_arguments(parser)
+    try:
+        return run_cli(parser.parse_args(argv))
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

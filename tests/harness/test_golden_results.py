@@ -1,88 +1,58 @@
-"""Golden-value regression suite.
+"""The registry suite: every experiment, once, against its paper
+shape and the committed baseline.
 
-Every registry experiment runs once in quick mode and its headline
-metrics are compared against the committed fixtures in
-``tests/harness/golden/`` using the per-metric tolerances of
-``benchmarks/tolerances.json`` — the same tolerance file the
-``cepheus-repro bench compare`` CI gate uses, so a PR that moves a
-headline number fails here first with a readable diff.
+Each ``runner.ALL_EXPERIMENTS`` id runs in quick mode once per session;
+its table must satisfy its ``SHAPES`` check (``test_experiments.py``)
+and ``bench.compare`` — the ``cepheus-repro bench compare`` CI gate
+itself, with exact event counts — must pass against its entry in
+``benchmarks/baselines/BENCH_quick.json`` under
+``benchmarks/tolerances.json``, so a PR that moves a headline number
+fails here first with the gate's own diff.
 
 To *intentionally* move a headline (model change, new calibration),
-regenerate the fixtures and commit the diff::
+re-emit the baseline and commit the diff (docs/TESTING.md)::
 
-    GOLDEN_REGEN=1 PYTHONPATH=src python -m pytest tests/harness/test_golden_results.py
-    PYTHONPATH=src python -m repro.cli bench emit --jobs 4 --no-cache \
+    PYTHONPATH=src python -m repro.cli bench emit --jobs 1 --no-cache \
         --out benchmarks/baselines/BENCH_quick.json
 
-(see docs/TESTING.md, "Golden fixtures").
-
-The cheap experiments run in tier 1; the minutes-long ones carry the
-``slow`` marker and run in tier 2 / CI-main only.
+The cheap experiments run in tier 1; the rest carry the ``slow``
+marker and run in tier 2 / CI-main only.
 """
 
-import json
-import os
 import pathlib
 
 import pytest
 
 from repro.harness import bench
-from repro.harness.engine import execute_one
 from repro.harness.runner import ALL_EXPERIMENTS
+from tests.harness.test_experiments import SHAPES, quick_entry, quick_result
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-TOLERANCES_PATH = (pathlib.Path(__file__).parents[2]
-                   / "benchmarks" / "tolerances.json")
-REGEN = os.environ.get("GOLDEN_REGEN") == "1"
+BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
+BASELINE = bench.load_document(
+    str(BENCHMARKS / "baselines" / "BENCH_quick.json"))["experiments"]
+TOLERANCES = bench.load_tolerances(str(BENCHMARKS / "tolerances.json"))
 
-#: Experiments cheap enough (< ~1 s) for tier 1; the rest are tier 2.
+#: Experiments cheap enough (< ~2 s) for tier 1; the rest are tier 2.
 CHEAP = {"fig7b", "fig8", "fig10", "abl-ack", "abl-cnp", "abl-retx",
          "abl-deploy", "abl-mem", "churn", "srmc_scaling", "brokerfabric",
-         "mrc_fanin", "mrc_loss"}
+         "mrc_fanin", "mrc_loss", "ext-reg", "ext-workload", "ext-inreduce"}
 
 PARAMS = [pytest.param(name, marks=() if name in CHEAP
                        else (pytest.mark.slow,))
           for name in ALL_EXPERIMENTS]
 
 
-def test_every_experiment_has_a_fixture():
-    missing = [n for n in ALL_EXPERIMENTS
-               if not (GOLDEN_DIR / f"{n}.json").exists()]
-    assert REGEN or not missing, \
-        (f"no golden fixture for {missing}; run GOLDEN_REGEN=1 pytest "
-         f"{pathlib.Path(__file__).name} to create them")
+def test_every_experiment_has_a_baseline_entry_and_a_shape_check():
+    assert set(ALL_EXPERIMENTS) <= set(BASELINE)
+    assert set(SHAPES) == set(ALL_EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", PARAMS)
 def test_golden(name):
-    entry = execute_one(name, True)
-    metrics = entry["metrics"]
-    path = GOLDEN_DIR / f"{name}.json"
-    if REGEN:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(
-            {"exp_id": name, "mode": "quick", "metrics": metrics},
-            indent=2, sort_keys=True) + "\n")
-        return
-    golden = json.loads(path.read_text())["metrics"]
-    tolerances = bench.load_tolerances(str(TOLERANCES_PATH))
-    problems = []
-    for metric in sorted(golden):
-        full_name = f"{name}.{metric}"
-        tol = bench.tolerance_for(full_name, tolerances)
-        expected = golden[metric]
-        got = metrics.get(metric)
-        if got is None:
-            problems.append(f"  {full_name}: missing (golden {expected:.6g})")
-            continue
-        denom = abs(expected) if abs(expected) > 1e-12 else 1.0
-        drift = abs(got - expected) / denom
-        if drift > tol:
-            problems.append(
-                f"  {full_name}: golden {expected:.6g} -> got {got:.6g} "
-                f"(drift {drift:.2%} > tol {tol:.2%})")
-    assert not problems, (
-        f"{name}: {len(problems)} headline metric(s) drifted beyond "
-        f"tolerance:\n" + "\n".join(problems)
-        + "\nIf intentional, regenerate fixtures: GOLDEN_REGEN=1 pytest "
-          "tests/harness/test_golden_results.py (docs/TESTING.md)")
+    SHAPES[name](quick_result(name))
+    comp = bench.compare({"experiments": {name: quick_entry(name)}},
+                         {"experiments": {name: BASELINE[name]}},
+                         TOLERANCES, check_events=True)
+    assert comp.ok, (
+        f"{comp.format()}\nIf intentional, re-emit "
+        f"benchmarks/baselines/BENCH_quick.json (docs/TESTING.md)")

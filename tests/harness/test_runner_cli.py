@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from repro.harness.runner import ALL_EXPERIMENTS, main, run_experiments
+from repro import cli
+from repro.harness.runner import (ALL_EXPERIMENTS, main, run_experiments,
+                                  select)
 
 
 class TestRunExperiments:
@@ -75,3 +77,52 @@ class TestMainCli:
 
     def test_registry_complete(self):
         assert len(ALL_EXPERIMENTS) >= 15
+
+
+def test_select_drops_repeats_in_request_order():
+    assert select("fig8, fig7b,fig8,") == ["fig8", "fig7b"]
+    assert select("") == list(ALL_EXPERIMENTS)
+
+
+#: The three front-ends of ``runner.run_cli``: argv -> exit code, given
+#: selection flags and a path for the BENCH document.
+ENTRY_POINTS = {
+    "runner": lambda argv, out: main(argv + ["--emit", out]),
+    "experiments": lambda argv, out: cli.main(
+        ["experiments"] + argv + ["--emit", out]),
+    "bench-emit": lambda argv, out: cli.main(
+        ["bench", "emit"] + argv + ["--out", out]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_share_one_selection(entry, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "doc.json")
+
+    def run(*argv):
+        try:
+            code = ENTRY_POINTS[entry](list(argv), out)
+        except SystemExit as exc:       # the runner reports via argparse
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    # a repeated id runs once
+    code, err = run("--only", "fig7b,abl-mem,fig7b")
+    assert code == 0 and "2 experiment(s)" in err
+    assert "(2 executed, 0 cached" in err
+    with open(out, encoding="utf-8") as fh:
+        assert sorted(json.load(fh)["experiments"]) == ["abl-mem", "fig7b"]
+    # the cache is on by default (.bench_cache in the cwd) ...
+    code, err = run("--only", "fig7b,abl-mem")
+    assert code == 0 and "(0 executed, 2 cached" in err
+    assert (tmp_path / ".bench_cache").is_dir()
+    # ... and --no-cache bypasses it
+    code, err = run("--only", "fig7b", "--no-cache")
+    assert code == 0 and "(1 executed, 0 cached" in err
+    # bad input: exit code 2 everywhere, nothing run
+    code, err = run("--only", "fig7b,fig99")
+    assert code == 2 and "unknown experiments: ['fig99']" in err
+    code, err = run("--only", "fig7b", "--jobs", "0")
+    assert code == 2 and "--jobs must be >= 1" in err

@@ -27,7 +27,8 @@ class TestParser:
         assert cmp_args.current == "a.json" and cmp_args.baseline == "b.json"
 
     def test_experiments_jobs_flag(self, capsys):
-        assert main(["experiments", "--only", "fig7b", "--jobs", "2"]) == 0
+        assert main(["experiments", "--only", "fig7b", "--jobs", "2",
+                     "--no-cache"]) == 0
         assert "MFT memory" in capsys.readouterr().out
 
     def test_bench_compare_gate_flags(self):
@@ -67,7 +68,7 @@ class TestCommands:
         assert "cepheus_jct" in out
 
     def test_experiments_selection(self, capsys):
-        assert main(["experiments", "--only", "fig7b"]) == 0
+        assert main(["experiments", "--only", "fig7b", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "MFT memory" in out
 
