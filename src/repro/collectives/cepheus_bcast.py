@@ -300,7 +300,7 @@ class CepheusBcast(BroadcastAlgorithm):
 
         def probe_done() -> None:
             fabric.unregister(probe)
-            self.unreachable = set(ctl.unconfirmed)
+            self.unreachable = set(ctl.unconfirmed())
             survivors = [ip for ip in self.ranks
                          if ip not in self.unreachable]
             if len(survivors) < 2:

@@ -12,10 +12,10 @@ from repro.core.fabric import CepheusFabric
 from repro.core.fallback import SafeguardMonitor
 from repro.core.feedback import FeedbackConfig, FeedbackEngine
 from repro.core.group import McstIdAllocator, MemberRecord, MulticastGroup
-from repro.core.membership import MembershipDelta, MembershipManager
+from repro.core.membership import MembershipManager
 from repro.core.mft import Mft, MftTable, PathEntry
-from repro.core.mrp import (HostControlAgent, MrpController, MrpError,
-                            MrpPayload, chunk_records)
+from repro.core.mrp import (HostControlAgent, MrpError, MrpPayload,
+                            MrpTransaction, chunk_records)
 from repro.core.source_routing import (BertAggregator, ScalingModel,
                                        SourceRoutingConfig,
                                        SourceRoutingManager, SrHeader,
@@ -28,9 +28,9 @@ __all__ = [
     "SafeguardMonitor",
     "FeedbackConfig", "FeedbackEngine",
     "McstIdAllocator", "MemberRecord", "MulticastGroup",
-    "MembershipDelta", "MembershipManager",
+    "MembershipManager",
     "Mft", "MftTable", "PathEntry",
-    "HostControlAgent", "MrpController", "MrpError", "MrpPayload",
+    "HostControlAgent", "MrpError", "MrpPayload", "MrpTransaction",
     "chunk_records",
     "BertAggregator", "ScalingModel", "SourceRoutingConfig",
     "SourceRoutingManager", "SrHeader", "compute_tree", "split_rules",

@@ -40,6 +40,7 @@ from repro.errors import RegistrationError
 from repro.net.packet import Packet, PacketType, is_multicast_ip
 from repro.net.pipeline import DEFER, STOP, Pipeline, PipelineContext
 from repro.net.switch import Switch
+from repro.net.topology import Topology
 
 __all__ = ["AcceleratorConfig", "CepheusAccelerator", "DEPLOYMENTS"]
 
@@ -230,69 +231,177 @@ class CepheusAccelerator:
         return STOP
 
     def _process_mrp(self, pkt: Packet, in_port: int) -> None:
-        payload: MrpPayload = pkt.mrp
-        if self.cfg.deployment == "source_routed":
-            self._process_mrp_sr(payload, pkt, in_port)
-            return
-        if payload.op in ("leave", "prune"):
-            self._process_mrp_remove(payload, pkt, in_port)
-            return
-        try:
-            mft = self.table.get_or_create(payload.mcst_id)
-        except RegistrationError as exc:
-            self._notify_registration_error(payload, str(exc))
-            return
-        mft.epoch = max(mft.epoch, payload.epoch)
-        if mft.ack_out_port is None:
-            # Default upstream is where the registration came from (the
-            # leader's side); data-plane traffic re-points it if the
-            # source is elsewhere.
-            mft.ack_out_port = in_port
-        # The MDT is an undirected tree: the ingress side is a tree port
-        # too (feedback leaves through it; data arrives on it).
-        if not mft.has_port(in_port):
-            mft.add_entry(PathEntry(port=in_port, is_host=False))
+        """The switch-side MRP walk, one for all four ops and both
+        control planes.
 
+        Each member record is resolved to its next-hop port.  Installs
+        (``register``/``join``) patch the local state and fan one
+        sub-MRP per port downstream — the host port included, so the
+        member itself confirms.  Removals (``leave``/``prune``) forward
+        the record toward the member's leaf, drain it from the port's
+        member set (dropping the path, and re-evaluating the pending
+        aggregate, once the port serves nobody — §III-D) and, at the
+        leaf, confirm on the member's behalf so the transaction
+        completes even when the member host is dead.
+
+        The deployments differ in two places only.  The MFT
+        deployments pick next hops from (and install transit entries
+        into) the group's MFT; ``source_routed`` routes by address and
+        installs *nothing* in transit — the tree lives in the packet
+        header — so only a member's leaf holds state: the host-facing
+        entry whose bridging info the ``sp_forward`` data path cannot
+        invent.  Transit soft entries of a departed subtree retire when
+        the next data packet carries the re-encoded header's higher
+        epoch.
+        """
+        payload: MrpPayload = pkt.mrp
+        install = payload.op not in ("leave", "prune")
+        transit_state = self.cfg.deployment != "source_routed"
+        mft = self.table.get(payload.mcst_id)
+        if install and transit_state:
+            mft = self._mft_or_reject(payload)
+            if mft is None:
+                return
+            if mft.ack_out_port is None:
+                # Default upstream is where the registration came from
+                # (the leader's side); data-plane traffic re-points it
+                # if the source is elsewhere.
+                mft.ack_out_port = in_port
+            # The MDT is an undirected tree: the ingress side is a tree
+            # port too (feedback leaves through it; data arrives on it).
+            if not mft.has_port(in_port):
+                mft.add_entry(PathEntry(port=in_port, is_host=False))
+
+        is_host_port = self.switch.is_host_port
         downstream: Dict[int, List] = {}
         for node in payload.nodes:
-            port = self._select_port(mft, node.ip,
-                                     payload.lane, payload.nlanes)
-            # Fresh entries start at the group's current aggregate: a
-            # mid-flight joiner is not retroactively responsible for the
-            # PSNs emitted before it existed (its stream position is
-            # synced past them, §III-E style), so counting it in below
-            # AggAckPSN would stall the aggregate forever.
-            if self.switch.is_host_port(port):
-                mft.add_entry(PathEntry(
-                    port=port, is_host=True, dst_ip=node.ip, dst_qp=node.qpn,
-                    vaddr=node.vaddr, rkey=node.rkey,
-                    ack_psn=mft.agg_ack_psn,
-                ))
-            else:
-                mft.add_entry(PathEntry(port=port, is_host=False,
-                                        ack_psn=mft.agg_ack_psn))
-            mft.port_members.setdefault(port, set()).add(node.ip)
-            mft.member_port[node.ip] = port
-            self.mrp_records_installed += 1
-            downstream.setdefault(port, []).append(node)
+            if install:
+                port = (self._select_port(mft, node.ip,
+                                          payload.lane, payload.nlanes)
+                        if transit_state
+                        else self._port_toward(node.ip, in_port))
+                if port is None:
+                    continue
+                at_leaf = is_host_port(port)
+                if transit_state or at_leaf:
+                    if mft is None:
+                        mft = self._mft_or_reject(payload)
+                        if mft is None:
+                            return
+                    self._install_record(mft, port, node, at_leaf,
+                                         payload.epoch)
+                downstream.setdefault(port, []).append(node)
+                continue
+            # O(1) reverse-index probe (kept in lockstep with
+            # port_members).  A miss is a switch holding no state for
+            # the member — source_routed transit, or a re-sent delta
+            # whose first copy already drained here: keep walking by
+            # address so the leaf can (re-)confirm.
+            port = mft.member_port.get(node.ip) if mft is not None else None
+            tracked = port is not None
+            if not tracked:
+                port = self._port_toward(node.ip, in_port)
+                if port is None:
+                    continue
+            at_leaf = is_host_port(port)
+            if not at_leaf:
+                # One sub-MRP per record, sent before the drain below
+                # can emit re-evaluated feedback: the goldens pin this
+                # packet sequence.
+                self._forward_mrp(pkt, port, [node], in_port)
+            if tracked:
+                self._drain_record(mft, port, node.ip, payload.epoch)
+            if at_leaf:
+                self._confirm_for(payload, node.ip, in_port)
 
         for port, nodes in downstream.items():
-            if port == in_port:
-                # The node sits behind the ingress (the leader itself at
-                # its leaf); the upstream side already knows about it.
-                continue
-            sub = MrpPayload(
-                mcst_id=payload.mcst_id, seq=payload.seq, total=payload.total,
-                controller_ip=payload.controller_ip, nodes=nodes,
-                op=payload.op, epoch=payload.epoch,
-                lane=payload.lane, nlanes=payload.nlanes,
-            )
-            out = Packet(
-                PacketType.MRP, pkt.src_ip, payload.mcst_id,
-                payload=sub.wire_bytes(), mrp=sub,
-                created_at=self.switch.sim.now,
-            )
-            self.switch.emit(out, port, in_port)
+            # port == in_port: the node sits behind the ingress (the
+            # leader itself at its leaf); upstream already knows it.
+            if port != in_port:
+                self._forward_mrp(pkt, port, nodes, in_port)
+
+    def _port_toward(self, ip: int, in_port: int) -> Optional[int]:
+        """Next hop by address alone: the host port, else the lowest
+        equal-cost port that is not the ingress (None: the member sits
+        behind the ingress; upstream handles it)."""
+        direct = self._direct_host_port(ip)
+        if direct is not None:
+            return direct
+        return min((p for p in self.switch.route_ports(ip) if p != in_port),
+                   default=None)
+
+    def _mft_or_reject(self, payload: MrpPayload) -> Optional[Mft]:
+        try:
+            return self.table.get_or_create(payload.mcst_id)
+        except RegistrationError as exc:
+            self._notify_registration_error(payload, str(exc))
+            return None
+
+    def _install_record(self, mft: Mft, port: int, node, at_leaf: bool,
+                        epoch: int) -> None:
+        mft.epoch = max(mft.epoch, epoch)
+        # Fresh entries start at the group's current aggregate: a
+        # mid-flight joiner is not retroactively responsible for the
+        # PSNs emitted before it existed (its stream position is
+        # synced past them, §III-E style), so counting it in below
+        # AggAckPSN would stall the aggregate forever.
+        if at_leaf:
+            mft.add_entry(PathEntry(
+                port=port, is_host=True, dst_ip=node.ip, dst_qp=node.qpn,
+                vaddr=node.vaddr, rkey=node.rkey, ack_psn=mft.agg_ack_psn,
+            ))
+        else:
+            mft.add_entry(PathEntry(port=port, is_host=False,
+                                    ack_psn=mft.agg_ack_psn))
+        mft.port_members.setdefault(port, set()).add(node.ip)
+        mft.member_port[node.ip] = port
+        self.mrp_records_installed += 1
+
+    def _drain_record(self, mft: Mft, port: int, ip: int,
+                      epoch: int) -> None:
+        mft.epoch = max(mft.epoch, epoch)
+        members = mft.port_members.get(port)
+        if members is not None:
+            members.discard(ip)
+            mft.member_port.pop(ip, None)
+            if not members:
+                self._drop_path(mft, port)
+        self.mrp_records_removed += 1
+
+    def _forward_mrp(self, pkt: Packet, port: int, nodes: List,
+                     in_port: int) -> None:
+        payload: MrpPayload = pkt.mrp
+        sub = MrpPayload(
+            mcst_id=payload.mcst_id, seq=payload.seq, total=payload.total,
+            controller_ip=payload.controller_ip, nodes=nodes,
+            op=payload.op, epoch=payload.epoch,
+            lane=payload.lane, nlanes=payload.nlanes,
+        )
+        out = Packet(
+            PacketType.MRP, pkt.src_ip, payload.mcst_id,
+            payload=sub.wire_bytes(), mrp=sub,
+            created_at=self.switch.sim.now,
+        )
+        self.switch.emit(out, port, in_port)
+
+    def _confirm_for(self, payload: MrpPayload, ip: int,
+                     in_port: int) -> None:
+        """The leaf confirms a departure on the member's behalf."""
+        if (self.cfg.deployment == "source_routed" and os.environ.get(
+                "CEPHEUS_SEEDED_BUG") == "sr-skip-leave-confirm"):
+            # Deliberate fault for the fuzzer's mutation self-test:
+            # the leaf never confirms, so the controller's delta
+            # transaction exhausts its retries.  Only the source-routed
+            # deployment is affected, and only schedules with a leave
+            # on a healthy fabric expose it.  Armed via the environment
+            # — production runs never take this branch.
+            return
+        confirm = Packet(
+            PacketType.MRP_CONFIRM, ip, payload.controller_ip,
+            payload=16, meta=(payload.mcst_id, ip),
+            created_at=self.switch.sim.now,
+        )
+        self.switch.emit(confirm, self.switch.route_lookup(confirm), in_port)
 
     def _select_port(self, mft: Mft, node_ip: int,
                      lane: int = 0, nlanes: int = 1) -> int:
@@ -304,7 +413,6 @@ class CepheusAccelerator:
         (:meth:`Topology.lane_port`): distinct lanes of one group land
         on distinct uplinks wherever the FIB offers enough equal-cost
         next hops, which is what makes the k MDTs edge-disjoint.
-        Single-lane groups keep the legacy rule bit-for-bit.
         """
         direct = self._direct_host_port(node_ip)
         if direct is not None:
@@ -314,8 +422,7 @@ class CepheusAccelerator:
             if mft.has_port(p):
                 return p
         if nlanes > 1:
-            cands = sorted(candidates)
-            best = cands[lane % len(cands)]
+            best = Topology.lane_port(candidates, lane)
         else:
             best = min(candidates,
                        key=lambda p: (self.port_group_load.get(p, 0), p))
@@ -328,62 +435,6 @@ class CepheusAccelerator:
         if ports and len(ports) == 1 and self.switch.is_host_port(ports[0]):
             return ports[0]
         return None
-
-    def _process_mrp_remove(self, payload: MrpPayload, pkt: Packet,
-                            in_port: int) -> None:
-        """Incremental LEAVE/PRUNE: patch out the affected entries only.
-
-        For each named member, find the MDT port serving it; drain it
-        from the port's member set and, once the set is empty, remove
-        the Path Table entry and re-evaluate the pending aggregate (the
-        departed path may have gated min-AckPSN/MePSN — in-flight
-        transfers must unstick, §III-D).  A non-host serving port means
-        the member sits deeper in the tree: forward a single-node
-        sub-delta down that port.  At the member's leaf the switch
-        confirms to the controller on the member's behalf, so the
-        transaction completes even when the member host is dead.
-        """
-        mft = self.table.get(payload.mcst_id)
-        if mft is None:
-            return  # not on this group's MDT: nothing to patch
-        mft.epoch = max(mft.epoch, payload.epoch)
-        for node in payload.nodes:
-            # O(1) reverse-index probe (kept in lockstep with
-            # port_members); a full scan of every port's member set is
-            # quadratic across a coalesced batch of departures.
-            port = mft.member_port.get(node.ip)
-            if port is None:
-                continue  # already drained here (duplicate delta)
-            at_leaf = self.switch.is_host_port(port)
-            if not at_leaf:
-                sub = MrpPayload(
-                    mcst_id=payload.mcst_id, seq=payload.seq,
-                    total=payload.total,
-                    controller_ip=payload.controller_ip, nodes=[node],
-                    op=payload.op, epoch=payload.epoch,
-                    lane=payload.lane, nlanes=payload.nlanes,
-                )
-                out = Packet(
-                    PacketType.MRP, pkt.src_ip, payload.mcst_id,
-                    payload=sub.wire_bytes(), mrp=sub,
-                    created_at=self.switch.sim.now,
-                )
-                self.switch.emit(out, port, in_port)
-            members = mft.port_members.get(port)
-            if members is not None:
-                members.discard(node.ip)
-                mft.member_port.pop(node.ip, None)
-                if not members:
-                    self._drop_path(mft, port)
-            self.mrp_records_removed += 1
-            if at_leaf:
-                confirm = Packet(
-                    PacketType.MRP_CONFIRM, node.ip, payload.controller_ip,
-                    payload=16, meta=(payload.mcst_id, node.ip),
-                    created_at=self.switch.sim.now,
-                )
-                self.switch.emit(confirm, self.switch.route_lookup(confirm),
-                                 in_port)
 
     def _drop_path(self, mft: Mft, port: int) -> None:
         """Remove one MDT path and unstick any pending aggregate."""
@@ -411,7 +462,7 @@ class CepheusAccelerator:
         self.switch.emit(pkt, self.switch.route_lookup(pkt), -1)
 
     # ------------------------------------------------------------------
-    # source-routed mode: sp_forward + stateless MRP (Elmo/Bert)
+    # source-routed mode: sp_forward (Elmo/Bert)
     # ------------------------------------------------------------------
 
     def stage_sp_forward(self, ctx: PipelineContext):
@@ -498,115 +549,6 @@ class CepheusAccelerator:
                 continue
             mft.add_entry(PathEntry(port=port, is_host=False,
                                     ack_psn=mft.agg_ack_psn))
-
-    def _process_mrp_sr(self, payload: MrpPayload, pkt: Packet,
-                        in_port: int) -> None:
-        """MRP in the source-routed mode: transit switches install
-        *nothing* — the tree lives in the packet header.  Only a
-        member's leaf holds state: the host-facing Path Table entry
-        whose bridging info the sp_forward data path cannot invent.
-        Everything else routes toward the member's address, so
-        registration traverses zero per-group switch state."""
-        if payload.op in ("leave", "prune"):
-            self._process_mrp_sr_remove(payload, pkt, in_port)
-            return
-        downstream: Dict[int, List] = {}
-        for node in payload.nodes:
-            direct = self._direct_host_port(node.ip)
-            if direct is not None:
-                try:
-                    mft = self.table.get_or_create(payload.mcst_id)
-                except RegistrationError as exc:
-                    self._notify_registration_error(payload, str(exc))
-                    return
-                mft.epoch = max(mft.epoch, payload.epoch)
-                mft.add_entry(PathEntry(
-                    port=direct, is_host=True, dst_ip=node.ip,
-                    dst_qp=node.qpn, vaddr=node.vaddr, rkey=node.rkey,
-                    ack_psn=mft.agg_ack_psn,
-                ))
-                mft.port_members.setdefault(direct, set()).add(node.ip)
-                mft.member_port[node.ip] = direct
-                self.mrp_records_installed += 1
-                port = direct
-            else:
-                cands = [p for p in self.switch.route_ports(node.ip)
-                         if p != in_port]
-                if not cands:
-                    continue  # behind the ingress; upstream handles it
-                port = min(cands)
-            downstream.setdefault(port, []).append(node)
-        for port, nodes in downstream.items():
-            if port == in_port:
-                continue
-            sub = MrpPayload(
-                mcst_id=payload.mcst_id, seq=payload.seq, total=payload.total,
-                controller_ip=payload.controller_ip, nodes=nodes,
-                op=payload.op, epoch=payload.epoch,
-                lane=payload.lane, nlanes=payload.nlanes,
-            )
-            out = Packet(
-                PacketType.MRP, pkt.src_ip, payload.mcst_id,
-                payload=sub.wire_bytes(), mrp=sub,
-                created_at=self.switch.sim.now,
-            )
-            self.switch.emit(out, port, in_port)
-
-    def _process_mrp_sr_remove(self, payload: MrpPayload, pkt: Packet,
-                               in_port: int) -> None:
-        """LEAVE/PRUNE with no transit state: route each delta record
-        toward the member's leaf by address; the leaf patches its host
-        entry out and confirms on the member's behalf (the member may
-        be dead — that is what PRUNE is for).  Transit soft entries of
-        the departed subtree retire when the next data packet carries
-        the re-encoded header's higher epoch."""
-        for node in payload.nodes:
-            direct = self._direct_host_port(node.ip)
-            if direct is None:
-                cands = [p for p in self.switch.route_ports(node.ip)
-                         if p != in_port]
-                if not cands:
-                    continue
-                sub = MrpPayload(
-                    mcst_id=payload.mcst_id, seq=payload.seq,
-                    total=payload.total,
-                    controller_ip=payload.controller_ip, nodes=[node],
-                    op=payload.op, epoch=payload.epoch,
-                    lane=payload.lane, nlanes=payload.nlanes,
-                )
-                out = Packet(
-                    PacketType.MRP, pkt.src_ip, payload.mcst_id,
-                    payload=sub.wire_bytes(), mrp=sub,
-                    created_at=self.switch.sim.now,
-                )
-                self.switch.emit(out, min(cands), in_port)
-                continue
-            mft = self.table.get(payload.mcst_id)
-            if mft is not None:
-                mft.epoch = max(mft.epoch, payload.epoch)
-                members = mft.port_members.get(direct)
-                if members is not None:
-                    members.discard(node.ip)
-                    mft.member_port.pop(node.ip, None)
-                    if not members:
-                        self._drop_path(mft, direct)
-                self.mrp_records_removed += 1
-            if os.environ.get("CEPHEUS_SEEDED_BUG") == "sr-skip-leave-confirm":
-                # Deliberate fault for the fuzzer's mutation self-test:
-                # the leaf never confirms the LEAVE on the member's
-                # behalf, so the controller's delta transaction exhausts
-                # its retries.  Only the source-routed deployment is
-                # affected, and only schedules with a leave on a healthy
-                # fabric expose it.  Armed via the environment —
-                # production runs never take this branch.
-                continue
-            confirm = Packet(
-                PacketType.MRP_CONFIRM, node.ip, payload.controller_ip,
-                payload=16, meta=(payload.mcst_id, node.ip),
-                created_at=self.switch.sim.now,
-            )
-            self.switch.emit(confirm, self.switch.route_lookup(confirm),
-                             in_port)
 
     # ------------------------------------------------------------------
     # DATA: MFT lookup, replication + connection bridging (§III-B)

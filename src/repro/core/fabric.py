@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.core.accelerator import AcceleratorConfig, CepheusAccelerator
-from repro.core.group import McstIdAllocator, MemberRecord, MulticastGroup
+from repro.core.group import McstIdAllocator, MulticastGroup
 from repro.core.membership import MembershipManager
-from repro.core.mrp import HostControlAgent, MrpController
+from repro.core.mrp import HostControlAgent, MrpTransaction
 from repro.core.source_routing import SourceRoutingManager
-from repro.errors import GroupError, RegistrationError
+from repro.errors import ConfigurationError, GroupError
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 from repro.transport.roce import RoceQP
@@ -100,61 +100,33 @@ class CepheusFabric:
         on_failure: Optional[Callable[[str], None]] = None,
         timeout: float = 10e-3,
         allow_partial: bool = False,
-    ) -> MrpController:
+    ) -> MrpTransaction:
         """Start asynchronous MRP registration for ``group``.
 
-        A k-lane group compiles all k MDTs as one transaction: one MRP
-        controller per lane starts together, success fires only when
-        every lane confirmed, and the first lane failure fails the
-        whole family (callers tear the group down, so no half-compiled
-        lane set survives).  Returns the lane-0 controller either way.
+        A k-lane group compiles all k MDTs in the one transaction:
+        success fires only when every lane confirmed, and the first
+        lane failure fails the whole family (callers tear the group
+        down, so no half-compiled lane set survives).
         """
         if self.source_routing is not None:
-            # Compile + activate the header before any MRP travels: the
+            # Compile + activate the headers before any MRP travels: the
             # first DATA packet must already carry its tree.
-            if group.paths == 1:
-                self.source_routing.attach(group)
-            else:
-                for lane in range(group.paths):
-                    self.source_routing.attach(group.lane_view(lane))
-        leader_nic = self.topo.nic(group.leader_ip)
-        if group.paths == 1:
-            ctl = MrpController(
-                self.sim, group, leader_nic,
-                on_success=on_success, on_failure=on_failure, timeout=timeout,
-                allow_partial=allow_partial,
-            )
-            self.agents[group.leader_ip].attach_controller(ctl)
-            ctl.start()
-            return ctl
-        state = {"pending": group.paths, "failed": False}
+            self.source_routing.attach(group)
 
-        def lane_ok() -> None:
-            state["pending"] -= 1
-            if state["pending"] == 0 and not state["failed"]:
-                group.registered = True
+        def done(txn: MrpTransaction) -> None:
+            if txn.failed_reason is None:
                 if on_success is not None:
                     on_success()
+            elif on_failure is not None:
+                on_failure(txn.failed_reason)
 
-        def lane_fail(reason: str) -> None:
-            if state["failed"]:
-                return
-            state["failed"] = True
-            if on_failure is not None:
-                on_failure(reason)
-
-        controllers = []
-        for lane in range(group.paths):
-            ctl = MrpController(
-                self.sim, group, leader_nic,
-                on_success=lane_ok, on_failure=lane_fail, timeout=timeout,
-                allow_partial=allow_partial, lane=lane,
-            )
-            self.agents[group.leader_ip].attach_controller(ctl)
-            controllers.append(ctl)
-        for ctl in controllers:
-            ctl.start()
-        return controllers[0]
+        txn = MrpTransaction(
+            self.sim, group, self.topo.nic(group.leader_ip),
+            timeout=timeout, allow_partial=allow_partial, on_done=done,
+        )
+        self.agents[group.leader_ip].attach_controller(txn)
+        txn.start()
+        return txn
 
     def register_sync(self, group: MulticastGroup, timeout: float = 10e-3) -> None:
         """Run the simulator until registration completes; raises on failure.
@@ -162,60 +134,34 @@ class CepheusFabric:
         Convenience for tests/examples that set up a group before the
         measured phase starts.
         """
-        result: Dict[str, Optional[str]] = {"failed": None, "done": "no"}
-
-        def ok() -> None:
-            result["done"] = "yes"
-
-        def fail(reason: str) -> None:
-            result["done"] = "yes"
-            result["failed"] = reason
-
-        self.register(group, on_success=ok, on_failure=fail, timeout=timeout)
-        # Registration involves a bounded number of control-plane events;
-        # run until it resolves (the timeout event guarantees progress).
-        while result["done"] == "no":
-            if self.sim.peek_next_time() is None:
-                raise RegistrationError("registration stalled: no pending events")
-            self.sim.run(until=self.sim.peek_next_time())
-        if result["failed"] is not None:
-            raise RegistrationError(result["failed"])
+        self.register(group, timeout=timeout).run_until_resolved()
 
     def register_partial_sync(self, group: MulticastGroup,
                               timeout: float = 2e-3) -> "set[int]":
         """Probe registration: returns the set of members that never
         confirmed (the survivors define the re-formed group)."""
-        state: Dict[str, Optional[str]] = {"done": "no", "failed": None}
-
-        def ok() -> None:
-            state["done"] = "yes"
-
-        def fail(reason: str) -> None:
-            state["done"] = "yes"
-            state["failed"] = reason
-
-        ctl = self.register(group, on_success=ok, on_failure=fail,
-                            timeout=timeout, allow_partial=True)
-        while state["done"] == "no":
-            if self.sim.peek_next_time() is None:
-                raise RegistrationError("registration stalled: no events")
-            self.sim.run(until=self.sim.peek_next_time())
-        if state["failed"] is not None:
-            raise RegistrationError(state["failed"])
-        return set(ctl.unconfirmed)
+        txn = self.register(group, timeout=timeout, allow_partial=True)
+        return set(txn.run_until_resolved().unconfirmed())
 
     def membership(self, group: MulticastGroup,
                    coalesce_window: Optional[float] = None
                    ) -> MembershipManager:
         """The (cached) runtime membership controller for ``group``.
 
-        ``coalesce_window`` only applies when the manager is first
-        created (it is a per-group policy, not per-call)."""
+        ``coalesce_window`` is a per-group policy fixed when the manager
+        is first created; ``None`` means "whatever the manager has",
+        any other value must match it."""
         mgr = self._memberships.get(group.mcst_id)
         if mgr is None or mgr.group is not group:
             mgr = MembershipManager(self, group,
                                     coalesce_window=coalesce_window)
             self._memberships[group.mcst_id] = mgr
+        elif (coalesce_window is not None
+              and coalesce_window != mgr.coalesce_window):
+            raise ConfigurationError(
+                f"group {group.mcst_id:#x} already has a membership "
+                f"manager with coalesce_window={mgr.coalesce_window!r}; "
+                f"cannot change it to {coalesce_window!r}")
         return mgr
 
     def unregister(self, group: MulticastGroup) -> None:
@@ -224,10 +170,8 @@ class CepheusFabric:
         recycle its McstID.
 
         Every lane of the family retires atomically: per-lane MFTs,
-        per-lane residual source-routing rules (each lane compiled its
-        own header, so each lane's spilled rules must be released — not
-        just lane 0's), the membership manager's per-lane endpoints,
-        and finally the whole McstID family.
+        per-lane source-routing headers and residual rules, the
+        leader's control endpoint, and finally the whole McstID family.
         """
         for lane_id in group.lane_ids:
             for accel in self.accelerators.values():
@@ -240,19 +184,14 @@ class CepheusFabric:
                         accel.port_group_load[port] = n - 1
                 accel.table.remove(lane_id)
         if self.source_routing is not None:
-            if group.paths == 1:
-                self.source_routing.detach(group)
-            else:
-                for lane in range(group.paths):
-                    self.source_routing.detach(group.lane_view(lane))
+            self.source_routing.detach(group)
         mgr = self._memberships.pop(group.mcst_id, None)
         if mgr is not None:
             mgr.stop_failure_detector()
             if mgr._flush_ev is not None:       # unflushed coalescing batch
                 mgr._flush_ev.cancel()
                 mgr._flush_ev = None
-            for lane_id in group.lane_ids:
-                self.agents[group.leader_ip].detach_controller(lane_id)
+        self.agents[group.leader_ip].detach_controller(group)
         if self.groups.pop(group.mcst_id, None) is not None:
             for lane_id in group.lane_ids[1:]:
                 self.groups.pop(lane_id, None)

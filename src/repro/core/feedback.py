@@ -1,4 +1,4 @@
-"""RoCE-capable feedback handling (§III-D), per path lane.
+"""RoCE-capable feedback handling (§III-D).
 
 The engine turns the *many* feedback streams of a multicast group into
 the *one* unicast-like stream a commodity RNIC sender expects, under
@@ -19,14 +19,11 @@ Every mechanism has an ablation switch so the benchmarks can show what
 breaks without it (ACK explosion, NACK inter-covering, CNP
 magnification).
 
-**Lanes.** With MRC-style k-path spraying each lane of a group is its
-own McstID addressing its own MFT, so min-AckPSN, MePSN and the CNP
-filter must aggregate *per lane* — an ACK on lane 0 says nothing about
-lane 1's tree.  :class:`FeedbackEngine` therefore delegates every rule
-to a per-lane :class:`LaneFeedback` unit (keyed by the MFT's McstID,
-i.e. by lane) behind the unchanged single-lane API: callers still say
-``engine.on_ack(mft, port, psn)`` and a single-lane group exercises
-exactly one unit with the pre-split arithmetic, bit for bit.
+**Lanes.**  With MRC-style k-path spraying each lane of a group is its
+own McstID addressing its own :class:`~repro.core.mft.Mft`, so the
+per-path AckPSNs, MePSN and CNP window the rules run over are already
+per-lane state — an ACK on lane 0 never touches lane 1's tree — and the
+engine needs no lane bookkeeping of its own.
 
 The engine is purely functional over the :class:`~repro.core.mft.Mft`
 state: it returns "emit" instructions and never touches the wire, which
@@ -36,14 +33,14 @@ keeps it unit-testable without a simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import constants
 from repro.core.mft import Mft
 from repro.net.packet import PacketType
 from repro.net.pipeline import ObserverBus
 
-__all__ = ["FeedbackConfig", "FeedbackEngine", "LaneFeedback", "Emit"]
+__all__ = ["FeedbackConfig", "FeedbackEngine", "Emit"]
 
 #: An emission instruction: (packet type, PSN field value).
 Emit = Tuple[PacketType, int]
@@ -59,47 +56,90 @@ class FeedbackConfig:
     cnp_window: float = constants.CNP_AGING_WINDOW_S
 
 
-class LaneFeedback:
-    """The §III-D aggregation rules for one path lane's MFT.
+class FeedbackEngine:
+    """Executor of the feedback rules against per-group MFTs."""
 
-    Holds the per-lane feedback counters and implements min-AckPSN
-    aggregation, the MePSN NACK rule and the CNP most-congested filter
-    against that lane's :class:`Mft` (whose per-path AckPSNs, MePSN and
-    CNP window are already per-lane state, since a lane is a McstID).
-    Shared config and the engine-wide counters live on the owning
-    :class:`FeedbackEngine`.
-    """
-
-    __slots__ = ("engine", "mcst_id", "acks_in", "acks_out",
-                 "nacks_in", "nacks_out", "cnps_in", "cnps_out")
-
-    def __init__(self, engine: "FeedbackEngine", mcst_id: int) -> None:
-        self.engine = engine
-        self.mcst_id = mcst_id
+    def __init__(self, config: Optional[FeedbackConfig] = None,
+                 bus: Optional[ObserverBus] = None) -> None:
+        self.cfg = config or FeedbackConfig()
+        # counters for the ablation/scalability benches
         self.acks_in = 0
         self.acks_out = 0
         self.nacks_in = 0
         self.nacks_out = 0
         self.cnps_in = 0
         self.cnps_out = 0
+        # The "feedback" channel fires as (engine, mft, kind, in_port,
+        # value, emits) after every feedback event is processed; the
+        # InvariantMonitor subscribes to verify the min-AckPSN, MePSN and
+        # CNP-filter rules on every emission.  An accelerator passes its
+        # simulator's bus; a standalone engine gets a private one.
+        self.bus = bus if bus is not None else ObserverBus()
 
-    # -- ACK / NACK aggregation -----------------------------------------
+    # ------------------------------------------------------------------
+    # ACK / NACK
+    # ------------------------------------------------------------------
 
-    def record_and_trigger(self, mft: Mft, in_port: int,
-                           cum_ack: int) -> List[Emit]:
+    def on_ack(self, mft: Mft, in_port: int, psn: int) -> List[Emit]:
+        """An ACK (original or already-aggregated) arrived on ``in_port``."""
+        self.acks_in += 1
+        emits = self._record_and_trigger(mft, in_port, psn)
+        if self.bus.feedback:
+            self.bus.publish("feedback", self, mft, PacketType.ACK,
+                             in_port, psn, emits)
+        return emits
+
+    def on_nack(self, mft: Mft, in_port: int, epsn: int) -> List[Emit]:
+        """A NACK arrived.  Per RoCE semantics it also acknowledges every
+        PSN below its ePSN, so it feeds the same per-path AckPSN state."""
+        self.nacks_in += 1
+        if not self.cfg.nack_aggregation:
+            # Ablation: forward immediately — exhibits the inter-covering
+            # issue the paper warns about.
+            self.nacks_out += 1
+            emits = [(PacketType.NACK, epsn)]
+        else:
+            if mft.me_psn is None or epsn < mft.me_psn:
+                mft.me_psn = epsn
+            emits = self._record_and_trigger(mft, in_port, epsn - 1)
+        if self.bus.feedback:
+            self.bus.publish("feedback", self, mft, PacketType.NACK,
+                             in_port, epsn, emits)
+        return emits
+
+    def reevaluate(self, mft: Mft) -> List[Emit]:
+        """Re-run the aggregation rules after the MFT itself changed.
+
+        A LEAVE/PRUNE delta that removes a path can raise the min-AckPSN
+        (or satisfy the MePSN release rule) without any feedback packet
+        arriving — the departed path may have *been* the minimum.  This
+        is the unstick hook the membership subsystem calls after every
+        entry removal; it bypasses the trigger-port gate because no
+        in-port is involved.
+        """
+        emits = self._evaluate(mft)
+        if self.bus.feedback:
+            # in_port -1 / value -1: a membership-driven re-evaluation,
+            # not an arriving feedback packet.
+            self.bus.publish("feedback", self, mft, PacketType.ACK,
+                             -1, -1, emits)
+        return emits
+
+    def _record_and_trigger(self, mft: Mft, in_port: int,
+                            cum_ack: int) -> List[Emit]:
         entry = mft.entry(in_port)
         if entry is None:
             return []  # feedback on a non-MDT port: stale/no-op
         if cum_ack > entry.ack_psn:
             entry.ack_psn = cum_ack
-        if self.engine.cfg.trigger_condition:
+        if self.cfg.trigger_condition:
             # Only progress on the port that owned the previous minimum
             # (or before the first aggregation) can change the aggregate.
             if mft.tri_port is not None and in_port != mft.tri_port:
                 return []
-        return self.evaluate(mft)
+        return self._evaluate(mft)
 
-    def evaluate(self, mft: Mft) -> List[Emit]:
+    def _evaluate(self, mft: Mft) -> List[Emit]:
         m = mft.min_ack_psn()
         if m is None:
             return []
@@ -122,16 +162,14 @@ class LaneFeedback:
             # longer cover an earlier loss — release it.
             out.append((PacketType.NACK, mft.me_psn))
             self.nacks_out += 1
-            self.engine.nacks_out += 1
             mft.me_psn = None
             if m > mft.agg_ack_psn:
                 mft.agg_ack_psn = m
         elif m > mft.agg_ack_psn:
             out.append((PacketType.ACK, m))
             self.acks_out += 1
-            self.engine.acks_out += 1
             mft.agg_ack_psn = m
-        elif not self.engine.cfg.trigger_condition and m >= 0:
+        elif not self.cfg.trigger_condition and m >= 0:
             # Ablation baseline: without the Trigger Condition the switch
             # re-emits the (unchanged) cumulative aggregate for every
             # incoming ACK — harmless to RoCE semantics but it floods the
@@ -139,17 +177,27 @@ class LaneFeedback:
             # cites.
             out.append((PacketType.ACK, m))
             self.acks_out += 1
-            self.engine.acks_out += 1
         return out
 
-    # -- CNP filtering ---------------------------------------------------
+    # ------------------------------------------------------------------
+    # CNP
+    # ------------------------------------------------------------------
 
-    def cnp_emits(self, mft: Mft, in_port: int, now: float) -> List[Emit]:
-        if not self.engine.cfg.cnp_filter:
+    def on_cnp(self, mft: Mft, in_port: int, now: float) -> List[Emit]:
+        """Pass the CNP only when ``in_port`` is (one of) the most
+        congested downstream links inside the current aging window."""
+        self.cnps_in += 1
+        emits = self._cnp_emits(mft, in_port, now)
+        if self.bus.feedback:
+            self.bus.publish("feedback", self, mft, PacketType.CNP,
+                             in_port, 0, emits)
+        return emits
+
+    def _cnp_emits(self, mft: Mft, in_port: int, now: float) -> List[Emit]:
+        if not self.cfg.cnp_filter:
             self.cnps_out += 1
-            self.engine.cnps_out += 1
             return [(PacketType.CNP, 0)]
-        if now - mft.cnp_window_start > self.engine.cfg.cnp_window:
+        if now - mft.cnp_window_start > self.cfg.cnp_window:
             # Periodic aging so the designated bottleneck can move with
             # the network dynamics (§III-D).
             mft.cnp_counters.clear()
@@ -165,108 +213,5 @@ class LaneFeedback:
         # stream, not one per tied receiver).
         if in_port == mft.cnp_max_port:
             self.cnps_out += 1
-            self.engine.cnps_out += 1
             return [(PacketType.CNP, 0)]
         return []
-
-
-class FeedbackEngine:
-    """Per-lane executor of the feedback rules against per-group MFTs."""
-
-    def __init__(self, config: Optional[FeedbackConfig] = None,
-                 bus: Optional[ObserverBus] = None) -> None:
-        self.cfg = config or FeedbackConfig()
-        # engine-wide counters for the ablation/scalability benches
-        # (sums of the per-lane units' counters)
-        self.acks_in = 0
-        self.acks_out = 0
-        self.nacks_in = 0
-        self.nacks_out = 0
-        self.cnps_in = 0
-        self.cnps_out = 0
-        # per-lane aggregation units, keyed by the lane's McstID
-        self._lanes: Dict[int, LaneFeedback] = {}
-        # The "feedback" channel fires as (engine, mft, kind, in_port,
-        # value, emits) after every feedback event is processed; the
-        # InvariantMonitor subscribes to verify the min-AckPSN, MePSN and
-        # CNP-filter rules on every emission.  An accelerator passes its
-        # simulator's bus; a standalone engine gets a private one.
-        self.bus = bus if bus is not None else ObserverBus()
-
-    def lane_of(self, mft: Mft) -> LaneFeedback:
-        """The per-lane aggregation unit owning ``mft``'s feedback."""
-        lane = self._lanes.get(mft.mcst_id)
-        if lane is None:
-            lane = LaneFeedback(self, mft.mcst_id)
-            self._lanes[mft.mcst_id] = lane
-        return lane
-
-    # ------------------------------------------------------------------
-    # ACK / NACK
-    # ------------------------------------------------------------------
-
-    def on_ack(self, mft: Mft, in_port: int, psn: int) -> List[Emit]:
-        """An ACK (original or already-aggregated) arrived on ``in_port``."""
-        self.acks_in += 1
-        lane = self.lane_of(mft)
-        lane.acks_in += 1
-        emits = lane.record_and_trigger(mft, in_port, psn)
-        if self.bus.feedback:
-            self.bus.publish("feedback", self, mft, PacketType.ACK,
-                             in_port, psn, emits)
-        return emits
-
-    def on_nack(self, mft: Mft, in_port: int, epsn: int) -> List[Emit]:
-        """A NACK arrived.  Per RoCE semantics it also acknowledges every
-        PSN below its ePSN, so it feeds the same per-path AckPSN state."""
-        self.nacks_in += 1
-        lane = self.lane_of(mft)
-        lane.nacks_in += 1
-        if not self.cfg.nack_aggregation:
-            # Ablation: forward immediately — exhibits the inter-covering
-            # issue the paper warns about.
-            self.nacks_out += 1
-            lane.nacks_out += 1
-            emits = [(PacketType.NACK, epsn)]
-        else:
-            if mft.me_psn is None or epsn < mft.me_psn:
-                mft.me_psn = epsn
-            emits = lane.record_and_trigger(mft, in_port, epsn - 1)
-        if self.bus.feedback:
-            self.bus.publish("feedback", self, mft, PacketType.NACK,
-                             in_port, epsn, emits)
-        return emits
-
-    def reevaluate(self, mft: Mft) -> List[Emit]:
-        """Re-run the aggregation rules after the MFT itself changed.
-
-        A LEAVE/PRUNE delta that removes a path can raise the min-AckPSN
-        (or satisfy the MePSN release rule) without any feedback packet
-        arriving — the departed path may have *been* the minimum.  This
-        is the unstick hook the membership subsystem calls after every
-        entry removal; it bypasses the trigger-port gate because no
-        in-port is involved.
-        """
-        emits = self.lane_of(mft).evaluate(mft)
-        if self.bus.feedback:
-            # in_port -1 / value -1: a membership-driven re-evaluation,
-            # not an arriving feedback packet.
-            self.bus.publish("feedback", self, mft, PacketType.ACK,
-                             -1, -1, emits)
-        return emits
-
-    # ------------------------------------------------------------------
-    # CNP
-    # ------------------------------------------------------------------
-
-    def on_cnp(self, mft: Mft, in_port: int, now: float) -> List[Emit]:
-        """Pass the CNP only when ``in_port`` is (one of) the most
-        congested downstream links inside the current aging window."""
-        self.cnps_in += 1
-        lane = self.lane_of(mft)
-        lane.cnps_in += 1
-        emits = lane.cnp_emits(mft, in_port, now)
-        if self.bus.feedback:
-            self.bus.publish("feedback", self, mft, PacketType.CNP,
-                             in_port, 0, emits)
-        return emits

@@ -19,7 +19,7 @@ from repro import constants
 from repro.errors import GroupError
 from repro.transport.roce import RoceQP
 
-__all__ = ["MemberRecord", "McstIdAllocator", "MulticastGroup", "LaneView"]
+__all__ = ["MemberRecord", "McstIdAllocator", "MulticastGroup"]
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,6 @@ class MulticastGroup:
         """Number of path lanes (k); 1 for a classic single-tree group."""
         return len(self.lane_ids)
 
-    def lane_view(self, lane: int) -> "LaneView":
-        """A per-lane projection usable wherever a group is expected."""
-        return LaneView(self, lane)
-
     # -- connection establishment (§III-A 'Hosts Establishing Connections') ----
 
     def connect_virtual(self) -> None:
@@ -262,14 +258,6 @@ class MulticastGroup:
         except KeyError:
             raise GroupError(f"{ip} is not a member of group {self.mcst_id:#x}")
 
-    def lane_qp_of(self, lane: int, ip: int) -> RoceQP:
-        """The lane-``lane`` QP of member ``ip``."""
-        try:
-            return self.lane_members[lane][ip]
-        except (IndexError, KeyError):
-            raise GroupError(f"{ip} has no lane-{lane} QP in group "
-                             f"{self.mcst_id:#x}")
-
     # -- source switching (§III-E) -----------------------------------------------
 
     def switch_source(self, new_source_ip: int) -> None:
@@ -290,64 +278,3 @@ class MulticastGroup:
         old_qp.sync_as_old_source()
         new_qp.sync_as_new_source()
         self.current_source = new_source_ip
-
-
-class LaneView:
-    """Read-only per-lane projection of a :class:`MulticastGroup`.
-
-    Control-plane components that were written against a single-tree
-    group (the source-routing encoder, MRP controllers) see one lane of
-    a k-lane group through this shim: ``mcst_id`` is the lane's own id,
-    ``members`` the lane's QPs, and everything else (leader, epoch,
-    current source, MR info) is shared group state.  Lane 0's view is
-    indistinguishable from the group itself.
-    """
-
-    __slots__ = ("group", "lane")
-
-    def __init__(self, group: MulticastGroup, lane: int) -> None:
-        if not 0 <= lane < group.paths:
-            raise GroupError(f"group {group.mcst_id:#x} has no lane {lane}")
-        self.group = group
-        self.lane = lane
-
-    @property
-    def mcst_id(self) -> int:
-        return self.group.lane_ids[self.lane]
-
-    @property
-    def nlanes(self) -> int:
-        return self.group.paths
-
-    @property
-    def members(self) -> Dict[int, RoceQP]:
-        return self.group.lane_members[self.lane]
-
-    @property
-    def leader_ip(self) -> int:
-        return self.group.leader_ip
-
-    @property
-    def current_source(self) -> int:
-        return self.group.current_source
-
-    @property
-    def epoch(self) -> int:
-        return self.group.epoch
-
-    @property
-    def mr_info(self) -> Dict[int, "tuple[int, int]"]:
-        return self.group.mr_info
-
-    @property
-    def registered(self) -> bool:
-        return self.group.registered
-
-    def member_records(self) -> List[MemberRecord]:
-        return self.group.member_records(self.lane)
-
-    def receivers(self) -> List[int]:
-        return self.group.receivers()
-
-    def qp_of(self, ip: int) -> RoceQP:
-        return self.group.lane_qp_of(self.lane, ip)

@@ -6,12 +6,13 @@ topics, storage replica sets) gains and loses receivers at runtime.
 This module adds that lifecycle on top of the static registration path:
 
 * a :class:`MembershipManager` per group computes the minimal MDT delta
-  for a JOIN/LEAVE/PRUNE request and drives one incremental MRP
-  transaction (:class:`MembershipDelta`) per affected member.  A delta
-  packet carries a single member record plus the group's membership
-  *epoch*; switches patch only the affected MFT entries instead of
-  reinstalling the tree (`mrp_records_installed` on the accelerators
-  shows the economy);
+  for a JOIN/LEAVE/PRUNE request and drives it as an incremental
+  :class:`~repro.core.mrp.MrpTransaction` — the same state machine a
+  full registration runs, carrying only the affected members' records
+  plus the group's membership *epoch*.  Switches patch only the
+  affected MFT entries instead of reinstalling the tree
+  (`mrp_records_installed` on the accelerators shows the economy);
+  ops arriving within one ``coalesce_window`` share one transaction;
 * on LEAVE/PRUNE each switch on the member's branch drains the member
   from its port-member set, removes the Path Table entry once the port
   serves nobody, and **re-evaluates the pending aggregate** — removing
@@ -39,205 +40,20 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.group import MemberRecord, MulticastGroup
-from repro.core.mrp import MrpError, MrpPayload
-from repro.errors import GroupError, RegistrationError
-from repro.net.packet import Packet, PacketType
+from repro.core.mrp import MrpError, MrpTransaction
+from repro.errors import GroupError
 from repro.net.simulator import Event
 
-__all__ = ["MembershipDelta", "MembershipManager"]
-
-
-class MembershipDelta:
-    """One incremental MRP transaction for one or more members.
-
-    Started by the :class:`MembershipManager`, which also routes each
-    confirmation (from the joining host, or from the departing member's
-    leaf switch) back to :meth:`on_confirm`.  In the default path every
-    delta carries exactly one member record; with coalescing enabled the
-    manager batches the ops of one window into a single multi-record
-    delta (the MRP payload's ``nodes`` list — the same wire format full
-    registration uses) that completes once *every* member has confirmed.
-    """
-
-    def __init__(
-        self,
-        manager: "MembershipManager",
-        op: str,
-        record: MemberRecord,
-        epoch: int,
-        *,
-        timeout: float = 2e-3,
-        retries: int = 1,
-        on_done: Optional[Callable[["MembershipDelta"], None]] = None,
-    ) -> None:
-        if op not in ("join", "leave", "prune"):
-            raise GroupError(f"unknown membership op {op!r}")
-        self.manager = manager
-        self.op = op
-        self.records: List[MemberRecord] = [record]
-        self.epoch = epoch
-        self.timeout = timeout
-        self.retries_left = retries
-        self.resends = 0
-        self.on_done = on_done
-        self.finished = False
-        self.failed_reason: Optional[str] = None
-        # One coalesced transaction patches EVERY lane of the family:
-        # the delta emits one MRP packet per lane and completes only
-        # when every (lane, member) pair confirmed — a join/leave is
-        # never visible on some lanes but not others.
-        self.nlanes = manager.group.paths
-        self._confirmed: Set[Tuple[int, int]] = set()   # (lane, ip)
-        self._done_cbs: List[Callable[["MembershipDelta"], None]] = []
-        self._timeout_ev: Optional[Event] = None
-
-    @property
-    def record(self) -> MemberRecord:
-        """First (for the single-record default path: only) member."""
-        return self.records[0]
-
-    @property
-    def ip(self) -> int:
-        return self.records[0].ip
-
-    def ips(self) -> List[int]:
-        return [r.ip for r in self.records]
-
-    def add_record(self, record: MemberRecord, epoch: int) -> None:
-        """Coalescing: fold another member's op into this pending delta
-        (only legal before :meth:`start`)."""
-        self.records.append(record)
-        self.epoch = epoch   # batch carries the latest applied epoch
-
-    def start(self) -> None:
-        self._emit()
-        self._timeout_ev = self.manager.sim.schedule(
-            self.timeout, self._on_timeout)
-
-    def _emit(self) -> None:
-        nic = self.manager.nic
-        group = self.manager.group
-        for lane in range(self.nlanes):
-            payload = MrpPayload(
-                mcst_id=group.lane_ids[lane], seq=0, total=1,
-                controller_ip=nic.ip, nodes=self._lane_records(lane),
-                op=self.op, epoch=self.epoch,
-                lane=lane, nlanes=self.nlanes,
-            )
-            pkt = Packet(
-                PacketType.MRP, nic.ip, group.lane_ids[lane],
-                payload=payload.wire_bytes(), mrp=payload,
-                created_at=self.manager.sim.now,
-            )
-            self.manager.mrp_deltas_sent += 1
-            nic.send(pkt)
-
-    def _lane_records(self, lane: int) -> List[MemberRecord]:
-        """The batch's records carrying lane-``lane`` QPNs.
-
-        Joins resolve the member's lane QP from the group (the member
-        was admitted host-side before the delta started); removals keep
-        the lane-0 QPN — switches drain departures by IP and never read
-        it.
-        """
-        if lane == 0:
-            return list(self.records)
-        lane_qps = self.manager.group.lane_members[lane]
-        out: List[MemberRecord] = []
-        for rec in self.records:
-            qp = lane_qps.get(rec.ip)
-            out.append(MemberRecord(
-                ip=rec.ip, qpn=qp.qpn if qp is not None else rec.qpn,
-                vaddr=rec.vaddr, rkey=rec.rkey))
-        return out
-
-    # -- transaction outcome ----------------------------------------------------
-
-    def on_confirm(self, member_ip: int) -> None:
-        self.on_lane_confirm(0, member_ip)
-
-    def on_lane_confirm(self, lane: int, member_ip: int) -> None:
-        if self.finished or (lane, member_ip) in self._confirmed:
-            return
-        if not any(r.ip == member_ip for r in self.records):
-            return
-        self._confirmed.add((lane, member_ip))
-        if len(self._confirmed) == len(self.records) * self.nlanes:
-            self._finish(None)
-
-    def unconfirmed(self) -> List[int]:
-        return [r.ip for r in self.records
-                if any((lane, r.ip) not in self._confirmed
-                       for lane in range(self.nlanes))]
-
-    def on_switch_error(self, err: MrpError) -> None:
-        if self.finished:
-            return
-        self._finish(f"{err.switch_name}: {err.reason}")
-
-    def _on_timeout(self) -> None:
-        if self.finished:
-            return
-        if self.retries_left > 0:
-            # MRP is UDP-based (§III-C): re-send the idempotent delta.
-            self.retries_left -= 1
-            self.resends += 1
-            self._emit()
-            self._timeout_ev = self.manager.sim.schedule(
-                self.timeout, self._on_timeout)
-            return
-        missing = self.unconfirmed()
-        who = missing[0] if len(missing) == 1 else sorted(missing)
-        self._finish(f"timeout waiting for {self.op} confirmation "
-                     f"from {who}")
-
-    def _finish(self, reason: Optional[str]) -> None:
-        self.finished = True
-        self.failed_reason = reason
-        if self._timeout_ev is not None:
-            self._timeout_ev.cancel()
-            self._timeout_ev = None
-        self.manager._delta_finished(self)
-        if self.on_done is not None:
-            self.on_done(self)
-        for cb in self._done_cbs:
-            cb(self)
-
-
-class _LaneEndpoint:
-    """Control endpoint for one extra lane of a k-lane group.
-
-    The :class:`~repro.core.mrp.HostControlAgent` routes MRP_CONFIRM /
-    switch errors by McstID; lanes 1..k-1 each attach one of these under
-    their lane id so per-lane confirmations reach the manager tagged
-    with the lane they came from.
-    """
-
-    __slots__ = ("manager", "lane", "group")
-
-    def __init__(self, manager: "MembershipManager", lane: int) -> None:
-        self.manager = manager
-        self.lane = lane
-        self.group = manager.group   # HostControlAgent keys off this
-
-    @property
-    def mcst_id(self) -> int:
-        return self.manager.group.lane_ids[self.lane]
-
-    def on_confirm(self, member_ip: int) -> None:
-        self.manager.on_lane_confirm(self.lane, member_ip)
-
-    def on_switch_error(self, err: MrpError) -> None:
-        self.manager.on_switch_error(err)
+__all__ = ["MembershipManager"]
 
 
 class MembershipManager:
     """Runtime membership controller for one registered group.
 
-    Lives on the leader host next to the MRP controller and reuses its
-    :class:`~repro.core.mrp.HostControlAgent` dispatch: the manager
-    registers itself as the group's control endpoint and routes each
-    confirmation to the in-flight delta for that member.
+    Lives on the leader host and takes over the group's
+    :class:`~repro.core.mrp.HostControlAgent` endpoint from the
+    finished registration: each confirmation is routed to the in-flight
+    delta transaction naming that member.
     """
 
     def __init__(self, fabric, group: MulticastGroup, *,
@@ -247,16 +63,15 @@ class MembershipManager:
         self.group = group
         self.sim = fabric.sim
         self.nic = fabric.topo.nic(group.leader_ip)
-        self.agent = fabric.agents[group.leader_ip]
         self.delta_timeout = delta_timeout
         self.delta_retries = delta_retries
         #: Batch join/leave/prune records arriving within this many
         #: virtual seconds into one multi-record MRP delta.  ``None``
-        #: (the default) keeps the original one-delta-per-op behavior —
-        #: and the exact packet sequence — bit for bit.
+        #: (the default) closes the window at once: one delta per op,
+        #: started synchronously, no flush event.
         self.coalesce_window = coalesce_window
         self.safeguard = None                 # optional SafeguardMonitor
-        self.on_delta_failure: Optional[Callable[[MembershipDelta], None]] = None
+        self.on_delta_failure: Optional[Callable[[MrpTransaction], None]] = None
         self.pruned: Set[int] = set()
         self.delta_failures: List[Tuple[str, int, str]] = []  # (op, ip, why)
         #: (epoch, op, ip) log of applied membership changes.
@@ -268,47 +83,38 @@ class MembershipManager:
         self.mrp_deltas_sent = 0
         self.mrp_confirms_rx = 0
         self.membership_ops = 0
-        self._inflight: Dict[int, MembershipDelta] = {}
-        self._pending: Dict[str, MembershipDelta] = {}   # op -> unstarted delta
+        self._inflight: Dict[int, MrpTransaction] = {}   # ip -> started delta
+        self._pending: Dict[str, MrpTransaction] = {}    # op -> unstarted delta
         self._pending_ips: Set[int] = set()
         self._flush_ev: Optional[Event] = None
         # failure detector state: ip -> (last AckPSN seen at leaf, strikes)
         self._fd_marks: Dict[int, "Tuple[Optional[int], int]"] = {}
         self._fd_ev: Optional[Event] = None
-        self.agent.attach_controller(self)
-        # A k-lane group confirms per lane McstID: attach one endpoint
-        # per extra lane so lane confirmations route back to the same
-        # delta transaction (lane 0 is the manager itself, above).
-        for lane in range(1, group.paths):
-            self.agent.attach_controller(
-                _LaneEndpoint(self, lane), mcst_id=group.lane_ids[lane])
+        fabric.agents[group.leader_ip].attach_controller(self)
 
     # -- control-plane dispatch (HostControlAgent protocol) --------------------
 
-    def on_confirm(self, member_ip: int) -> None:
-        self.on_lane_confirm(0, member_ip)
-
-    def on_lane_confirm(self, lane: int, member_ip: int) -> None:
+    def on_confirm(self, mcst_id: int, member_ip: int) -> None:
         self.mrp_confirms_rx += 1
         delta = self._inflight.get(member_ip)
         if delta is not None:
-            delta.on_lane_confirm(lane, member_ip)
+            delta.on_confirm(mcst_id, member_ip)
 
     def on_switch_error(self, err: MrpError) -> None:
         # A switch error names the group, not the member: fail every
         # in-flight delta (they share the MDT that just rejected state).
-        seen = set()
-        for delta in list(self._inflight.values()):
-            if id(delta) not in seen:
-                seen.add(id(delta))
-                delta.on_switch_error(err)
+        for delta in {id(d): d for d in self._inflight.values()}.values():
+            delta.on_switch_error(err)
 
-    def _delta_finished(self, delta: MembershipDelta) -> None:
+    def _count_packet(self) -> None:
+        self.mrp_deltas_sent += 1
+
+    def _delta_finished(self, delta: MrpTransaction) -> None:
         for ip in delta.ips():
             if self._inflight.get(ip) is delta:
-                self._inflight.pop(ip, None)
+                del self._inflight[ip]
         if delta.failed_reason is not None:
-            failed = delta.unconfirmed() or delta.ips()
+            failed = delta.unconfirmed()
             for ip in failed:
                 self.delta_failures.append(
                     (delta.op, ip, delta.failed_reason))
@@ -320,23 +126,6 @@ class MembershipManager:
             if self.on_delta_failure is not None:
                 self.on_delta_failure(delta)
 
-    def _launch(self, op: str, record: MemberRecord,
-                on_done: Optional[Callable[[MembershipDelta], None]]
-                ) -> MembershipDelta:
-        if record.ip in self._inflight:
-            raise GroupError(
-                f"a membership delta for {record.ip} is already in flight")
-        self.membership_ops += 1
-        self.epoch_log.append((self.group.epoch, op, record.ip))
-        delta = MembershipDelta(
-            self, op, record, self.group.epoch,
-            timeout=self.delta_timeout, retries=self.delta_retries,
-            on_done=on_done,
-        )
-        self._inflight[record.ip] = delta
-        delta.start()
-        return delta
-
     # -- delta coalescing -------------------------------------------------------
 
     def has_inflight(self, ip: int) -> bool:
@@ -344,43 +133,36 @@ class MembershipManager:
         unflushed coalescing batch (callers gate churn on this)."""
         return ip in self._inflight or ip in self._pending_ips
 
-    def _dispatch(self, op: str, record: MemberRecord,
-                  on_done: Optional[Callable[[MembershipDelta], None]]
-                  ) -> MembershipDelta:
-        if self.coalesce_window is None:
-            return self._launch(op, record, on_done)
-        return self._enqueue(op, record, on_done)
-
     def _enqueue(self, op: str, record: MemberRecord,
-                 on_done: Optional[Callable[[MembershipDelta], None]]
-                 ) -> MembershipDelta:
-        """Coalescing path: fold the op into this window's batch.
+                 on_done: Optional[Callable[[MrpTransaction], None]]
+                 ) -> MrpTransaction:
+        """Fold the op into this window's batch of its kind.
 
         The host-side group state (membership dict, epoch, PSN sync) is
         already applied by the caller — only the MDT patch is deferred.
         Conflicts (any second op on a member whose delta is still
-        pending or in flight) were already rejected by the op entry
-        points *before* the host-side mutation, so every record arriving
-        here is for a distinct member.
+        pending or in flight) were rejected by the op entry points
+        *before* the host-side mutation, so every record arriving here
+        is for a distinct member.
         """
-        if record.ip in self._pending_ips or record.ip in self._inflight:
-            raise GroupError(
-                f"a membership delta for {record.ip} is already in flight")
         self.membership_ops += 1
         self.epoch_log.append((self.group.epoch, op, record.ip))
         delta = self._pending.get(op)
         if delta is None:
-            delta = MembershipDelta(
-                self, op, record, self.group.epoch,
-                timeout=self.delta_timeout, retries=self.delta_retries,
+            delta = self._pending[op] = MrpTransaction(
+                self.sim, self.group, self.nic, op, [record],
+                epoch=self.group.epoch, timeout=self.delta_timeout,
+                retries=self.delta_retries, on_done=self._delta_finished,
+                on_packet=self._count_packet,
             )
-            self._pending[op] = delta
         else:
             delta.add_record(record, self.group.epoch)
         if on_done is not None:
-            delta._done_cbs.append(on_done)
+            delta.done_cbs.append(on_done)
         self._pending_ips.add(record.ip)
-        if self._flush_ev is None:
+        if self.coalesce_window is None:
+            self.flush_pending()
+        elif self._flush_ev is None:
             self._flush_ev = self.sim.schedule(
                 self.coalesce_window, self.flush_pending)
         return delta
@@ -407,11 +189,10 @@ class MembershipManager:
                 # whole group through a retransmission rewind.  Every
                 # lane re-bases against its own source QP: the lanes
                 # carry independent PSN spaces.
-                for lane in range(self.group.paths):
-                    lane_qps = self.group.lane_members[lane]
+                for lane_qps in self.group.lane_members:
                     src_qp = lane_qps[self.group.current_source]
-                    for rec in delta.records:
-                        qp = lane_qps.get(rec.ip)
+                    for ip in delta.ips():
+                        qp = lane_qps.get(ip)
                         if qp is not None:
                             qp.rq_psn = src_qp.sq_psn
             for ip in delta.ips():
@@ -422,8 +203,8 @@ class MembershipManager:
 
     def join(self, ip: int, qp, mr: Optional["tuple[int, int]"] = None, *,
              lane_qps: Optional[List] = None,
-             on_done: Optional[Callable[[MembershipDelta], None]] = None
-             ) -> MembershipDelta:
+             on_done: Optional[Callable[[MrpTransaction], None]] = None
+             ) -> MrpTransaction:
         """Admit ``ip`` and patch the MDT with a JOIN delta.
 
         For a k-lane group ``lane_qps`` supplies the joiner's k QPs
@@ -448,25 +229,25 @@ class MembershipManager:
         self._notify_epoch(qp)
         vaddr, rkey = self.group.mr_info.get(ip, (0, 0))
         record = MemberRecord(ip=ip, qpn=qp.qpn, vaddr=vaddr, rkey=rkey)
-        return self._dispatch("join", record, on_done)
+        return self._enqueue("join", record, on_done)
 
     def leave(self, ip: int, *,
-              on_done: Optional[Callable[[MembershipDelta], None]] = None
-              ) -> MembershipDelta:
+              on_done: Optional[Callable[[MrpTransaction], None]] = None
+              ) -> MrpTransaction:
         """Voluntary departure: retire the member, patch the MDT."""
         return self._remove(ip, "leave", on_done)
 
     def prune(self, ip: int, reason: str = "", *,
-              on_done: Optional[Callable[[MembershipDelta], None]] = None
-              ) -> MembershipDelta:
+              on_done: Optional[Callable[[MrpTransaction], None]] = None
+              ) -> MrpTransaction:
         """Controller-initiated eviction of a (presumed dead) member."""
         delta = self._remove(ip, "prune", on_done)
         self.pruned.add(ip)
         return delta
 
     def _remove(self, ip: int, op: str,
-                on_done: Optional[Callable[[MembershipDelta], None]]
-                ) -> MembershipDelta:
+                on_done: Optional[Callable[[MrpTransaction], None]]
+                ) -> MrpTransaction:
         if self.has_inflight(ip):
             raise GroupError(
                 f"a membership delta for {ip} is already in flight")
@@ -477,21 +258,16 @@ class MembershipManager:
         self._notify_epoch(qp)
         self._fd_marks.pop(ip, None)
         record = MemberRecord(ip=ip, qpn=qpn)
-        return self._dispatch(op, record, on_done)
+        return self._enqueue(op, record, on_done)
 
     def _refresh_sr_header(self) -> None:
-        """Source-routed deployment: a membership change re-encodes the
-        group's header at the new epoch.  Senders stamp the new header
-        from the next packet on; switches retire the old tree's soft
-        state when the higher epoch flows past them.  Every lane
-        re-encodes (each lane compiled its own edge-disjoint tree)."""
-        sr = getattr(self.fabric, "source_routing", None)
+        """Source-routed deployment: a membership change re-encodes
+        every lane's header at the new epoch.  Senders stamp the new
+        header from the next packet on; switches retire the old tree's
+        soft state when the higher epoch flows past them."""
+        sr = self.fabric.source_routing
         if sr is not None:
-            if self.group.paths == 1:
-                sr.refresh(self.group)
-            else:
-                for lane in range(self.group.paths):
-                    sr.refresh(self.group.lane_view(lane))
+            sr.refresh(self.group)
 
     def _notify_epoch(self, qp) -> None:
         """Publish that the QP changed membership epoch (its PSN stream
@@ -506,23 +282,13 @@ class MembershipManager:
     def join_sync(self, ip: int, qp,
                   mr: Optional["tuple[int, int]"] = None, *,
                   lane_qps: Optional[List] = None) -> None:
-        self._pump(self.join(ip, qp, mr, lane_qps=lane_qps))
+        self.join(ip, qp, mr, lane_qps=lane_qps).run_until_resolved()
 
     def leave_sync(self, ip: int) -> None:
-        self._pump(self.leave(ip))
+        self.leave(ip).run_until_resolved()
 
     def prune_sync(self, ip: int, reason: str = "") -> None:
-        self._pump(self.prune(ip, reason))
-
-    def _pump(self, delta: MembershipDelta) -> None:
-        while not delta.finished:
-            nxt = self.sim.peek_next_time()
-            if nxt is None:
-                raise RegistrationError(
-                    f"membership {delta.op} stalled: no pending events")
-            self.sim.run(until=nxt)
-        if delta.failed_reason is not None:
-            raise RegistrationError(delta.failed_reason)
+        self.prune(ip, reason).run_until_resolved()
 
     # -- leaf-driven failure detector ------------------------------------------
 

@@ -9,34 +9,44 @@ every switch of the multicast distribution tree, hop by hop:
    :data:`~repro.constants.MRP_NODES_PER_PACKET` member records each,
    because MRP is constrained to the 1500-byte Ethernet MTU (Fig. 5) —
    addressed to the McstID, and sends them to its leaf switch;
-3. each switch builds its local MFT (reuse-then-least-loaded port
+3. each switch patches its local MFT (reuse-then-least-loaded port
    selection) and forwards per-port sub-MRPs downstream
-   (that logic lives in :mod:`repro.core.accelerator`);
-4. each receiver that finds its own IP in an MRP packet confirms its
-   membership to the controller; registration completes when all
-   confirmations arrive, or fails on timeout / an explicit switch error
-   (MFT memory exhausted), which is a safeguard-fallback trigger.
+   (that walk lives in :mod:`repro.core.accelerator`);
+4. each receiver that finds its own IP in an MRP packet — or, for a
+   departure, the member's leaf on its behalf — confirms to the
+   controller; the transaction completes when all confirmations
+   arrive, or fails on timeout / an explicit switch error (MFT memory
+   exhausted), which is a safeguard-fallback trigger.
+
+There is one controller-side state machine, :class:`MrpTransaction`,
+for all four operations (:data:`MRP_OPS`): full registration and the
+incremental join/leave/prune deltas differ only in which member records
+they carry.  A k-lane group is one transaction too — the records are
+emitted once per lane McstID and every (lane, member) pair must
+confirm — so a lane failure fails the whole family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import constants
 from repro.core.group import MemberRecord, MulticastGroup
-from repro.errors import RegistrationError
+from repro.errors import GroupError, RegistrationError
 from repro.net.nic import Nic
 from repro.net.packet import Packet, PacketType
 from repro.net.simulator import Event, Simulator
 
-__all__ = ["MrpPayload", "MrpError", "MrpController", "HostControlAgent",
+__all__ = ["MrpPayload", "MrpError", "MrpTransaction", "HostControlAgent",
            "chunk_records", "MRP_OPS"]
 
 #: Fixed MRP header bytes (metadata: McstID, seq, total, controller IP).
 _MRP_METADATA_BYTES = 16
 #: Bytes per member record on the wire (IP 4 + QPN 3 + padding 1).
 _MRP_NODE_BYTES = 8
+#: Out-of-band gathering of member <IP, QPN> before a registration.
+_GATHER_DELAY_S = 5e-6
 
 
 #: MRP operations.  ``register`` installs the full tree (§III-C);
@@ -55,10 +65,10 @@ class MrpPayload:
     bytes in the Fig. 5 layout), so delta packets cost no extra wire
     bytes over a plain registration chunk.  ``lane``/``nlanes``
     likewise ride in reserved header bits: a k-lane group registers k
-    MDTs, one per lane McstID, and the accelerator resolves ECMP
-    next hops per lane (``Topology.lane_port``) so the lanes land on
-    edge-disjoint uplinks.  ``lane=0, nlanes=1`` is a classic
-    single-tree registration.
+    MDTs, one per lane McstID, and for ``nlanes > 1`` the accelerator
+    resolves ECMP next hops per lane (``Topology.lane_port``) so the
+    lanes land on edge-disjoint uplinks.  ``lane=0, nlanes=1`` is a
+    classic single-tree registration.
     """
 
     mcst_id: int
@@ -97,31 +107,27 @@ class HostControlAgent:
     """Per-host control-plane agent.
 
     Owns the NIC's control handler and multiplexes it: it answers MRP
-    membership affirmations automatically and lets local controllers
-    subscribe to confirmations/errors.
+    membership affirmations automatically and routes confirmations and
+    switch errors to the local controller of the McstID they name —
+    an :class:`MrpTransaction`, or the group's membership manager.
     """
 
     def __init__(self, nic: Nic) -> None:
         self.nic = nic
         self.nic.control_handler = self._dispatch
-        self._controllers: Dict[int, "MrpController"] = {}
+        self._controllers: Dict[int, object] = {}
         self.mrp_seen: Set[int] = set()  # group ids this host affirmed
 
-    def attach_controller(self, ctl, mcst_id: Optional[int] = None) -> None:
-        """Route confirmations/errors for a McstID to ``ctl``.
+    def attach_controller(self, ctl) -> None:
+        """Route confirmations/errors for every lane McstID of
+        ``ctl.group`` to ``ctl.on_confirm(mcst_id, member_ip)`` /
+        ``ctl.on_switch_error(err)``."""
+        for mcst_id in ctl.group.lane_ids:
+            self._controllers[mcst_id] = ctl
 
-        ``mcst_id`` overrides the key — a k-lane group attaches one
-        endpoint per lane id so per-lane MRP_CONFIRMs find their way
-        back.  Defaults to the controller's own id (its lane McstID
-        when it is a lane controller, the group id otherwise)."""
-        if mcst_id is None:
-            mcst_id = getattr(ctl, "mcst_id", None)
-        if mcst_id is None:
-            mcst_id = ctl.group.mcst_id
-        self._controllers[mcst_id] = ctl
-
-    def detach_controller(self, mcst_id: int) -> None:
-        self._controllers.pop(mcst_id, None)
+    def detach_controller(self, group: MulticastGroup) -> None:
+        for mcst_id in group.lane_ids:
+            self._controllers.pop(mcst_id, None)
 
     def _dispatch(self, pkt: Packet) -> None:
         if pkt.ptype == PacketType.MRP:
@@ -129,7 +135,7 @@ class HostControlAgent:
         elif pkt.ptype == PacketType.MRP_CONFIRM:
             ctl = self._controllers.get(pkt.meta[0]) if pkt.meta else None
             if ctl is not None:
-                ctl.on_confirm(pkt.meta[1])
+                ctl.on_confirm(*pkt.meta)
         elif pkt.ptype == PacketType.CTRL and isinstance(pkt.meta, MrpError):
             ctl = self._controllers.get(pkt.meta.mcst_id)
             if ctl is not None:
@@ -150,140 +156,196 @@ class HostControlAgent:
             self.nic.send(confirm)
 
 
-class MrpController:
-    """The registration controller running on the leader host (§III-A)."""
+class MrpTransaction:
+    """One MRP transaction run by the controller on the leader host.
+
+    ``op`` is one of :data:`MRP_OPS`.  ``register`` carries the whole
+    member list, gathered when the transaction begins (``records`` is
+    ignored); ``join``/``leave``/``prune`` carry the ``records`` of the
+    members the delta names, and the membership manager may fold more
+    in with :meth:`add_record` until :meth:`start`.
+
+    The records are emitted once per lane (addressed to the lane's own
+    McstID, carrying that lane's QPNs) and the transaction resolves
+    once every (lane, member) pair has confirmed — or fails, as a
+    whole, on the first switch error or an exhausted timeout.
+
+    ``retries`` re-sends the (idempotent) MRP packets up to that many
+    times on a confirmation timeout before giving up: MRP is UDP-based
+    (§III-C), a lost control packet should not doom the group.
+
+    ``allow_partial`` implements the probing half of the paper's
+    envisioned fine-grained fallback (§V-D future work): a timeout with
+    at least one confirmed member *succeeds*, and :meth:`unconfirmed`
+    names the silent members so the caller can re-form the group around
+    the survivors.
+
+    Every callback in ``done_cbs`` is called with the transaction once
+    it resolves (``failed_reason`` is None on success); ``on_packet``
+    is called once per MRP packet put on the wire, re-sends included.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         group: MulticastGroup,
         leader_nic: Nic,
+        op: str = "register",
+        records: Iterable[MemberRecord] = (),
         *,
-        on_success: Optional[Callable[[], None]] = None,
-        on_failure: Optional[Callable[[str], None]] = None,
+        epoch: int = 0,
         timeout: float = 10e-3,
-        gather_delay: float = 5e-6,
-        allow_partial: bool = False,
         retries: int = 0,
-        lane: int = 0,
+        allow_partial: bool = False,
+        on_done: Optional[Callable[["MrpTransaction"], None]] = None,
+        on_packet: Optional[Callable[[], None]] = None,
     ) -> None:
-        """``allow_partial`` implements the probing half of the paper's
-        envisioned fine-grained fallback (§V-D future work): a timeout
-        with at least one confirmation *succeeds*, recording the silent
-        members in :attr:`unconfirmed` so the caller can re-form the
-        group around the survivors.
-
-        ``retries`` re-sends the MRP packets up to that many times on a
-        confirmation timeout before declaring failure (MRP is UDP-based,
-        §III-C — a lost control packet should not doom the group).
-
-        ``lane`` selects which path lane of a k-lane group this
-        controller registers: the MRP chunks address the lane's own
-        McstID and carry lane-``lane`` QPNs, so the switches compile
-        that lane's MDT.  The fabric runs one controller per lane."""
+        if op not in MRP_OPS:
+            raise GroupError(f"unknown MRP op {op!r}")
         self.sim = sim
         self.group = group
-        self.lane = lane
-        self.mcst_id = group.lane_ids[lane]
         self.nic = leader_nic
-        self.on_success = on_success
-        self.on_failure = on_failure
+        self.op = op
+        self.records: List[MemberRecord] = list(records)
+        self.epoch = epoch
         self.timeout = timeout
-        self.gather_delay = gather_delay
-        self.allow_partial = allow_partial
         self.retries_left = retries
+        self.allow_partial = allow_partial
+        self.done_cbs = [] if on_done is None else [on_done]
+        self.on_packet = on_packet
         self.resends = 0
-        self._pending: Set[int] = set()
-        self._timeout_ev: Optional[Event] = None
         self.finished = False
         self.failed_reason: Optional[str] = None
-        self.unconfirmed: Set[int] = set()
+        self._pending: Set[Tuple[int, int]] = set()   # (lane, ip)
+        self._timeout_ev: Optional[Event] = None
+
+    def ips(self) -> List[int]:
+        return [r.ip for r in self.records]
+
+    def add_record(self, record: MemberRecord, epoch: int) -> None:
+        """Coalescing: fold another member's op into this not yet
+        started delta; the batch carries the latest applied epoch."""
+        self.records.append(record)
+        self.epoch = epoch
 
     # -- protocol steps ----------------------------------------------------
 
     def start(self) -> None:
-        """Step 1: gather member states out-of-band, then emit MRP."""
-        self.sim.schedule(self.gather_delay, self._send_mrp_packets)
+        """Emit the MRP packets and arm the confirmation timeout.  A
+        full registration first gathers every member's state
+        out-of-band (step 1), which takes :data:`_GATHER_DELAY_S`."""
+        if self.op == "register":
+            self.sim.schedule(_GATHER_DELAY_S, self._begin)
+        else:
+            self._begin()
 
-    def _emit_packets(self) -> None:
-        """(Re-)send the registration chunks; pending state untouched."""
-        records = self.group.member_records(self.lane)
-        chunks = chunk_records(records)
-        total = len(chunks)
-        for seq, nodes in enumerate(chunks):
-            payload = MrpPayload(
-                mcst_id=self.mcst_id, seq=seq, total=total,
-                controller_ip=self.nic.ip, nodes=nodes,
-                lane=self.lane, nlanes=self.group.paths,
-            )
-            pkt = Packet(
-                PacketType.MRP, self.nic.ip, self.mcst_id,
-                payload=payload.wire_bytes(), mrp=payload,
-                created_at=self.sim.now,
-            )
-            self.nic.send(pkt)
-
-    def _send_mrp_packets(self) -> None:
-        self._emit_packets()
-        self._pending = {
-            ip for ip in self.group.members if ip != self.group.leader_ip
-        }
+    def _begin(self) -> None:
+        if self.op == "register":
+            self.records = self.group.member_records()
+        self._emit()
+        leader = self.group.leader_ip
+        self._pending = {(lane, r.ip) for lane in range(self.group.paths)
+                         for r in self.records if r.ip != leader}
         self._timeout_ev = self.sim.schedule(self.timeout, self._on_timeout)
-        if not self._pending:  # degenerate 1-member group
-            self._finish_ok()
+        if not self._pending:
+            self._finish(None)
 
-    # -- callbacks from the host agent ------------------------------------------
+    def _emit(self) -> None:
+        """(Re-)send the records on every lane; pending state untouched."""
+        nic = self.nic
+        for lane, mcst_id in enumerate(self.group.lane_ids):
+            chunks = chunk_records(self._lane_records(lane))
+            for seq, nodes in enumerate(chunks):
+                payload = MrpPayload(
+                    mcst_id=mcst_id, seq=seq, total=len(chunks),
+                    controller_ip=nic.ip, nodes=nodes,
+                    op=self.op, epoch=self.epoch,
+                    lane=lane, nlanes=self.group.paths,
+                )
+                nic.send(Packet(
+                    PacketType.MRP, nic.ip, mcst_id,
+                    payload=payload.wire_bytes(), mrp=payload,
+                    created_at=self.sim.now,
+                ))
+                if self.on_packet is not None:
+                    self.on_packet()
 
-    def on_confirm(self, member_ip: int) -> None:
+    def _lane_records(self, lane: int) -> List[MemberRecord]:
+        """The records carrying lane-``lane`` QPNs.  A departed member
+        has no lane QP left and keeps its lane-0 QPN — switches drain
+        departures by IP and never read it."""
+        if lane == 0:
+            return self.records
+        lane_qps = self.group.lane_members[lane]
+        return [replace(r, qpn=lane_qps[r.ip].qpn) if r.ip in lane_qps else r
+                for r in self.records]
+
+    # -- callbacks from the host agent ---------------------------------------
+
+    def on_confirm(self, mcst_id: int, member_ip: int) -> None:
         if self.finished:
             return
-        self._pending.discard(member_ip)
+        key = (self.group.lane_ids.index(mcst_id), member_ip)
+        if key not in self._pending:
+            return  # duplicate (re-sent MRP), or not a member we named
+        self._pending.discard(key)
         if not self._pending:
-            self._finish_ok()
+            self._finish(None)
 
     def on_switch_error(self, err: MrpError) -> None:
-        if self.finished:
-            return
-        self._finish_fail(f"{err.switch_name}: {err.reason}")
+        # Deterministic, not a lost packet: fail fast, burn no retries.
+        if not self.finished:
+            self._finish(f"{err.switch_name}: {err.reason}")
+
+    def unconfirmed(self) -> List[int]:
+        """Members still owing a confirmation on some lane."""
+        owing = {ip for _lane, ip in self._pending}
+        return [r.ip for r in self.records if r.ip in owing]
 
     def _on_timeout(self) -> None:
         if self.finished:
             return
-        if self.retries_left > 0 and self._pending:
-            # Re-send the (idempotent) MRP chunks: switches that already
-            # installed their MFT slices simply re-affirm, members that
-            # missed the first round get another chance to confirm.
+        if self.retries_left > 0:
+            # Switches that already patched their MFT slices simply
+            # re-affirm; members that missed the first round get
+            # another chance to confirm.
             self.retries_left -= 1
             self.resends += 1
-            self._emit_packets()
-            self._timeout_ev = self.sim.schedule(self.timeout, self._on_timeout)
+            self._emit()
+            self._timeout_ev = self.sim.schedule(self.timeout,
+                                                 self._on_timeout)
             return
-        missing = sorted(self._pending)
-        expected = len(self.group.members) - 1
+        missing = self.unconfirmed()
+        expected = sum(r.ip != self.group.leader_ip for r in self.records)
         if self.allow_partial and len(missing) < expected:
-            self.unconfirmed = set(missing)
-            self._finish_ok()
+            self._finish(None)
             return
-        self._finish_fail(f"timeout waiting for confirmations from {missing}")
+        self._finish(f"timeout waiting for {self.op} confirmations "
+                     f"from {sorted(missing)}")
 
-    # -- completion ------------------------------------------------------------------
+    # -- completion --------------------------------------------------------------
 
-    def _finish_ok(self) -> None:
+    def _finish(self, reason: Optional[str]) -> None:
         self.finished = True
-        if self.lane == 0:
-            # Lanes 1..k-1 only confirm their own MDT; the group counts
-            # as registered when the fabric's per-lane aggregation says
-            # every lane finished (lane 0 last in the k=1 case trivially).
+        self.failed_reason = reason
+        if reason is None and self.op == "register":
             self.group.registered = True
         if self._timeout_ev is not None:
             self._timeout_ev.cancel()
-        if self.on_success is not None:
-            self.on_success()
+            self._timeout_ev = None
+        for cb in self.done_cbs:
+            cb(self)
 
-    def _finish_fail(self, reason: str) -> None:
-        self.finished = True
-        self.failed_reason = reason
-        if self._timeout_ev is not None:
-            self._timeout_ev.cancel()
-        if self.on_failure is not None:
-            self.on_failure(reason)
+    def run_until_resolved(self) -> "MrpTransaction":
+        """Step the simulator until the transaction resolves; raises
+        :class:`RegistrationError` if it failed.  Setup/test
+        convenience — the timeout event guarantees progress."""
+        while not self.finished:
+            nxt = self.sim.peek_next_time()
+            if nxt is None:
+                raise RegistrationError(
+                    f"MRP {self.op} stalled: no pending events")
+            self.sim.run(until=nxt)
+        if self.failed_reason is not None:
+            raise RegistrationError(self.failed_reason)
+        return self

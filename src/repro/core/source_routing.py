@@ -13,9 +13,10 @@ one residual entry under a common rule key.
 
 This module is the whole sender/control side of that design:
 
-* :func:`compute_tree` — walk the fabric's routing view and produce the
-  per-switch port bitmaps of one group's MDT (undirected, so any member
-  can source; the data plane excludes the ingress port);
+* :func:`compute_tree` — the per-switch port bitmaps of one group's
+  MDT (undirected, so any member can source; the data plane excludes
+  the ingress port), produced by the fabric's one tree walk,
+  :meth:`Topology.mdt_walk <repro.net.topology.Topology.mdt_walk>`;
 * :func:`split_rules` — pack bitmaps into the budgeted header
   (host-facing rules first — spilling a leaf rule would put residual
   state exactly where the tree fans out) and spill the rest;
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import constants
-from repro.errors import GroupError, RegistrationError, TopologyError
+from repro.errors import GroupError, RegistrationError
 
 __all__ = [
     "SrHeader", "SourceRoutingConfig", "FabricView", "BertAggregator",
@@ -142,64 +143,23 @@ class FabricView:
             self.host_mask[sw.name] = mask
             self.rule_cost[sw.name] = rule_bytes(sw.n_ports)
 
-    def leaf_of(self, ip: int):
-        return self.topo.leaf_of(ip)
-
-    def switch(self, name: str):
-        return self.switches[name]
-
 
 def compute_tree(view: FabricView, root_ip: int, member_ips,
                  stats: Optional[Dict[str, int]] = None,
-                 lane: int = 0, nlanes: int = 1) -> Dict[str, int]:
-    """Compile one group's MDT into per-switch port bitmaps.
+                 lane: int = 0) -> Dict[str, int]:
+    """Compile one group's (lane's) MDT into per-switch port bitmaps.
 
-    Members are attached in sorted order by walking the root's leaf
-    toward each member along the FIB's equal-cost next hops, preferring
-    a port already in the tree (so branches merge as early as possible)
-    and the lowest port otherwise — deterministic, so the same
-    membership always compiles to the same rules.  Both directions of
-    every traversed link are set: the tree is undirected, any member
-    can source, and the data plane prunes the ingress port itself.
-
-    For lane ``lane`` of an ``nlanes``-lane group the lowest-port
-    fallback becomes the shared per-lane ECMP rule
-    (``Topology.lane_port``): the compiled header then describes the
-    same edge-disjoint tree the MFT deployments build for that lane.
-    ``nlanes=1`` keeps the legacy walk bit-for-bit.
+    The walk itself is :meth:`Topology.mdt_walk
+    <repro.net.topology.Topology.mdt_walk>` — the same loop that
+    predicts a lane's links for failure injection — so the compiled
+    header describes the tree the MFT deployments build for that lane.
 
     ``stats`` (optional) accumulates ``record_installs``: one per
     (member, on-path switch) — the control-plane cost an MRP-style
     registration of the same tree would pay.
     """
-    root_leaf, _root_port = view.leaf_of(root_ip)
-    bits: Dict[str, int] = {}
-    limit = len(view.switches) + 1
-    installs = 0
-    for ip in sorted(member_ips):
-        leaf, hport = view.leaf_of(ip)
-        bits[leaf.name] = bits.get(leaf.name, 0) | (1 << hport)
-        cur = root_leaf
-        hops = 0
-        while cur is not leaf:
-            ports = cur.route_ports(ip)
-            cur_bits = bits.get(cur.name, 0)
-            port = next((p for p in ports if cur_bits & (1 << p)), None)
-            if port is None:
-                if nlanes > 1:
-                    cands = sorted(ports)
-                    port = cands[lane % len(cands)]
-                else:
-                    port = min(ports)
-            bits[cur.name] = cur_bits | (1 << port)
-            peer, rport = view.peers[cur.name][port]
-            bits[peer.name] = bits.get(peer.name, 0) | (1 << rport)
-            cur = peer
-            hops += 1
-            if hops > limit:
-                raise TopologyError(
-                    f"routing loop compiling tree toward host {ip}")
-        installs += hops + 1
+    bits, installs = view.topo.mdt_walk(root_ip, member_ips, lane,
+                                        view.peers)
     if stats is not None:
         stats["record_installs"] = stats.get("record_installs", 0) + installs
     return bits
@@ -314,20 +274,19 @@ class SourceRoutingManager:
 
     # -- group lifecycle ----------------------------------------------------
 
-    def attach(self, group) -> SrHeader:
-        """Compile and activate the group's header (idempotent)."""
-        st = self._states.get(group.mcst_id)
-        if st is not None:
-            return st.header
-        st = _GroupState()
-        self._states[group.mcst_id] = st
-        self._encode(group, st)
-        for ip in group.members:
-            self._hook(st, group.mcst_id, ip)
-        return st.header
+    def attach(self, group) -> None:
+        """Compile and activate one header per lane (idempotent)."""
+        for lane, mcst_id in enumerate(group.lane_ids):
+            if mcst_id in self._states:
+                continue
+            st = self._states[mcst_id] = _GroupState()
+            self._encode(group, lane, st)
+            for ip in group.members:
+                self._hook(st, mcst_id, ip)
 
-    def refresh(self, group) -> Optional[SrHeader]:
-        """Re-encode after a membership delta (epoch already bumped).
+    def refresh(self, group) -> None:
+        """Re-encode every lane after a membership delta (epoch
+        already bumped).
 
         The previous epoch's residual key stays installed until
         :meth:`detach`: in-flight packets still carry the old header,
@@ -335,41 +294,36 @@ class SourceRoutingManager:
         mid-tree.  The new header's higher epoch is what retires the
         old tree's soft state, switch by switch, as data flows.
         """
-        st = self._states.get(group.mcst_id)
-        if st is None:
-            return None
-        old_key = st.key
-        self._encode(group, st)
-        self.header_recompiles += 1
-        if old_key and old_key != st.key:
-            st.retired_keys.append(old_key)
         current = set(group.members)
-        for ip in current - st.hooked_ips:
-            self._hook(st, group.mcst_id, ip)
-        for ip in st.hooked_ips - current:
-            nic = self.fabric.topo.nics.get(ip)
-            if nic is not None:
-                nic.sr_encoders.pop(group.mcst_id, None)
-            st.hooked_ips.discard(ip)
-        return st.header
+        for lane, mcst_id in enumerate(group.lane_ids):
+            st = self._states.get(mcst_id)
+            if st is None:
+                continue
+            old_key = st.key
+            self._encode(group, lane, st)
+            self.header_recompiles += 1
+            if old_key and old_key != st.key:
+                st.retired_keys.append(old_key)
+            for ip in current - st.hooked_ips:
+                self._hook(st, mcst_id, ip)
+            for ip in st.hooked_ips - current:
+                self._unhook(mcst_id, ip)
+                st.hooked_ips.discard(ip)
 
     def detach(self, group) -> None:
-        """Unhook member NICs and release every residual key."""
-        st = self._states.pop(group.mcst_id, None)
-        if st is None:
-            return
-        for ip in st.hooked_ips:
-            nic = self.fabric.topo.nics.get(ip)
-            if nic is not None:
-                nic.sr_encoders.pop(group.mcst_id, None)
-        for key in [st.key] + st.retired_keys:
-            if not key:
+        """Unhook member NICs and release every lane's residual keys
+        (each lane compiled its own header, so each lane's spilled
+        rules must go — not just lane 0's)."""
+        for mcst_id in group.lane_ids:
+            st = self._states.pop(mcst_id, None)
+            if st is None:
                 continue
-            if self.cfg.aggregator == "bert":
-                if self.bert.release(key):
+            for ip in st.hooked_ips:
+                self._unhook(mcst_id, ip)
+            for key in [st.key] + st.retired_keys:
+                if key and (self.cfg.aggregator != "bert"
+                            or self.bert.release(key)):
                     self._uninstall(key)
-            else:
-                self._uninstall(key)
 
     def header_of(self, mcst_id: int) -> Optional[SrHeader]:
         st = self._states.get(mcst_id)
@@ -377,12 +331,10 @@ class SourceRoutingManager:
 
     # -- internals ----------------------------------------------------------
 
-    def _encode(self, group, st: _GroupState) -> None:
-        # A LaneView of a k-lane group compiles its own edge-disjoint
-        # tree; a plain group is lane 0 of 1 and takes the legacy walk.
+    def _encode(self, group, lane: int, st: _GroupState) -> None:
+        mcst_id = group.lane_ids[lane]
         bitmaps = compute_tree(self.view, group.leader_ip, group.members,
-                               lane=getattr(group, "lane", 0),
-                               nlanes=getattr(group, "nlanes", 1))
+                               lane=lane)
         in_header, spilled, hbytes = split_rules(
             self.view, bitmaps, self.cfg.rule_budget_bytes)
         key = 0
@@ -390,9 +342,9 @@ class SourceRoutingManager:
             if self.cfg.aggregator == "bert":
                 key = self.bert.acquire(spilled)
             else:
-                key = group.mcst_id
+                key = mcst_id
             self._install(key, spilled)
-        st.header = SrHeader(group.mcst_id, group.epoch, in_header, key, hbytes)
+        st.header = SrHeader(mcst_id, group.epoch, in_header, key, hbytes)
         st.spilled = spilled
         st.key = key
 
@@ -402,6 +354,11 @@ class SourceRoutingManager:
         # st.header and every member stamps the new epoch from then on.
         nic.sr_encoders[mcst_id] = (lambda s=st: s.header)
         st.hooked_ips.add(ip)
+
+    def _unhook(self, mcst_id: int, ip: int) -> None:
+        nic = self.fabric.topo.nics.get(ip)
+        if nic is not None:
+            nic.sr_encoders.pop(mcst_id, None)
 
     def _install(self, key: int, spilled: Dict[str, int]) -> None:
         for name, bm in spilled.items():

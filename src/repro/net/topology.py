@@ -163,74 +163,81 @@ class Topology:
     # -- multipath lanes (MRC-style k edge-disjoint trees) --------------------
 
     @staticmethod
-    def lane_port(ports: List[int], lane: int, nlanes: int,
-                  seed: int = 0) -> int:
+    def lane_port(ports: List[int], lane: int) -> int:
         """The deterministic per-lane choice among ECMP next hops.
 
-        Lane ``lane`` of an ``nlanes``-lane group picks the
-        ``(lane + seed) mod len``-th port of the *sorted* candidate
-        list.  Every component that resolves ECMP for a lane — the
-        accelerator's MRP walk, the source-routed tree encoder, and
-        :meth:`edge_disjoint_trees` — uses this one rule, so they all
-        agree on which physical links lane l owns.  With
-        ``nlanes <= len(ports)`` (a fat-tree gives ``k/2`` uplinks at
-        every ECMP stage) distinct lanes pick distinct ports, which is
-        what makes the trees edge-disjoint on the uplinks.
+        Lane ``lane`` picks the ``lane mod len``-th port of the *sorted*
+        candidate list.  This is the only place the rule is written
+        down: the accelerator's MRP walk, the source-routed tree
+        encoder and :meth:`mdt_walk` all call it, so they agree on
+        which physical links lane l owns.  With at least as many
+        candidates as lanes (a fat-tree gives ``k/2`` uplinks at every
+        ECMP stage) distinct lanes pick distinct ports, which is what
+        makes the trees edge-disjoint on the uplinks.
         """
-        cands = sorted(ports)
-        return cands[(lane + seed) % len(cands)]
+        return sorted(ports)[lane % len(ports)]
+
+    def mdt_walk(self, root_ip: int, member_ips, lane: int = 0,
+                 peers=None) -> Tuple[Dict[str, int], int]:
+        """Compile lane ``lane``'s MDT into per-switch port bitmaps.
+
+        Members are attached in sorted order by walking the root's leaf
+        toward each member along the FIB's equal-cost next hops,
+        preferring a port already in the tree (so branches merge as
+        early as possible) and :meth:`lane_port` otherwise —
+        deterministic, so the same membership always compiles to the
+        same tree, and lane 0 is the classic single-tree walk.  Both
+        directions of every traversed link are set: the tree is
+        undirected, any member can source, and the data plane prunes
+        the ingress port itself.
+
+        ``peers`` is a cached :meth:`switch_link_map`.  Also returns the
+        number of (member, on-path switch) pairs — the record installs
+        an MRP registration of the same tree would pay.
+        """
+        if peers is None:
+            peers = self.switch_link_map()
+        root_leaf, _root_port = self.leaf_of(root_ip)
+        limit = len(self.switches) + 1
+        bits: Dict[str, int] = {}
+        installs = 0
+        for ip in sorted(member_ips):
+            leaf, hport = self.leaf_of(ip)
+            bits[leaf.name] = bits.get(leaf.name, 0) | (1 << hport)
+            cur = root_leaf
+            hops = 0
+            while cur is not leaf:
+                ports = cur.route_ports(ip)
+                cur_bits = bits.get(cur.name, 0)
+                port = next((p for p in ports if cur_bits & (1 << p)), None)
+                if port is None:
+                    port = self.lane_port(ports, lane)
+                bits[cur.name] = cur_bits | (1 << port)
+                peer, rport = peers[cur.name][port]
+                bits[peer.name] = bits.get(peer.name, 0) | (1 << rport)
+                cur = peer
+                hops += 1
+                if hops > limit:
+                    raise TopologyError(
+                        f"routing loop compiling lane {lane} toward "
+                        f"host {ip}")
+            installs += hops + 1
+        return bits, installs
 
     def edge_disjoint_trees(self, root_ip: int, member_ips,
-                            k: int, seed: int = 0) -> List[Dict[str, int]]:
-        """Compile ``k`` per-lane MDTs as per-switch port bitmaps.
-
-        Walks the FIB from the root's leaf toward each member exactly
-        like the runtime does (prefer a port already in the lane's own
-        tree so branches merge early, else :meth:`lane_port`), so the
-        returned trees predict which links each lane's DATA traverses
-        — used by the failover experiments and the fuzzer's lane-kill
-        operator to aim a link failure at one specific lane.  Both
-        directions of every traversed link are set (the trees are
-        undirected, any member may source).  Deterministic given
-        ``seed``; ``k=1, seed=0`` reproduces the single-tree walk.
-        """
+                            k: int) -> List[Dict[str, int]]:
+        """The ``k`` per-lane MDTs (:meth:`mdt_walk` per lane): which
+        links each lane's DATA traverses — used by the failover
+        experiments and the fuzzer's lane-kill operator to aim a link
+        failure at one specific lane."""
         if k < 1:
             raise TopologyError(f"need at least one lane, got {k}")
         peers = self.switch_link_map()
-        root_leaf, _root_port = self.leaf_of(root_ip)
-        limit = len(self.switches) + 1
-        trees: List[Dict[str, int]] = []
-        for lane in range(k):
-            bits: Dict[str, int] = {}
-            for ip in sorted(member_ips):
-                leaf, hport = self.leaf_of(ip)
-                bits[leaf.name] = bits.get(leaf.name, 0) | (1 << hport)
-                cur = root_leaf
-                hops = 0
-                while cur is not leaf:
-                    ports = cur.route_ports(ip)
-                    cur_bits = bits.get(cur.name, 0)
-                    port = next(
-                        (p for p in ports if cur_bits & (1 << p)), None)
-                    if port is None:
-                        if k == 1:
-                            port = min(ports)
-                        else:
-                            port = self.lane_port(ports, lane, k, seed)
-                    bits[cur.name] = cur_bits | (1 << port)
-                    peer, rport = peers[cur.name][port]
-                    bits[peer.name] = bits.get(peer.name, 0) | (1 << rport)
-                    cur = peer
-                    hops += 1
-                    if hops > limit:
-                        raise TopologyError(
-                            f"routing loop compiling lane {lane} toward "
-                            f"host {ip}")
-            trees.append(bits)
-        return trees
+        return [self.mdt_walk(root_ip, member_ips, lane, peers)[0]
+                for lane in range(k)]
 
-    def lane_uplinks(self, root_ip: int, member_ips, k: int,
-                     seed: int = 0) -> List[Tuple[Switch, int]]:
+    def lane_uplinks(self, root_ip: int, member_ips,
+                     k: int) -> List[Tuple[Switch, int]]:
         """One (switch, port) uplink per lane that only that lane uses.
 
         Convenience for failure injection: for each lane, pick the
@@ -239,7 +246,7 @@ class Topology:
         fabric has no lane-exclusive link (e.g. a star topology, where
         all lanes share the single path).
         """
-        trees = self.edge_disjoint_trees(root_ip, member_ips, k, seed)
+        trees = self.edge_disjoint_trees(root_ip, member_ips, k)
         by_name = {sw.name: sw for sw in self.switches}
         picks: List[Tuple[Switch, int]] = []
         for lane, bits in enumerate(trees):

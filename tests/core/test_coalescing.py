@@ -21,7 +21,7 @@ import pytest
 from repro.apps import Cluster
 from repro.check import InvariantMonitor
 from repro.collectives import CepheusBcast
-from repro.errors import GroupError
+from repro.errors import ConfigurationError, GroupError
 from repro.net.failures import FailureInjector
 
 WINDOW = 200e-6
@@ -169,6 +169,18 @@ class TestConvergence:
             mm.join_sync(ip, cl.ctx(ip).create_qp())
         assert mm.mrp_deltas_sent == 3
         assert mm.membership_ops == 3
+
+    def test_changing_the_window_of_a_live_manager_is_refused(self):
+        """The window is fixed when the manager is created: asking for a
+        different one later must not be silently ignored."""
+        cl = _cluster()
+        algo = _group_of(cl, 4)
+        mm = cl.fabric.membership(algo.group, coalesce_window=WINDOW)
+        assert cl.fabric.membership(algo.group) is mm             # None: as is
+        assert cl.fabric.membership(algo.group, WINDOW) is mm
+        with pytest.raises(ConfigurationError, match="0.0002.*0.001"):
+            cl.fabric.membership(algo.group, coalesce_window=1e-3)
+        assert mm.coalesce_window == WINDOW
 
     def test_conflicting_op_in_window_rejected_without_side_effects(self):
         """join(ip) then leave(ip) inside one window is rejected BEFORE

@@ -131,6 +131,27 @@ class TestRegistrationFallback:
         assert fallen == pytest.approx(chain_jct, rel=0.15)
 
 
+    def test_failed_lane_fails_the_whole_family(self):
+        """One MFT slot per switch, two lanes: lane 1 is rejected at the
+        shared leaf.  The registration must fail once, as a whole — not
+        let the surviving lane mark the group registered later."""
+        cl = Cluster.fat_tree_cluster(
+            4, accel_config=AcceleratorConfig(max_groups=1))
+        members = cl.host_ips[:6]
+        lanes = [{ip: cl.ctx(ip).create_qp() for ip in members}
+                 for _ in range(2)]
+        group = cl.fabric.create_group(lanes[0], leader_ip=members[0],
+                                       lane_members=lanes)
+        failures, successes = [], []
+        cl.fabric.register(group, on_failure=failures.append,
+                           on_success=lambda: successes.append(True))
+        cl.sim.run()
+        assert len(failures) == 1 and "exhausted" in failures[0]
+        assert not successes
+        assert group.registered is False
+        assert cl.sim.peek_next_time() is None
+
+
 class TestMidFlightFallback:
     def test_goodput_collapse_reissues_over_amcast(self):
         """Accelerators vanish mid-flight (model of a fabric fault): the

@@ -15,13 +15,13 @@ from repro.core.accelerator import AcceleratorConfig
 from repro.errors import GroupError
 
 
-def _cluster(deployment="inline"):
+def _cluster(deployment="inline", k=4):
     return Cluster.fat_tree_cluster(
-        4, accel_config=AcceleratorConfig(deployment=deployment))
+        k, accel_config=AcceleratorConfig(deployment=deployment))
 
 
-def _lane_group(cl, paths, nmembers=4):
-    members = cl.topo.host_ips[:nmembers]
+def _lane_group(cl, paths, nmembers=4, members=None):
+    members = members or cl.topo.host_ips[:nmembers]
     lane_members = [{ip: cl.ctx(ip).create_qp() for ip in members}
                     for _ in range(paths)]
     return cl.fabric.create_group(lane_members[0], leader_ip=members[0],
@@ -97,3 +97,45 @@ class TestFamilyTeardown:
         cl.fabric.unregister(group)
         with pytest.raises(GroupError):
             cl.fabric.alloc.release(group.lane_ids[1])
+
+
+class TestLaneTreesAgree:
+    """One tree walk, one lane-port rule: the tree the sender compiles,
+    the tree failure injection aims at and the tree the switches build
+    hop by hop are the same per-lane trees."""
+
+    MEMBERS = [1, 2, 7, 18, 35, 64, 97, 128]    # every pod of fat_tree(8)
+
+    @pytest.mark.parametrize("paths", (1, 2, 4))
+    def test_compiled_headers_match_the_predicted_trees(self, paths):
+        cl = _cluster("source_routed", k=8)
+        group = _lane_group(cl, paths, members=self.MEMBERS)
+        cl.fabric.register_sync(group)
+        trees = cl.topo.edge_disjoint_trees(1, self.MEMBERS, paths)
+        for lane_id, tree in zip(group.lane_ids, trees):
+            st = cl.fabric.source_routing._states[lane_id]
+            assert {**st.header.rules, **st.spilled} == tree
+
+    @pytest.mark.parametrize("paths", (1, 2, 4))
+    def test_lane_uplinks_aim_at_exactly_one_lanes_tree(self, paths):
+        cl = _cluster(k=8)
+        trees = cl.topo.edge_disjoint_trees(1, self.MEMBERS, paths)
+        uplinks = cl.topo.lane_uplinks(1, self.MEMBERS, paths)
+        for lane, (sw, port) in enumerate(uplinks):
+            owners = [l for l, tree in enumerate(trees)
+                      if tree.get(sw.name, 0) >> port & 1]
+            assert owners == [lane]
+
+    @pytest.mark.parametrize("paths", (2, 4))
+    def test_switches_install_the_predicted_trees(self, paths):
+        cl = _cluster(k=8)
+        group = _lane_group(cl, paths, members=self.MEMBERS)
+        cl.fabric.register_sync(group)
+        trees = cl.topo.edge_disjoint_trees(1, self.MEMBERS, paths)
+        for lane_id, tree in zip(group.lane_ids, trees):
+            installed = {}
+            for name, accel in cl.fabric.accelerators.items():
+                mft = accel.table.get(lane_id)
+                if mft is not None:
+                    installed[name] = sum(1 << e.port for e in mft.entries())
+            assert installed == tree
