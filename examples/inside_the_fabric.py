@@ -60,7 +60,7 @@ def main() -> None:
 
     # Show one packet's replication using the forwarding log.
     log = PacketLog(sw)
-    algo.qps[algo.root].post_send(100)
+    algo.post(100)
     cluster.run()
     fanout = log.of_type("DATA")
     print(f"\nforwarding log for one 100B multicast packet: "

@@ -160,11 +160,10 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
         fallbacks: List[Tuple[int, str]] = []
         for i, subs in enumerate(schedule.topic_subs):
             topic = broker.create_topic(f"topic{i:03d}", list(subs))
-            group = topic._engine.group
-            mm = fabric.membership(group,
+            mm = fabric.membership(topic.engine.group,
                                    coalesce_window=cfg.coalesce_window)
             guard = SafeguardMonitor(
-                sim, topic._engine.qps[broker_ip],
+                sim, topic.engine.qps[broker_ip],
                 constants.LINK_BANDWIDTH_BPS,
                 on_fallback=lambda why, _i=i: fallbacks.append((_i, why)))
             mm.safeguard = guard       # trips on delta failure (§V-D)
@@ -184,20 +183,17 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
             "churn_skipped": 0, "cross_sent": 0,
         }
 
-        def wire(i: int, ip: int) -> None:
-            # Deliveries are matched to publishes by the sender-assigned
-            # msg_id, so the accounting is indifferent to join timing
-            # (a joiner simply never sees pre-admission msg_ids).
-            def on_msg(mid, sz, now, meta) -> None:
-                t0 = publish_time.get(mid)
-                if t0 is not None:
-                    counters["deliveries"] += 1
-                    lat.record(now - t0)
-            topics[i]._engine.group.members[ip].on_message = on_msg
+        def on_delivery(ip, mid, nbytes, now, meta) -> None:
+            # Deliveries are matched to publishes by the handle ``post``
+            # returned, so the accounting is indifferent to join timing
+            # (a joiner simply never sees pre-admission messages).
+            t0 = publish_time.get(mid)
+            if t0 is not None:
+                counters["deliveries"] += 1
+                lat.record(now - t0)
 
-        for i, subs in enumerate(schedule.topic_subs):
-            for ip in subs:
-                wire(i, ip)
+        for topic in topics:
+            topic.engine.on_delivery = on_delivery
 
         # -- op execution -----------------------------------------------
         def publish_done(mid: int, now: float) -> None:
@@ -206,12 +202,13 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
         def do_publish(op: PublishOp) -> None:
             counters["published"] += 1
             counters["payload_bytes"] += op.size
-            mid = topics[op.topic]._engine.qps[broker_ip].post_send(
+            mid = topics[op.topic].engine.post(
                 op.size, on_complete=publish_done)
             publish_time[mid] = sim.now
 
         def do_churn(op: ChurnOp) -> None:
-            group = topics[op.topic]._engine.group
+            engine = topics[op.topic].engine
+            group = engine.group
             mm = mms[op.topic]
             ip = op.ip
             if ip == broker_ip or mm.has_inflight(ip):
@@ -222,11 +219,10 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
                         or len(group.members) <= 2):
                     counters["churn_skipped"] += 1
                     return
-                mm.leave(ip)
+                engine.start_leave(ip)
                 counters["unsubscribes"] += 1
             else:
-                mm.join(ip, cluster.ctx(ip).create_qp())
-                wire(op.topic, ip)
+                engine.start_join(ip)
                 counters["subscribes"] += 1
 
         def do_cross(op: CrossOp) -> None:
@@ -257,9 +253,9 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
         confirms = sum(m.mrp_confirms_rx for m in mms)
         delta_failures = [list(f) for m in mms for f in m.delta_failures]
         undrained = [t.name for t in topics
-                     if not t._engine.qps[broker_ip].send_idle]
+                     if not t.engine.send_idle]
         final_subscriptions = sum(
-            len(t._engine.group.members) - 1 for t in topics)
+            len(t.engine.group.members) - 1 for t in topics)
         violations = [v.to_dict() for v in monitor.violations]
         failing = (bool(violations) or bool(undrained)
                    or bool(delta_failures) or bool(fallbacks)

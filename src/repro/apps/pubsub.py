@@ -63,8 +63,10 @@ class Topic:
         members = [broker.host_ip] + self.subscribers
         engine_cls = CepheusBcast if transport == "cepheus" else \
             MultiUnicastBcast
-        self._engine = engine_cls(broker.cluster, members, broker.host_ip)
-        self._engine.prepare()
+        #: The delivery engine (read-only): a Cepheus topic's is its
+        #: multicast endpoint — post / on_delivery / start_join.
+        self.engine = engine_cls(broker.cluster, members, broker.host_ip)
+        self.engine.prepare()
         self.published = 0
 
     def subscribe(self, ip: int) -> None:
@@ -84,7 +86,7 @@ class Topic:
             # the group's member state.
             return
         if self.transport == "cepheus":
-            self._engine.join(ip)
+            self.engine.join(ip)
         else:
             self._rebuild_unicast(self.subscribers + [ip])
         self.subscribers.append(ip)
@@ -97,7 +99,7 @@ class Topic:
             # LEAVEs must not raise or touch live member state).
             return
         if self.transport == "cepheus":
-            self._engine.leave(ip)
+            self.engine.leave(ip)
         else:
             self._rebuild_unicast([s for s in self.subscribers if s != ip])
         self.subscribers.remove(ip)
@@ -107,12 +109,12 @@ class Topic:
             self.broker.cluster, [self.broker.host_ip] + subscribers,
             self.broker.host_ip)
         engine.prepare()
-        self._engine = engine
+        self.engine = engine
 
     def publish(self, size: int) -> PublishResult:
         """One message to every subscriber; returns delivery metrics."""
         tx0 = self._broker_tx_bytes()
-        result = self._engine.run(size)
+        result = self.engine.run(size)
         self.published += 1
         return PublishResult(
             topic=self.name, size=size, latency=result.jct,

@@ -62,7 +62,8 @@ class BroadcastResult:
 
 
 class BroadcastAlgorithm:
-    """Base class: subclasses override ``_setup`` and ``_launch``."""
+    """Base class: subclasses override ``_setup`` and ``_launch`` (and
+    may extend ``_finish``)."""
 
     name = "abstract"
 
@@ -97,10 +98,7 @@ class BroadcastAlgorithm:
         self._launch(size, result)
         sim.run()
         result.events = sim.events_run - ev0
-        missing = [ip for ip in self.ranks[1:] if ip not in result.recv_times]
-        if missing:
-            raise ConfigurationError(
-                f"{self.name}: receivers never completed: {missing}")
+        self._finish(result)
         return result
 
     # -- helpers for subclasses ------------------------------------------------------
@@ -123,3 +121,13 @@ class BroadcastAlgorithm:
 
     def _launch(self, size: int, result: BroadcastResult) -> None:
         raise NotImplementedError
+
+    def _finish(self, result: BroadcastResult, excused=()) -> None:
+        """After the drain: every receiver owed the message (all but
+        ``excused``) must have it.  Subclasses extend this to
+        post-process the result first."""
+        missing = [ip for ip in self.ranks if ip != self.root
+                   and ip not in result.recv_times and ip not in excused]
+        if missing:
+            raise ConfigurationError(
+                f"{self.name}: receivers never completed: {missing}")

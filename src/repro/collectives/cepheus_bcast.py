@@ -4,8 +4,14 @@ One RoCE message into the fabric; the MDT replicates it, leaf switches
 bridge the connections, and the aggregated feedback stream drives the
 sender's unmodified RC engine (§III).  ``prepare`` performs MFT
 registration (control-plane, excluded from JCT like every other
-scheme's connection setup); ``run`` posts exactly one message on the
-current source's QP.
+scheme's connection setup).
+
+:class:`CepheusBcast` is the group's one send/receive seam: ``post``
+sends a message from the current source, ``on_delivery`` sees every
+member's completed messages, ``start_join`` / ``start_leave`` change
+the membership — all non-blocking, all the same calls whatever the lane
+count.  ``run`` is the blocking benchmark collective on top: one
+``post``, drain, timings.
 
 Includes the §V-D safeguard fallback: a registration failure, or a
 mid-flight goodput collapse detected by the
@@ -16,7 +22,7 @@ default).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import constants
 from repro.apps.cluster import Cluster
@@ -24,6 +30,7 @@ from repro.collectives.base import BroadcastAlgorithm, BroadcastResult
 from repro.collectives.chain import ChainBcast
 from repro.core.fallback import SafeguardMonitor
 from repro.core.group import MulticastGroup
+from repro.core.mrp import MrpTransaction
 from repro.core.source_switch import SourceSwitchCoordinator
 from repro.errors import ConfigurationError, RegistrationError
 from repro.transport.roce import RoceQP
@@ -85,29 +92,38 @@ class CepheusBcast(BroadcastAlgorithm):
         self.recovery = recovery
         self.group: Optional[MulticastGroup] = None
         self.coordinator: Optional[SourceSwitchCoordinator] = None
+        #: ``on_delivery(ip, handle, nbytes, now, meta)``: member ``ip``
+        #: has the whole message ``post`` returned ``handle`` for.
+        self.on_delivery: Optional[
+            Callable[[int, int, int, float, Any], None]] = None
+        #: Each member's lane-0 QP, for introspection (counters, CC
+        #: state) — not a send path: messages go through :meth:`post`.
         self.qps: Dict[int, RoceQP] = {}
-        self.sprayer: Optional[LaneSprayer] = None
-        self.health: Optional[LaneHealthMonitor] = None
+        self.sprayer: Optional[LaneSprayer] = None        # k > 1: built by
+        self.health: Optional[LaneHealthMonitor] = None   # the first post
         self.reassemblers: Dict[int, LaneReassembler] = {}
+        #: A safeguard recovery happened (either kind) / why / whom a
+        #: partial recovery left out.  Whether messages now travel over
+        #: AMcast is a separate fact: ``_fallback_algo is not None``.
         self.fell_back = False
         self.fallback_reason: Optional[str] = None
         self.unreachable: set = set()
         self._fallback_algo: Optional[BroadcastAlgorithm] = None
+        self._result: Optional[BroadcastResult] = None    # the run in progress
+        self._pending_merge: Optional[BroadcastResult] = None
+        self._meta: Any = None        # k > 1: the in-flight message's meta
 
     # -- setup ----------------------------------------------------------------
 
     def _setup(self) -> None:
         fabric = self.cluster.fabric
-        self.qps = {ip: self.cluster.ctx(ip).create_qp() for ip in self.ranks}
-        if self.paths == 1:
-            self.group = fabric.create_group(self.qps, leader_ip=self.root)
-        else:
-            lane_members = [self.qps] + [
-                {ip: self.cluster.ctx(ip).create_qp() for ip in self.ranks}
-                for _ in range(self.paths - 1)
-            ]
-            self.group = fabric.create_group(
-                self.qps, leader_ip=self.root, lane_members=lane_members)
+        lanes = [{ip: self.cluster.ctx(ip).create_qp() for ip in self.ranks}
+                 for _ in range(self.paths)]
+        self.qps = lanes[0]
+        self.group = fabric.create_group(
+            self.qps, leader_ip=self.root, lane_members=lanes)
+        for ip in self.ranks:
+            self._wire(ip, [lane[ip] for lane in lanes])
         try:
             fabric.register_sync(self.group)
         except RegistrationError as exc:
@@ -115,12 +131,37 @@ class CepheusBcast(BroadcastAlgorithm):
             return
         self.coordinator = SourceSwitchCoordinator(self.group)
 
+    def _wire(self, ip: int, lane_qps: List[RoceQP]) -> None:
+        """Route member ``ip``'s completed messages to the run in
+        progress and to :attr:`on_delivery` — once, for the member's
+        lifetime (any member may become a receiver, §III-E)."""
+
+        def deliver(handle: int, nbytes: int, now: float, meta) -> None:
+            result, hook = self._result, self.on_delivery
+            if result is not None:
+                self._record_delivery(result, ip, now)
+            if hook is not None:
+                hook(ip, handle, nbytes, now, meta)
+
+        if self.paths > 1:
+            self.reassemblers[ip] = LaneReassembler(
+                ip, lane_qps, lambda sid, total, now: deliver(
+                    sid, total, now, self._meta))
+        else:
+            lane_qps[0].on_message = deliver
+
     def _enter_fallback(self, reason: str) -> None:
         self.fell_back = True
         self.fallback_reason = reason
         if self._fallback_algo is None:
             self._fallback_algo = self.fallback_factory()
             self._fallback_algo.prepare()
+
+    def _require_group(self, what: str) -> None:
+        self.prepare()
+        if self._fallback_algo is not None:
+            raise ConfigurationError(
+                f"cannot {what} after safeguard fallback (static AMcast tree)")
 
     # -- source rotation (HPL-style reuse of the single MFT, §III-E) -----------
 
@@ -131,7 +172,7 @@ class CepheusBcast(BroadcastAlgorithm):
             raise ConfigurationError(
                 "source switching is single-lane only: §III-E PSN "
                 "synchronization covers one stream, not k lane streams")
-        if self.fell_back:
+        if self._fallback_algo is not None:
             # AMcast fallback: just re-root the fallback algorithm.
             self._fallback_algo = None
             self.root = ip
@@ -142,123 +183,128 @@ class CepheusBcast(BroadcastAlgorithm):
 
     # -- dynamic membership (incremental MRP, §III-C) ---------------------------
 
-    def join(self, ip: int) -> None:
+    def start_join(self, ip: int) -> MrpTransaction:
         """Admit ``ip`` at runtime via an incremental MRP JOIN delta.
 
-        Only the joiner's branch of the MDT is patched — no full
-        re-registration.  Unavailable after a safeguard fallback (the
-        AMcast algorithms have static membership).
+        Creates the joiner's QPs (one per lane), wires its deliveries
+        and returns the in-flight transaction; the joiner is owed every
+        message posted from now on.  Only the joiner's branch of the MDT
+        is patched — no full re-registration.  Unavailable after an
+        AMcast fallback (the AMcast algorithms have static membership).
         """
-        self.prepare()
-        if self.fell_back:
-            raise ConfigurationError(
-                "cannot join after safeguard fallback (static AMcast tree)")
-        qp = self.cluster.ctx(ip).create_qp()
-        lane_qps = None
-        if self.paths > 1:
-            lane_qps = [qp] + [self.cluster.ctx(ip).create_qp()
-                               for _ in range(self.paths - 1)]
-        self.cluster.fabric.membership(self.group).join_sync(
-            ip, qp, lane_qps=lane_qps)
-        self.qps[ip] = qp
+        self._require_group("join")
+        lane_qps = [self.cluster.ctx(ip).create_qp()
+                    for _ in range(self.paths)]
+        txn = self.cluster.fabric.membership(self.group).join(
+            ip, lane_qps[0], lane_qps=lane_qps)
+        self._wire(ip, lane_qps)
+        self.qps[ip] = lane_qps[0]
         self.ranks.append(ip)
+        return txn
 
-    def leave(self, ip: int) -> None:
+    def start_leave(self, ip: int) -> MrpTransaction:
         """Retire ``ip`` at runtime via an incremental MRP LEAVE delta."""
-        self.prepare()
-        if self.fell_back:
-            raise ConfigurationError(
-                "cannot leave after safeguard fallback (static AMcast tree)")
-        self.cluster.fabric.membership(self.group).leave_sync(ip)
+        self._require_group("leave")
+        txn = self.cluster.fabric.membership(self.group).leave(ip)
         self.qps.pop(ip, None)
+        self.reassemblers.pop(ip, None)
         if ip in self.ranks:
             self.ranks.remove(ip)
+        return txn
 
-    # -- one broadcast -----------------------------------------------------------
+    def join(self, ip: int) -> None:
+        """:meth:`start_join`, run to completion.  A join that fails is
+        rolled back — the half-admitted member is retired again, so the
+        group keeps serving whom it served before."""
+        try:
+            self.start_join(ip).run_until_resolved()
+        except RegistrationError:
+            self.leave(ip)
+            raise
+
+    def leave(self, ip: int) -> None:
+        """:meth:`start_leave`, run to completion."""
+        self.start_leave(ip).run_until_resolved()
+
+    # -- the endpoint: one message in, one delivery per member out ----------------
+
+    @property
+    def send_idle(self) -> bool:
+        """True when no member QP, on any lane, has unacknowledged sends."""
+        return all(qp.send_idle for lane in self.group.lane_members
+                   for qp in lane.values())
+
+    def post(self, size: int, *,
+             on_complete: Optional[Callable[[int, float], None]] = None,
+             meta: Any = None) -> int:
+        """Send one ``size``-byte message from the current source.
+
+        Non-blocking.  Returns the message's handle — the one every
+        member's :attr:`on_delivery` and, once every receiver has
+        acknowledged it, ``on_complete(handle, now)`` are called with.
+
+        This is the only place the lane count matters on the send side.
+        One lane: the message is one ``post_send`` on the source's
+        unmodified RC QP, and any number may be outstanding.  k lanes:
+        it is striped over the lane QPs, the health monitor watches
+        them until it completes and re-sprays a dead lane's share over
+        the survivors (a lane once dead stays dead); one message at a
+        time — a second ``post`` before completion is a TransportError.
+        """
+        self._require_group("post")
+        if self.paths > 1:
+            if self.sprayer is None:
+                # No source switching with k lanes: one sprayer (its
+                # dead lanes stay dead) and one monitor for the group.
+                self.sprayer = LaneSprayer(
+                    self.cluster.sim, [lane[self.root] for lane
+                                       in self.group.lane_members])
+                self.health = LaneHealthMonitor(
+                    self.cluster.sim, self.sprayer,
+                    stall_timeout=self.lane_stall_timeout)
+
+            def all_acked(sid: int, now: float) -> None:
+                self.health.stop()
+                if on_complete is not None:
+                    on_complete(sid, now)
+
+            handle = self.sprayer.spray(size)  # raises while one is in flight
+            self.sprayer.on_complete = all_acked
+            self.sprayer.resprays = 0          # counted per message
+            self._meta = meta
+            self.health.start()
+            return handle
+        return self.group.members[self.group.current_source].post_send(
+            size, on_complete=on_complete, meta=meta)
+
+    # -- one timed broadcast (the blocking collective over the endpoint) ----------
 
     def _launch(self, size: int, result: BroadcastResult) -> None:
-        if self.fell_back:
+        self._pending_merge = None
+        if self._fallback_algo is not None:
             self._launch_fallback(size, result)
             return
-        if self.paths > 1:
-            self._launch_spray(size, result)
-            return
-        sim = self.cluster.sim
-        stack = self.cluster.stack
-        src_ip = self.group.current_source
-        src_qp = self.qps[src_ip]
-
-        for ip in self.ranks:
-            if ip == src_ip:
-                continue
-            def handler(mid: int, sz: int, now: float, meta, _ip=ip) -> None:
-                self._record_delivery(result, _ip, now)
-            self.qps[ip].on_message = handler
-
+        self._result = result
         monitor: Optional[SafeguardMonitor] = None
         if self.safeguard:
             monitor = SafeguardMonitor(
-                sim, src_qp, self.expected_bps,
+                self.cluster.sim, self.qps[self.group.current_source],
+                self.expected_bps,
                 on_fallback=lambda reason: self._trip_midflight(
                     reason, size, result),
             )
 
-        def sender_done(mid: int, now: float) -> None:
+        def sender_done(handle: int, now: float) -> None:
             result.sender_done = now
             if monitor is not None:
                 monitor.stop()
 
         def post() -> None:
-            src_qp.post_send(size, on_complete=sender_done)
+            self.post(size, on_complete=sender_done)
             if monitor is not None:
                 monitor.start()
 
-        sim.schedule(stack.send, post)
-
-    def _launch_spray(self, size: int, result: BroadcastResult) -> None:
-        """k-path launch: stripe the message over the lane QPs.
-
-        Every receiver gets a :class:`LaneReassembler` hooked on all of
-        its lane QPs; the broadcast completes for a receiver when its
-        per-lane segments cover the whole message.  A
-        :class:`LaneHealthMonitor` runs for the duration of the
-        transfer and re-sprays a dead lane's share on the survivors.
-        """
-        sim = self.cluster.sim
-        stack = self.cluster.stack
-        group = self.group
-        src_ip = group.current_source
-
-        for ip in self.ranks:
-            if ip == src_ip:
-                continue
-            def done(sid: int, total: int, now: float, _ip=ip) -> None:
-                self._record_delivery(result, _ip, now)
-            reasm = LaneReassembler(ip, done, bus=sim.bus)
-            reasm.attach([group.lane_members[lane][ip]
-                          for lane in range(self.paths)])
-            self.reassemblers[ip] = reasm
-
-        lane_src_qps = [group.lane_members[lane][src_ip]
-                        for lane in range(self.paths)]
-
-        def all_acked(sid: int, now: float) -> None:
-            result.sender_done = now
-            if self.health is not None:
-                self.health.stop()
-
-        prev_dead = self.sprayer.dead if self.sprayer is not None else set()
-        self.sprayer = LaneSprayer(sim, lane_src_qps, bus=sim.bus,
-                                   on_complete=all_acked)
-        self.sprayer.dead |= prev_dead  # a lane stays dead across sprays
-        self.health = LaneHealthMonitor(
-            sim, self.sprayer, stall_timeout=self.lane_stall_timeout)
-
-        def post() -> None:
-            self.sprayer.spray(size)
-            self.health.start()
-
-        sim.schedule(stack.send, post)
+        self.cluster.sim.schedule(self.cluster.stack.send, post)
 
     def _trip_midflight(self, reason: str, size: int,
                         result: BroadcastResult) -> None:
@@ -285,10 +331,7 @@ class CepheusBcast(BroadcastAlgorithm):
         self.fallback_reason = reason
 
         def amcast_rescue(why: str) -> None:
-            self.fallback_reason = f"{reason}; partial recovery failed: {why}"
-            if self._fallback_algo is None:
-                self._fallback_algo = self.fallback_factory()
-                self._fallback_algo.prepare()
+            self._enter_fallback(f"{reason}; partial recovery failed: {why}")
             self._launch_fallback(size, result)
 
         probe = fabric.create_group(dict(self.qps), leader_ip=self.root)
@@ -311,35 +354,29 @@ class CepheusBcast(BroadcastAlgorithm):
             fabric.register(
                 group2,
                 on_failure=amcast_rescue,
-                on_success=lambda: resend(group2, survivors),
+                on_success=lambda: resend(group2),
             )
 
-        def resend(group2: MulticastGroup, survivors) -> None:
+        def resend(group2: MulticastGroup) -> None:
             self.group = group2
             self.coordinator = SourceSwitchCoordinator(group2)
-            src_qp = self.qps[self.root]
             # Stream-position resync (the recovery analogue of §III-E
             # PSN synchronization): survivors expect the PSNs of the
             # aborted transfer; align them with the sender's restart
             # point so the re-sent message is accepted in order.
-            for ip in survivors:
-                if ip == self.root:
-                    continue
-                qp = self.qps[ip]
-                qp.rq_psn = src_qp.sq_psn
-                qp._nack_pending = False
-            src_qp.post_send(
-                size,
-                on_complete=lambda mid, now: setattr(
-                    result, "sender_done", now))
+            restart = group2.members[self.root].sq_psn
+            for ip in group2.receivers():
+                group2.members[ip].resync_rx(restart)
+            self.post(size, on_complete=lambda handle, now: setattr(
+                result, "sender_done", now))
 
     def _launch_fallback(self, size: int, result: BroadcastResult) -> None:
         """Run the payload over the AMcast algorithm instead.
 
         The fallback's deliveries land in a sub-result while the sim
-        runs; :meth:`run` merges them into the caller's result after the
-        drain (they may arrive after a partial Cepheus delivery, so the
-        later timestamp wins).
+        runs; :meth:`_finish` merges them into the caller's result after
+        the drain (they may arrive after a partial Cepheus delivery, so
+        the later timestamp wins).
         """
         algo = self._fallback_algo
         sub = BroadcastResult(algorithm=algo.name, root=algo.root, size=size,
@@ -347,28 +384,14 @@ class CepheusBcast(BroadcastAlgorithm):
         algo._launch(size, sub)
         self._pending_merge = sub
 
-    def run(self, size: int) -> BroadcastResult:
-        """Like the base run, but merges mid-flight fallback deliveries."""
-        self.prepare()
-        sim = self.cluster.sim
-        res = BroadcastResult(algorithm=self.name, root=self.root,
-                              size=size, start=sim.now)
-        ev0 = sim.events_run
-        self._pending_merge: Optional[BroadcastResult] = None
-        self._launch(size, res)
-        sim.run()
+    def _finish(self, result: BroadcastResult) -> None:
+        """Merge mid-flight fallback deliveries and label the result."""
+        self._result = None
         if self._pending_merge is not None:
             for ip, t in self._pending_merge.recv_times.items():
-                if ip not in res.recv_times or t > res.recv_times[ip]:
-                    res.recv_times[ip] = t
-            res.algorithm = f"{self.name}+fallback"
+                if ip not in result.recv_times or t > result.recv_times[ip]:
+                    result.recv_times[ip] = t
+            result.algorithm = f"{self.name}+fallback"
         elif self.fell_back and self.recovery == "partial":
-            res.algorithm = f"{self.name}+partial"
-        res.events = sim.events_run - ev0
-        missing = [ip for ip in self.ranks if ip != self.root
-                   and ip not in res.recv_times
-                   and ip not in self.unreachable]
-        if missing:
-            raise ConfigurationError(
-                f"{self.name}: receivers never completed: {missing}")
-        return res
+            result.algorithm = f"{self.name}+partial"
+        super()._finish(result, self.unreachable)

@@ -72,21 +72,19 @@ class CepheusFabric:
         first entry is ``members``) turns the group into a k-lane MRC
         group: a k-id McstID family is allocated atomically and lane
         l's QPs virtual-connect to lane l's id.  Omitted, the group is
-        a classic single-lane group.
+        a classic single-lane group — a family of one, whose id is the
+        group's McstID.
         """
-        if lane_members is None:
-            group = MulticastGroup(self.alloc.allocate(), members,
-                                   leader_ip, mr_info)
-        else:
-            lane_ids = self.alloc.allocate_family(len(lane_members))
-            try:
-                group = MulticastGroup(
-                    lane_ids[0], members, leader_ip, mr_info,
-                    lane_ids=lane_ids, lane_members=lane_members)
-            except GroupError:
-                for gid in lane_ids:
-                    self.alloc.release(gid)
-                raise
+        lanes = lane_members or [members]
+        lane_ids = self.alloc.allocate_family(len(lanes))
+        try:
+            group = MulticastGroup(
+                lane_ids[0], members, leader_ip, mr_info,
+                lane_ids=lane_ids, lane_members=lanes)
+        except GroupError:
+            for gid in lane_ids:
+                self.alloc.release(gid)
+            raise
         group.connect_virtual()
         for lane_id in group.lane_ids:
             self.groups[lane_id] = group

@@ -194,7 +194,7 @@ class MembershipManager:
                     for ip in delta.ips():
                         qp = lane_qps.get(ip)
                         if qp is not None:
-                            qp.rq_psn = src_qp.sq_psn
+                            qp.resync_rx(src_qp.sq_psn)
             for ip in delta.ips():
                 self._inflight[ip] = delta
             delta.start()
@@ -221,11 +221,9 @@ class MembershipManager:
         # PSN the source will emit, skipping anything already posted.
         # Each lane syncs against its own source QP (independent PSN
         # spaces per lane).
-        src_qp = self.group.members[self.group.current_source]
-        qp.rq_psn = src_qp.sq_psn
-        for lane in range(1, self.group.paths):
-            lane_src = self.group.lane_members[lane][self.group.current_source]
-            lane_qps[lane].rq_psn = lane_src.sq_psn
+        src = self.group.current_source
+        for lane in self.group.lane_members:
+            lane[ip].resync_rx(lane[src].sq_psn)
         self._notify_epoch(qp)
         vaddr, rkey = self.group.mr_info.get(ip, (0, 0))
         record = MemberRecord(ip=ip, qpn=qp.qpn, vaddr=vaddr, rkey=rkey)

@@ -106,15 +106,7 @@ def ablation_nack_rule(quick: bool = True) -> ExperimentResult:
         cl.topo.set_loss_rate(8e-3)
         members = cl.host_ips[:8]
         algo = CepheusBcast(cl, members)
-        algo.prepare()
-        got = {ip: 0 for ip in members[1:]}
-        done = {ip: False for ip in members[1:]}
-        for ip in members[1:]:
-            def handler(mid, sz, now, meta, _ip=ip):
-                got[_ip] += sz
-                done[_ip] = True
-            algo.qps[ip].on_message = handler
-        algo.qps[algo.root].post_send(size)
+        algo.post(size)
         cl.sim.run(until=cap)
         finished = sum(
             1 for ip in members[1:]

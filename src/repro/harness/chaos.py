@@ -251,16 +251,16 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
 
         size = cfg.msg_packets * constants.MTU_BYTES
         deliveries: Dict[int, int] = {ip: 0 for ip in members}
-        for ip in members:
-            def on_msg(mid, sz, now, meta, _ip=ip) -> None:
-                deliveries[_ip] += 1
-            algo.qps[ip].on_message = on_msg
+
+        def on_delivery(ip, handle, nbytes, now, meta) -> None:
+            deliveries[ip] += 1
+        algo.on_delivery = on_delivery
 
         def post(i: int, on_done) -> None:
             src = schedule.sources[i]
             if algo.group.current_source != src:
                 algo.set_source(src)
-            algo.qps[src].post_send(size, on_complete=on_done)
+            algo.post(size, on_complete=on_done)
 
         expected = len(schedule.sources)
         done = drive_messages(sim, start, schedule.offsets[:expected], post)

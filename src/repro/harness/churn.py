@@ -195,27 +195,26 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
         expected: Dict[int, int] = {}
         crashed: Set[int] = set()
 
-        def wire(ip: int) -> None:
+        def track(ip: int) -> None:
             deliveries.setdefault(ip, 0)
             expected.setdefault(ip, 0)
 
-            def on_msg(mid, sz, now, meta, _ip=ip) -> None:
-                deliveries[_ip] += 1
-            algo.group.members[ip].on_message = on_msg
+        def on_delivery(ip, handle, nbytes, now, meta) -> None:
+            deliveries[ip] += 1
+        algo.on_delivery = on_delivery
 
         for ip in initial:
             if ip != leader:
-                wire(ip)
+                track(ip)
 
         # -- churn events -------------------------------------------------
         def do_join(ip: int) -> None:
-            qp = cluster.ctx(ip).create_qp()
-            mm.join(ip, qp)
-            wire(ip)
+            algo.start_join(ip)
+            track(ip)
 
         def do_leave(ip: int) -> None:
             if ip in algo.group.members and not mm.has_inflight(ip):
-                mm.leave(ip)
+                algo.start_leave(ip)
 
         def do_crash(ip: int) -> None:
             sw, port = cluster.topo.leaf_of(ip)
@@ -227,8 +226,6 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
             sim.schedule(start + ev.at - sim.now, actions[ev.kind], ev.ip)
 
         # -- traffic ------------------------------------------------------
-        src_qp = algo.group.members[leader]
-
         def post(_i: int, on_done) -> None:
             # Snapshot who is owed this message: every current member
             # except the source and receivers already known dead.  A
@@ -238,7 +235,7 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
             for ip in algo.group.members:
                 if ip != leader and ip not in crashed:
                     expected[ip] += 1
-            src_qp.post_send(size, on_complete=on_done)
+            algo.post(size, on_complete=on_done)
 
         done = drive_messages(sim, start, schedule.offsets, post)
         sim.run(until=start + cfg.horizon, max_events=20_000_000)
@@ -262,7 +259,7 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
         violations = [v.to_dict() for v in monitor.violations]
         failing = (bool(violations)
                    or len(done) < cfg.messages
-                   or not src_qp.send_idle
+                   or not algo.send_idle
                    or bool(mismatched)
                    or bool(unpruned)
                    or bool(mm.delta_failures))

@@ -376,7 +376,7 @@ def fig14_fairness(quick: bool = True) -> ExperimentResult:
     cl.qp_to(3, 2).rx_sampler = s2
     q4 = cl.qp_to(4, 5)
     cl.qp_to(5, 4).rx_sampler = s3
-    algo.qps[1].post_send(f1_bytes)
+    algo.post(f1_bytes)
     sim.schedule(t_f2, lambda: q2.post_send(f2_bytes))
     sim.schedule(t_f3, lambda: q4.post_send(f3_bytes))
     sim.run()
@@ -727,8 +727,8 @@ def mrc_loss(quick: bool = True) -> ExperimentResult:
         r = algo.run(size)
         detect = algo.health.dead_events[0][1] - r.start
         survivor_retx = sum(
-            algo.group.lane_members[lane][members[0]].timeouts
-            + algo.group.lane_members[lane][members[0]].retransmitted_packets
+            algo.sprayer.lane_qps[lane].timeouts
+            + algo.sprayer.lane_qps[lane].retransmitted_packets
             for lane in algo.sprayer.live_lanes)
         res.rows.append({
             "deployment": deployment,

@@ -117,23 +117,22 @@ def _query_latencies(with_bulk: bool, *, n_queries: int = 200,
 
     stats = LatencyStats()
 
-    def on_query(mid: int, sz: int, now: float, meta) -> None:
+    def on_query(ip: int, mid: int, sz: int, now: float, meta) -> None:
         # meta carries the post time; latency = slowest receiver's copy
         stats.record(now - meta)
 
-    for ip in members[1:]:
-        queries.qps[ip].on_message = on_query
+    queries.on_delivery = on_query
 
     def post_query(i: int) -> None:
         if i >= n_queries:
             return
-        queries.qps[6].post_send(64, meta=sim.now)
+        queries.post(64, meta=sim.now)
         sim.schedule(interval, post_query, i + 1)
 
     if with_bulk:
         # back-to-back 8 MB objects for the whole experiment window
         def stream(_mid=None, _now=None) -> None:
-            bulk.qps[1].post_send(8 * MB, on_complete=stream)
+            bulk.post(8 * MB, on_complete=stream)
         stream()
     sim.schedule(10e-6, post_query, 0)
     sim.run(until=n_queries * interval + 5e-3)

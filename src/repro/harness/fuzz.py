@@ -55,7 +55,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.analytic.models import NetModel, cepheus_jct
@@ -70,8 +70,6 @@ from repro.harness.chaos import (Incident, _enumerate_targets,
                                  _install_incident)
 from repro.harness.churn import ChurnEvent
 from repro.net.failures import FailureInjector
-from repro.transport.spray import (LaneHealthMonitor, LaneReassembler,
-                                   LaneSprayer)
 
 __all__ = [
     "CAMPAIGN", "FuzzConfig", "FuzzSchedule", "generate_fuzz_schedule",
@@ -233,15 +231,13 @@ def _sanitize(cfg: FuzzConfig, shape: _Shape,
               schedule: FuzzSchedule) -> FuzzSchedule:
     """Clamp a schedule onto the validity contract (see class doc)."""
     h = cfg.horizon
+    sources = tuple(s if s in shape.initial else shape.leader
+                    for s in schedule.sources)
+    lane_kills: List[Tuple[int, float, float]] = []
     if cfg.paths > 1:
         # Source switching is single-lane (§III-E); with k lanes the
         # leader sources every message.
-        sources = tuple(shape.leader for _ in schedule.sources)
-    else:
-        sources = tuple(s if s in shape.initial else shape.leader
-                        for s in schedule.sources)
-    lane_kills: List[Tuple[int, float, float]] = []
-    if cfg.paths > 1:
+        sources = tuple(shape.leader for _ in sources)
         killed = set()
         for lane, at, repair_at in schedule.lane_kills:
             lane = int(lane) % cfg.paths
@@ -497,87 +493,41 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
         if cfg.paths > 1 and schedule.lane_kills:
             _install_lane_kills(cluster, injector, schedule, leader,
                                 initial, cfg, start, coverage, deployment)
-        if cfg.paths > 1:
-            # Spray delivery rides qp.on_message; the reassemblers also
-            # publish "lane_complete" for the reassembly-gap invariant.
-            for ip in initial:
-                if ip == leader:
-                    continue
-                reasm = LaneReassembler(ip, lambda sid, total, now: None,
-                                        bus=sim.bus)
-                reasm.attach([algo.group.lane_members[lane][ip]
-                              for lane in range(cfg.paths)])
-
-        def do_join(ip: int) -> None:
-            qp = cluster.ctx(ip).create_qp()
-            if cfg.paths > 1:
-                lane_qps = [qp] + [cluster.ctx(ip).create_qp()
-                                   for _ in range(cfg.paths - 1)]
-                reasm = LaneReassembler(ip, lambda sid, total, now: None,
-                                        bus=sim.bus)
-                reasm.attach(lane_qps)
-                mm.join(ip, qp, lane_qps=lane_qps)
-            else:
-                mm.join(ip, qp)
 
         def do_leave(ip: int) -> None:
             if ip in algo.group.members and not mm.has_inflight(ip):
-                mm.leave(ip)
+                algo.start_leave(ip)
 
-        actions = {"join": do_join, "leave": do_leave}
+        actions = {"join": algo.start_join, "leave": do_leave}
         for ev in schedule.churn:
             sim.schedule(start + ev.at - sim.now, actions[ev.kind], ev.ip)
 
-        # Per-receiver delivery log for the payload oracle.  msg_id is a
-        # process-global counter, so deployments see different raw ids
-        # for the same message — normalize to the schedule ordinal.
-        # With k lanes the log is keyed ``(ip, lane)`` and normalized by
-        # spray id instead (sub-message msg_ids differ per lane).
-        mid_order: Dict[int, int] = {}
-        sid_order: Dict[int, int] = {}
+        # Per-receiver delivery log for the payload oracle.  Message
+        # handles are process-global counters, so deployments see
+        # different raw ids for the same message — normalize to the
+        # schedule ordinal.  A sprayed packet names its message (and its
+        # lane, which keys the log: PSNs are per lane) in its meta.
+        order: Dict[int, int] = {}       # post handle -> schedule ordinal
         seq: Dict[object, List[Tuple[int, int, int]]] = {}
 
         def on_deliver(qp, pkt) -> None:
             meta = pkt.meta
             if isinstance(meta, tuple) and meta and meta[0] == "lane-spray":
-                seq.setdefault((qp.nic.ip, meta[2]), []).append(
-                    (sid_order.get(meta[1], -1), pkt.psn, pkt.payload))
+                key, handle = (qp.nic.ip, meta[2]), meta[1]
             else:
-                seq.setdefault(qp.nic.ip, []).append(
-                    (mid_order.get(pkt.msg_id, -1), pkt.psn, pkt.payload))
+                key, handle = qp.nic.ip, pkt.msg_id
+            seq.setdefault(key, []).append(
+                (order.get(handle, -1), pkt.psn, pkt.payload))
 
         sim.bus.subscribe("deliver", on_deliver)
 
         size = cfg.msg_packets * constants.MTU_BYTES
-        dead_carry: Set[int] = set()
 
         def post(i: int, on_done) -> None:
             src = schedule.sources[i]
             if algo.group.current_source != src:
                 algo.set_source(src)
-            if cfg.paths > 1:
-                lane_qps = [algo.group.lane_members[lane][src]
-                            for lane in range(cfg.paths)]
-                sprayer = LaneSprayer(sim, lane_qps, bus=sim.bus)
-                # A lane declared dead stays dead for the trial — the
-                # failover contract is per-spray, not a repair detector.
-                sprayer.dead |= dead_carry
-                health = LaneHealthMonitor(
-                    sim, sprayer, interval=cfg.rto,
-                    stall_timeout=cfg.lane_stall_timeout,
-                    on_dead=lambda lane, _now: dead_carry.add(lane))
-
-                def spray_done(sid: int, now: float) -> None:
-                    health.stop()
-                    on_done(sid, now)
-
-                sprayer.on_complete = spray_done
-                sid = sprayer.spray(size)
-                sid_order[sid] = i
-                health.start()
-            else:
-                mid = algo.qps[src].post_send(size, on_complete=on_done)
-                mid_order[mid] = i
+            order[algo.post(size, on_complete=on_done)] = i
 
         done = drive_messages(
             sim, start, schedule.offsets[:len(schedule.sources)], post)
@@ -592,20 +542,12 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
         collector.add_violations(violations)
         for op, _ip, _why in mm.delta_failures:
             coverage.add(f"mmdelta/{deployment}/{op}/failed")
-        if cfg.paths > 1:
-            source_idle = all(
-                algo.group.lane_members[lane][s].send_idle
-                for s in set(schedule.sources)
-                for lane in range(cfg.paths))
-        else:
-            source_idle = all(algo.qps[s].send_idle
-                              for s in set(schedule.sources))
         return {
             "deployment": deployment,
             "completed": len(done),
             "durations": [at - posted_at for posted_at, at in done],
             "seq": seq,
-            "source_idle": source_idle,
+            "source_idle": algo.send_idle,
             "delta_failures": [list(f) for f in mm.delta_failures],
             "violations": violations,
             "events": sim.events_run,

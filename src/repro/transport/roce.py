@@ -532,7 +532,17 @@ class RoceQP:
 
     def sync_as_old_source(self) -> None:
         """Old source: rqPSN <- sqPSN."""
-        self.rq_psn = self.sq_psn
+        self.resync_rx(self.sq_psn)
+
+    def resync_rx(self, psn: int) -> None:
+        """Re-base the receive side at ``psn``: the next packet expected.
+
+        The one receive-side stream re-position (old source, joiner,
+        recovery re-send): whatever was pending against the old
+        position — a latched NACK, IRN's out-of-order buffer — is
+        forgotten with it.
+        """
+        self.rq_psn = psn
         self._nack_pending = False
         self._ooo_buffer.clear()
 

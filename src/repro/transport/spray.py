@@ -35,7 +35,6 @@ import itertools
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
-from repro.net.pipeline import ObserverBus
 from repro.net.simulator import Event, Simulator
 from repro.transport.roce import RoceQP
 
@@ -104,14 +103,13 @@ class LaneSprayer:
     """
 
     def __init__(self, sim: Simulator, lane_qps: List[RoceQP], *,
-                 bus: Optional[ObserverBus] = None,
                  on_complete: Optional[Callable[[int, float], None]] = None,
                  ) -> None:
         if not lane_qps:
             raise TransportError("a sprayer needs at least one lane QP")
         self.sim = sim
         self.lane_qps = list(lane_qps)
-        self.bus = bus if bus is not None else sim.bus
+        self.bus = sim.bus
         self.on_complete = on_complete
         self.nlanes = len(lane_qps)
         self.dead: Set[int] = set()
@@ -202,26 +200,22 @@ class LaneSprayer:
 class LaneReassembler:
     """Receiver-side reassembly of sprayed messages for one member.
 
-    Install :meth:`on_message` as the ``on_message`` handler of every
-    lane QP of the member; non-spray messages are ignored.  The
+    Takes over the ``on_message`` handler of every QP in ``lane_qps``
+    (the member's k lane QPs); non-spray messages are ignored.  The
     completion callback ``on_complete(spray_id, total, now)`` fires
     exactly once per spray, when the union of received segments covers
     ``[0, total)`` — duplicates from a respray only re-cover bytes.
     """
 
-    def __init__(self, ip: int,
-                 on_complete: Callable[[int, int, float], None], *,
-                 bus: Optional[ObserverBus] = None) -> None:
+    def __init__(self, ip: int, lane_qps: List[RoceQP],
+                 on_complete: Callable[[int, int, float], None]) -> None:
         self.ip = ip
         self.on_complete = on_complete
-        self.bus = bus if bus is not None else ObserverBus()
+        self.bus = lane_qps[0].bus
         # spray_id -> accumulated (offset, length, lane) segments
         self._segments: Dict[int, List[Tuple[int, int, int]]] = {}
         self._completed: Set[int] = set()
         self.duplicate_segments = 0
-
-    def attach(self, lane_qps: List[RoceQP]) -> None:
-        """Hook every lane QP's delivery callback to this reassembler."""
         for qp in lane_qps:
             qp.on_message = self.on_message
 
@@ -254,15 +248,14 @@ class LaneHealthMonitor:
     ``(lane, declared_at)`` so experiments can report recovery time.
     """
 
+    #: Poll period (seconds): a fraction of any sensible stall timeout.
+    interval = 250e-6
+
     def __init__(self, sim: Simulator, sprayer: LaneSprayer, *,
-                 interval: float = 250e-6, stall_timeout: float = 3e-3,
-                 on_dead: Optional[Callable[[int, float], None]] = None,
-                 ) -> None:
+                 stall_timeout: float = 3e-3) -> None:
         self.sim = sim
         self.sprayer = sprayer
-        self.interval = interval
         self.stall_timeout = stall_timeout
-        self.on_dead = on_dead
         self.dead_events: List[Tuple[int, float]] = []
         self._ev: Optional[Event] = None
         self._last_una: Dict[int, int] = {}
@@ -301,6 +294,4 @@ class LaneHealthMonitor:
                     continue
                 self.dead_events.append((lane, now))
                 self.sprayer.respray(lane)
-                if self.on_dead is not None:
-                    self.on_dead(lane, now)
         self._ev = self.sim.schedule(self.interval, self._tick)

@@ -55,11 +55,11 @@ class TestSubscriptionIdempotence:
         t = broker8.create_topic("t", [2, 3], transport="cepheus")
         t.subscribe(4)
         before = list(t.subscribers)
-        group_before = sorted(t._engine.group.members)
+        group_before = sorted(t.engine.group.members)
         t.subscribe(4)          # retried request: no-op
         assert t.subscribers == before
-        assert sorted(t._engine.group.members) == group_before
-        assert t._engine.group.epoch == 1   # only the first JOIN counted
+        assert sorted(t.engine.group.members) == group_before
+        assert t.engine.group.epoch == 1   # only the first JOIN counted
 
     def test_unsubscribe_of_non_member_is_a_noop(self, broker8):
         t = broker8.create_topic("t", [2, 3, 4], transport="cepheus")
@@ -77,7 +77,7 @@ class TestSubscriptionIdempotence:
         t.unsubscribe(9)
         r = broker8.publish("t", 64 << 10)
         assert r.latency > 0
-        assert sorted(t._engine.group.members) == [1, 2, 3, 4]
+        assert sorted(t.engine.group.members) == [1, 2, 3, 4]
 
     def test_unicast_duplicate_subscribe_is_a_noop(self, broker8):
         t = broker8.create_topic("t", [2, 3], transport="unicast")

@@ -72,6 +72,20 @@ class TestPartialRecovery:
         assert 5 not in algo.group.members
         assert set(algo.group.members) == {1, 2, 3}
 
+    def test_second_broadcast_after_recovery_serves_survivors(self):
+        """A successful partial recovery leaves an in-network group of
+        survivors behind: the next run() posts on it (no AMcast
+        algorithm was ever built) and excuses the unreachable member."""
+        cl, algo, _ = self._run(fail_ip=5)
+        r2 = algo.run(1 << 20)
+        assert set(r2.recv_times) == {2, 3}
+        assert r2.sender_done is not None
+        assert cl.sim.peek_next_time() is None
+        # what the first recovery reported stays reported
+        assert algo.fell_back and algo.unreachable == {5}
+        assert "goodput" in algo.fallback_reason
+        assert r2.algorithm == "cepheus+partial"
+
     def test_invalid_recovery_mode(self, testbed):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
