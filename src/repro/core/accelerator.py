@@ -4,10 +4,14 @@ In the paper this is an FPGA board hanging off a commodity switch; ACL
 rules steer multicast traffic through it.  Here it is an object attached
 to a simulated :class:`~repro.net.switch.Switch` whose
 :meth:`classify` implements the ACL and whose :meth:`process` runs the
-Fig. 7a sequence as an explicit
-:class:`~repro.net.pipeline.Pipeline` of named stages
-(admit → [lookaside detour →] MRP → MFT lookup → reduce → track source
-→ replicate → bridge → feedback):
+Fig. 7a sequence (admit → [lookaside detour →] MRP → MFT lookup →
+reduce → track source → replicate → bridge → feedback).  The sequence
+exists twice, selected by whether anyone taps the bus's ``stage``
+channel: an explicit :class:`~repro.net.pipeline.Pipeline` of named
+stages when someone does (the fuzzer's coverage feed), and straight-line
+code — no context object, no stage loop — when nobody does;
+``tests/core/test_fast_path_equivalence.py`` holds the two equal.
+Either way:
 
 * **MRP packets** build the local MFT and fan sub-MRPs out downstream
   (reuse-a-tree-port first, then least-loaded port selection, §III-C);
@@ -47,6 +51,12 @@ __all__ = ["AcceleratorConfig", "CepheusAccelerator", "DEPLOYMENTS"]
 #: The valid deployment styles (§IV integration options + the
 #: source-routed mode): chain configuration is the only difference.
 DEPLOYMENTS = ("inline", "lookaside", "source_routed")
+
+# An enum member read through its class costs more than a function call
+# here; the per-packet code (classify + the untapped path) binds them once.
+_DATA, _ACK, _NACK, _CNP, _MRP = (
+    PacketType.DATA, PacketType.ACK, PacketType.NACK, PacketType.CNP,
+    PacketType.MRP)
 
 
 @dataclass
@@ -100,7 +110,6 @@ class CepheusAccelerator:
         # each connection-bridging rewrite.
         self.bus = switch.sim.bus
         self.sim = switch.sim
-        self._ctx_pool = switch.sim.pools.ctx
         self._pkt_pool = switch.sim.pools.pkt
         self.feedback = FeedbackEngine(self.cfg.feedback, bus=self.bus)
         # group-level load per port, for the least-loaded MDT port choice
@@ -131,6 +140,11 @@ class CepheusAccelerator:
         self.mrp_records_installed = 0
         self.mrp_records_removed = 0
         self.pipeline = self._build_pipeline()
+        # The untapped continuation of the admission delay.
+        self._admitted = (self._fast_detour
+                          if self.cfg.deployment == "lookaside"
+                          else self._fast_path)
+        self._source_routed = self.cfg.deployment == "source_routed"
         switch.accelerator = self
 
     def _build_pipeline(self) -> Pipeline:
@@ -164,38 +178,130 @@ class CepheusAccelerator:
         # Checked once per switch arrival; DATA first (the common case),
         # with is_multicast_ip/is_feedback inlined.
         t = pkt.ptype
-        if t == PacketType.DATA:
+        if t == _DATA:
             return pkt.dst_ip >= constants.MCSTID_BASE
-        if t == PacketType.MRP:
+        if t == _MRP:
             return True
         return pkt.dst_ip >= constants.MCSTID_BASE and (
-            t == PacketType.ACK or t == PacketType.NACK
-            or t == PacketType.CNP
-        )
+            t == _ACK or t == _NACK or t == _CNP)
 
     # ------------------------------------------------------------------
     # main pipeline: stage dispatch
     # ------------------------------------------------------------------
 
     def process(self, pkt: Packet, in_port: int) -> None:
-        """Run one classified packet through the stage chain."""
-        pool = self._ctx_pool
-        ctx = pool.acquire(pkt, in_port, self.switch, self)
-        if self.pipeline.run(ctx) is not DEFER:
-            pool.release(ctx)
+        """Run one classified packet through the Fig. 7a sequence: the
+        staged chain when ``stage`` is tapped, straight-line otherwise."""
+        if self.bus.stage:
+            self._run_staged(pkt, in_port, self.stage_admit)
+            return
+        delay = self.switch.config.accelerator_delay
+        if delay > 0:
+            self.sim.post(delay, self._admitted, pkt, in_port)
+        else:
+            self._admitted(pkt, in_port)
 
-    def _resume(self, ctx: PipelineContext) -> None:
-        """Scheduled continuation of a deferred context; recycles the
-        context once the chain reaches a terminal verdict."""
-        if self.pipeline.resume(ctx) is not DEFER:
-            self._ctx_pool.release(ctx)
+    def _run_staged(self, pkt: Packet, in_port: int, first) -> None:
+        """Run the staged chain on ``pkt`` from stage ``first`` on."""
+        pipeline = self.pipeline
+        pipeline.run(PipelineContext(pkt, in_port, self.switch, self),
+                     pipeline.stages.index(first))
+
+    def _drop(self, pkt: Packet, in_port: int, reason: str) -> None:
+        bus = self.bus
+        if bus.drop:
+            bus.publish("drop", self.switch, pkt, in_port, reason)
+        self._pkt_pool.release(pkt)
+
+    # ------------------------------------------------------------------
+    # the untapped path: same decisions, counters, RNG/pid draws, bus
+    # publications and pool releases as the stages below, in the same
+    # order, one heap entry per admission and per detour
+    # ------------------------------------------------------------------
+
+    def _fast_detour(self, pkt: Packet, in_port: int) -> None:
+        if self.bus.stage:  # tapped while in admission
+            self._run_staged(pkt, in_port, self.stage_lookaside_detour)
+            return
+        self.lookaside_detours += 1
+        self.sim.post(self._detour_delay(pkt), self._fast_path, pkt, in_port)
+
+    def _fast_path(self, pkt: Packet, in_port: int) -> None:
+        bus = self.bus
+        if bus.stage:  # tapped while in admission / the detour
+            self._run_staged(pkt, in_port, self.stage_mrp)
+            return
+        t = pkt.ptype
+        pool = self._pkt_pool
+        if t == _MRP:
+            self._process_mrp(pkt, in_port)
+            pool.release(pkt)
+            return
+        if self._source_routed and t == _DATA and pkt.sr is not None:
+            mft = self._sp_rule(pkt, in_port)
+            if mft is None:
+                return
+        else:
+            mft = self.table.get(pkt.dst_ip)
+            if mft is None:
+                self.unregistered_drops += 1
+                self._drop(pkt, in_port, "unregistered-group")
+                return
+        if t != _DATA:
+            if mft.mode == "reduce":
+                self._replicate_feedback_down(mft, pkt, in_port)
+            else:
+                if t == _ACK:
+                    emits = self.feedback.on_ack(mft, in_port, pkt.psn)
+                elif t == _NACK:
+                    emits = self.feedback.on_nack(mft, in_port, pkt.psn)
+                else:
+                    emits = self.feedback.on_cnp(mft, in_port, self.sim.now)
+                self._emit_feedback(mft, emits, in_port)
+            pool.release(pkt)
+            return
+        self.data_in += 1
+        if mft.mode == "reduce":
+            self._process_reduce_data(mft, pkt, in_port)
+            pool.release(pkt)
+            return
+        self._track_source(mft, pkt, in_port)
+        retx_filter = self.cfg.retransmit_filter
+        psn = pkt.psn
+        targets: List[PathEntry] = []
+        for e in mft.path_table:
+            if e.port == in_port:
+                continue
+            if retx_filter and psn <= e.ack_psn:
+                self.retransmits_filtered += 1
+                continue
+            targets.append(e)
+        if bus.replicate:
+            bus.publish("replicate", self, mft, pkt, in_port, targets)
+        if not targets:
+            pool.release(pkt)
+            return
+        # Clone every branch but the last before any rewrite or emit
+        # (PFC frames draw pids inside emit).
+        clone = pool.clone
+        replicas = [clone(pkt) for _ in range(len(targets) - 1)]
+        replicas.append(pkt)
+        emit = self.switch.emit
+        mcst_id = mft.mcst_id
+        for entry, replica in zip(targets, replicas):
+            if entry.is_host:
+                self._bridge(replica, entry, mcst_id)
+                if bus.bridge:
+                    bus.publish("bridge", self, mft, replica, entry)
+            emit(replica, entry.port, in_port)
+            self.replicas_out += 1
 
     def stage_admit(self, ctx: PipelineContext):
         """Fixed per-packet processing latency of the board (§IV); both
         deployments pay it before any table state is read."""
         delay = self.switch.config.accelerator_delay
         if delay > 0:
-            self.sim.post(delay, self._resume, ctx)
+            self.sim.post(delay, self.pipeline.resume, ctx)
             return DEFER
         return None
 
@@ -204,7 +310,7 @@ class CepheusAccelerator:
         (§IV): admission gated by the board's aggregate transceiver
         capacity, plus one link serialization and two propagations."""
         self.lookaside_detours += 1
-        self.sim.post(self._detour_delay(ctx.pkt), self._resume, ctx)
+        self.sim.post(self._detour_delay(ctx.pkt), self.pipeline.resume, ctx)
         return DEFER
 
     def _detour_delay(self, pkt: Packet) -> float:
@@ -476,34 +582,34 @@ class CepheusAccelerator:
         as the MFT deployments, with the switch holding no
         control-plane-installed forwarding state."""
         pkt = ctx.pkt
-        hdr = pkt.sr
-        if pkt.ptype != PacketType.DATA or hdr is None:
+        if pkt.ptype != PacketType.DATA or pkt.sr is None:
             return None
+        mft = self._sp_rule(pkt, ctx.in_port)
+        if mft is None:
+            return STOP
+        ctx.mft = mft
+        return None
+
+    def _sp_rule(self, pkt: Packet, in_port: int) -> Optional[Mft]:
+        """Resolve and apply this switch's sp-rule for a header-carrying
+        DATA packet; None means the packet was dropped (and released)."""
+        hdr = pkt.sr
         bitmap = hdr.rules.get(self.switch.name)
         if bitmap is not None:
             self.sr_header_hits += 1
         else:
             bitmap = self.sr_rules.get(hdr.fallback_key)
             if bitmap is None:
-                bus = self.bus
-                if bus.drop:
-                    bus.publish("drop", self.switch, pkt, ctx.in_port,
-                                "sr-no-rule")
-                self._pkt_pool.release(pkt)
-                return STOP
+                self._drop(pkt, in_port, "sr-no-rule")
+                return None
             self.sr_residual_hits += 1
         try:
             mft = self.table.get_or_create(pkt.dst_ip)
         except RegistrationError:
-            bus = self.bus
-            if bus.drop:
-                bus.publish("drop", self.switch, pkt, ctx.in_port,
-                            "sr-table-full")
-            self._pkt_pool.release(pkt)
-            return STOP
-        self._sr_sync(mft, bitmap, hdr.epoch, ctx.in_port)
-        ctx.mft = mft
-        return None
+            self._drop(pkt, in_port, "sr-table-full")
+            return None
+        self._sr_sync(mft, bitmap, hdr.epoch, in_port)
+        return mft
 
     def _sr_sync(self, mft: Mft, bitmap: int, epoch: int,
                  in_port: int) -> None:
@@ -564,11 +670,7 @@ class CepheusAccelerator:
             mft = self.table.get(ctx.pkt.dst_ip)
         if mft is None:
             self.unregistered_drops += 1
-            bus = self.bus
-            if bus.drop:
-                bus.publish("drop", self.switch, ctx.pkt, ctx.in_port,
-                            "unregistered-group")
-            self._pkt_pool.release(ctx.pkt)
+            self._drop(ctx.pkt, ctx.in_port, "unregistered-group")
             return STOP
         ctx.mft = mft
         if ctx.pkt.ptype == PacketType.DATA:
@@ -756,10 +858,8 @@ class CepheusAccelerator:
         if out_port is None:
             return
         for ptype, psn in emits:
-            fb = self._pkt_pool.acquire(
-                ptype, mft.mcst_id, mft.mcst_id,
-                psn=psn, created_at=self.switch.sim.now,
-            )
+            fb = self._pkt_pool.acquire_fb(
+                ptype, mft.mcst_id, mft.mcst_id, 0, 0, psn, self.sim.now)
             if self.switch.is_host_port(out_port):
                 # Source leaf: the final rewrite so the sender RNIC's QP
                 # demux accepts the stream as its own connection's.

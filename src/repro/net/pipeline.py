@@ -251,58 +251,29 @@ class Pipeline:
     When a ``bus`` is attached and someone subscribes to its ``stage``
     channel, every stage execution publishes
     ``(pipeline, stage_name, verdict)`` — the behavioral-coverage feed
-    of the protocol fuzzer.  With no subscriber the only added cost is
-    one truthiness test per :meth:`run` call.
+    of the protocol fuzzer.  The switch and the accelerator only run
+    their Pipeline while that tap is live; untapped, each runs the same
+    sequence as straight-line code.
     """
 
-    __slots__ = ("name", "stages", "bus", "_names", "_chain", "_n")
+    __slots__ = ("name", "stages", "bus", "_names")
 
     def __init__(self, stages, name: str = "", bus: Optional[ObserverBus] = None) -> None:
         self.name = name
         self.stages = list(stages)
         self.bus = bus
-        self._names: Optional[List[str]] = None
-        # Stage chains are fixed at construction (nothing mutates
-        # ``stages`` afterwards), so precompute the tuple + length the
-        # fast loop binds locally — no list indexing descriptor churn.
-        self._chain: Tuple[Callable, ...] = tuple(self.stages)
-        self._n = len(self._chain)
+        self._names = self.stage_names()
 
     def run(self, ctx: PipelineContext, start: int = 0) -> Optional[_Verdict]:
         bus = self.bus
-        if bus is not None and bus.stage:
-            return self._run_observed(ctx, start, bus)
-        chain = self._chain
-        n = self._n
-        i = start
-        while i < n:
-            verdict = chain[i](ctx)
-            if verdict is not None:
-                # Record the verdict stage only when the chain actually
-                # halts: resume() needs the deferring stage's index, and
-                # nothing reads it mid-chain — one store per run instead
-                # of one per stage.
-                ctx.stage_index = i
-                return verdict
-            i += 1
-        return None
-
-    def _run_observed(self, ctx: PipelineContext, start: int,
-                      bus: ObserverBus) -> Optional[_Verdict]:
-        """The ``run`` loop with the per-stage verdict tap armed."""
-        names = self._names
-        if names is None:
-            names = self._names = self.stage_names()
         stages = self.stages
-        n = len(stages)
-        i = start
-        while i < n:
+        for i in range(start, len(stages)):
             ctx.stage_index = i
             verdict = stages[i](ctx)
-            bus.publish("stage", self, names[i], verdict)
+            if bus is not None and bus.stage:
+                bus.publish("stage", self, self._names[i], verdict)
             if verdict is not None:
                 return verdict
-            i += 1
         return None
 
     def resume(self, ctx: PipelineContext) -> Optional[_Verdict]:

@@ -1,31 +1,25 @@
-"""Free-list pools for the per-event hot objects.
+"""Free-list pool for the per-event hot object.
 
 The packet-level experiments allocate one :class:`~repro.net.packet.Packet`
-per transmission/replica and one
-:class:`~repro.net.pipeline.PipelineContext` per classified packet —
-millions of short-lived objects whose allocation cost dominates once the
-scheduler is cheap.  Each :class:`~repro.net.simulator.Simulator` owns a
-:class:`SimPools` (``sim.pools``) holding one pool of each kind.
+per transmission/replica — millions of short-lived objects whose
+allocation cost dominates once the scheduler is cheap.  Each
+:class:`~repro.net.simulator.Simulator` owns a :class:`SimPools`
+(``sim.pools``) holding the packet pool.  (A
+:class:`~repro.net.pipeline.PipelineContext` only exists while the
+``stage`` channel is tapped, where throughput is not the point, so it
+is not pooled.)
 
-Lifecycle contract:
-
-* **Contexts** never escape the datapath (the ObserverBus publishes
-  packets, targets and replicas — never the context itself), so the
-  context pool is always active.  A context is released by whoever ran
-  the pipeline, only when the verdict was not ``DEFER`` (a deferred
-  context is owned by the scheduled resume).  Release explicitly resets
-  every field.
-* **Packets** may be retained by bus observers (the invariant monitor,
-  the fuzzer's coverage map, chaos taps...), so
-  :meth:`PacketPool.release` is a **no-op whenever the bus has any
-  subscriber** — exactly the runs where peak throughput is irrelevant.
-  On the no-observer benches, packets are recycled at their provable
-  end-of-life sites: consumed feedback, delivered/duplicate DATA at the
-  receiver QP, and every drop.  Release scrubs the reference-carrying
-  fields (``mrp``/``meta``/``sr``) so a free-listed packet pins nothing,
-  and ``payload`` so stale state is detectable; acquisition re-runs
-  ``Packet.__init__`` (fresh pid — the pid sequence is identical to
-  unpooled runs) or ``clone_into``, overwriting every slot.
+Lifecycle contract: packets may be retained by bus observers (the
+invariant monitor, the fuzzer's coverage map, chaos taps...), so
+:meth:`PacketPool.release` is a **no-op whenever the bus has any
+subscriber** — exactly the runs where peak throughput is irrelevant.
+On the no-observer benches, packets are recycled at their provable
+end-of-life sites: consumed feedback, delivered/duplicate DATA at the
+receiver QP, and every drop.  Release scrubs the reference-carrying
+fields (``mrp``/``meta``/``sr``) so a free-listed packet pins nothing,
+and ``payload`` so stale state is detectable; acquisition re-runs
+``Packet.__init__`` (fresh pid — the pid sequence is identical to
+unpooled runs) or ``clone_into``, overwriting every slot.
 
 ``CEPHEUS_POOL_DEBUG=1`` (or ``SimPools(bus, debug=True)``) swaps in
 wrappers that track handed-out identities and fail fast on double
@@ -40,59 +34,13 @@ from typing import List, Optional
 
 from repro import constants
 from repro.net.packet import Packet, PacketType, RdmaOp, _packet_ids
-from repro.net.pipeline import ObserverBus, PipelineContext
+from repro.net.pipeline import ObserverBus
 
-__all__ = ["ContextPool", "PacketPool", "SimPools",
-           "DebugContextPool", "DebugPacketPool", "PoolError"]
+__all__ = ["PacketPool", "SimPools", "DebugPacketPool", "PoolError"]
 
 
 class PoolError(AssertionError):
     """A pool-hygiene invariant was violated (debug pools only)."""
-
-
-class ContextPool:
-    """Free list of :class:`PipelineContext` objects."""
-
-    #: Free-list bound; beyond it released objects fall to the GC.  The
-    #: live set at any instant is one context per in-flight classified
-    #: packet plus one per deferred accelerator admission.
-    MAX_FREE = 1024
-
-    __slots__ = ("_free", "reused", "created")
-
-    def __init__(self) -> None:
-        self._free: List[PipelineContext] = []
-        self.reused = 0
-        self.created = 0
-
-    def acquire(self, pkt, in_port: int, switch=None,
-                accel=None) -> PipelineContext:
-        free = self._free
-        if free:
-            ctx = free.pop()
-            ctx.pkt = pkt
-            ctx.in_port = in_port
-            ctx.switch = switch
-            ctx.accel = accel
-            self.reused += 1
-            return ctx
-        self.created += 1
-        return PipelineContext(pkt, in_port, switch, accel)
-
-    def release(self, ctx: PipelineContext) -> None:
-        # Explicit reset: a recycled context must be indistinguishable
-        # from a fresh one (and must pin no packet/MFT/replica list).
-        ctx.pkt = None
-        ctx.in_port = -1
-        ctx.switch = None
-        ctx.accel = None
-        ctx.mft = None
-        ctx.targets = None
-        ctx.replicas = None
-        ctx.stage_index = 0
-        free = self._free
-        if len(free) < self.MAX_FREE:
-            free.append(ctx)
 
 
 class PacketPool:
@@ -222,43 +170,6 @@ class PacketPool:
             free.append(pkt)
 
 
-class DebugContextPool(ContextPool):
-    """Hygiene-checking wrapper: identity tracking + reset verification."""
-
-    __slots__ = ("_out", "_free_ids")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: set = set()       # ids currently handed out
-        self._free_ids: set = set()  # ids currently on the free list
-
-    def acquire(self, pkt, in_port, switch=None, accel=None):
-        recycled = bool(self._free)
-        if recycled:
-            ctx = self._free[-1]
-            if (ctx.pkt is not None or ctx.mft is not None
-                    or ctx.targets is not None or ctx.replicas is not None
-                    or ctx.switch is not None or ctx.accel is not None
-                    or ctx.stage_index != 0):
-                raise PoolError(
-                    f"stale context on free list (not fully reset): {ctx!r}")
-        ctx = super().acquire(pkt, in_port, switch, accel)
-        if id(ctx) in self._out:
-            raise PoolError(f"context {id(ctx):#x} handed out twice")
-        self._free_ids.discard(id(ctx))
-        self._out.add(id(ctx))
-        return ctx
-
-    def release(self, ctx):
-        if id(ctx) in self._free_ids:
-            raise PoolError(f"context {id(ctx):#x} released twice")
-        self._out.discard(id(ctx))
-        n = len(self._free)
-        super().release(ctx)
-        if len(self._free) > n:
-            self._free_ids.add(id(ctx))
-
-
 class DebugPacketPool(PacketPool):
     """Hygiene-checking wrapper: identity tracking + scrub verification."""
 
@@ -316,15 +227,14 @@ class DebugPacketPool(PacketPool):
 
 
 class SimPools:
-    """The per-simulator pool pair (``sim.pools``)."""
+    """The per-simulator pools (``sim.pools``)."""
 
-    __slots__ = ("ctx", "pkt", "debug")
+    __slots__ = ("pkt", "debug")
 
     def __init__(self, bus: ObserverBus,
                  debug: Optional[bool] = None) -> None:
         if debug is None:
             debug = os.environ.get("CEPHEUS_POOL_DEBUG") == "1"
         self.debug = debug
-        self.ctx: ContextPool = DebugContextPool() if debug else ContextPool()
         self.pkt: PacketPool = (DebugPacketPool(bus) if debug
                                 else PacketPool(bus))

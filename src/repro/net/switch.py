@@ -30,7 +30,7 @@ from repro import constants
 from repro.errors import RoutingError
 from repro.net.packet import Packet, PacketType
 from repro.net.pfc import PfcManager
-from repro.net.pipeline import DEFER, STOP, Pipeline, PipelineContext
+from repro.net.pipeline import STOP, Pipeline, PipelineContext
 from repro.net.port import Port
 from repro.net.simulator import Simulator
 
@@ -101,7 +101,6 @@ class Switch:
         self.taildrops = 0
         self.forwarded = 0
         self.bus = sim.bus
-        self._ctx_pool = sim.pools.ctx
         self._pkt_pool = sim.pools.pkt
         self.pipeline = Pipeline(
             [self.stage_pfc, self.stage_loss, self.stage_acl_classify,
@@ -140,10 +139,7 @@ class Switch:
         if self.bus.stage:
             # Someone taps per-stage verdicts (the fuzzer's coverage
             # map): run the real Pipeline so every stage publishes.
-            pool = self._ctx_pool
-            ctx = pool.acquire(pkt, in_port, self)
-            if self.pipeline.run(ctx) is not DEFER:
-                pool.release(ctx)
+            self.pipeline.run(PipelineContext(pkt, in_port, self))
             return
         # No stage tap: inline the four-stage rx chain — same decisions,
         # same RNG draws, same bus publications, no context object.
@@ -169,8 +165,9 @@ class Switch:
 
     def stage_pfc(self, ctx: PipelineContext):
         """Link-local PAUSE/RESUME frames never travel further."""
-        if ctx.pkt.ptype in (PacketType.PAUSE, PacketType.RESUME):
+        if ctx.pkt.ptype in _PAUSE_RESUME:
             self.pfc.handle_frame(ctx.pkt, ctx.in_port)
+            self._pkt_pool.release(ctx.pkt)
             return STOP
         return None
 
@@ -181,6 +178,7 @@ class Switch:
             bus = self.bus
             if bus.drop:
                 bus.publish("drop", self, ctx.pkt, ctx.in_port, "random-loss")
+            self._pkt_pool.release(ctx.pkt)
             return STOP
         return None
 

@@ -1,9 +1,8 @@
 """Pool-hygiene regression suite.
 
-The free-list pools (repro.net.pool) recycle Packets and
-PipelineContexts through the datapath; a single missed reset or a
-release at a site where the object is still referenced silently
-corrupts later traffic.  The debug pool wrappers fail fast on exactly
+The free-list pool (repro.net.pool) recycles Packets through the
+datapath; a single missed reset or a release at a site where the object
+is still referenced silently corrupts later traffic.  The debug pool wrappers fail fast on exactly
 those bugs, and this suite (a) proves the wrappers catch each violation
 class, (b) runs the fig8 broadcast experiment end-to-end under them,
 and (c) proves recycling actually happens on observer-free runs — a
@@ -18,9 +17,9 @@ import pytest
 from repro.apps import Cluster
 from repro.collectives import CepheusBcast
 from repro.net.packet import Packet, PacketType, RdmaOp
-from repro.net.pipeline import ObserverBus, PipelineContext
-from repro.net.pool import (ContextPool, DebugContextPool, DebugPacketPool,
-                            PacketPool, PoolError, SimPools)
+from repro.net import pipeline
+from repro.net.pipeline import ObserverBus
+from repro.net.pool import DebugPacketPool, PoolError, SimPools
 
 KB = 1 << 10
 
@@ -139,40 +138,6 @@ class TestDebugPacketPool:
         assert fresh.pid == b.pid + 1
 
 
-class TestDebugContextPool:
-    def test_double_release_fails(self):
-        pool = DebugContextPool()
-        ctx = pool.acquire(Packet(PacketType.DATA, 1, 2), 0)
-        pool.release(ctx)
-        with pytest.raises(PoolError, match="released twice"):
-            pool.release(ctx)
-
-    def test_unreset_context_on_free_list_fails(self):
-        pool = DebugContextPool()
-        ctx = pool.acquire(Packet(PacketType.DATA, 1, 2), 0)
-        ctx.mft = object()
-        pool._out.discard(id(ctx))
-        pool._free.append(ctx)  # bypasses the reset
-        pool._free_ids.add(id(ctx))
-        with pytest.raises(PoolError, match="stale context"):
-            pool.acquire(Packet(PacketType.DATA, 3, 4), 1)
-
-    def test_release_resets_every_field(self):
-        pool = ContextPool()
-        ctx = pool.acquire(Packet(PacketType.DATA, 1, 2), 3,
-                           switch=object(), accel=object())
-        ctx.mft = object()
-        ctx.targets = [1]
-        ctx.replicas = [2]
-        ctx.stage_index = 5
-        pool.release(ctx)
-        assert (ctx.pkt is None and ctx.switch is None and ctx.accel is None
-                and ctx.mft is None and ctx.targets is None
-                and ctx.replicas is None and ctx.stage_index == 0
-                and ctx.in_port == -1)
-        assert pool.acquire(Packet(PacketType.DATA, 1, 2), 0) is ctx
-
-
 # ---------------------------------------------------------------------------
 # integration: real traffic under the debug pools
 # ---------------------------------------------------------------------------
@@ -193,14 +158,24 @@ class TestDatapathHygiene:
             algo.run(size)
 
     def test_recycling_actually_happens(self, monkeypatch):
-        """On an observer-free run both pools must show real reuse."""
+        """On an observer-free run the packet pool must show real reuse,
+        and the datapath must build no PipelineContext at all."""
+        contexts = []
+        init = pipeline.PipelineContext.__init__
+
+        def counting_init(self, *args, **kwargs):
+            contexts.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.PipelineContext, "__init__",
+                            counting_init)
         cl = self._debug_cluster(monkeypatch)
         algo = CepheusBcast(cl, cl.host_ips)
         algo.run(64 * KB)
         pools = cl.sim.pools
         assert pools.pkt.reused > 0, "packet pool never recycled"
-        assert pools.ctx.reused > 0, "context pool never recycled"
         assert pools.pkt.suppressed == 0  # nobody subscribed, no gating
+        assert not contexts, "untapped datapath built a PipelineContext"
 
     def test_fig8_quick_under_debug_pools_matches_plain_run(self, monkeypatch):
         """The fig8 experiment end-to-end: hygiene-clean under the debug
@@ -213,8 +188,8 @@ class TestDatapathHygiene:
         debug = fig8_bcast_small(quick=True)
         assert debug.rows == plain.rows
 
-    def test_simpools_explicit_debug_flag(self):
+    def test_simpools_explicit_debug_flag(self, monkeypatch):
         pools = SimPools(ObserverBus(), debug=True)
         assert isinstance(pools.pkt, DebugPacketPool)
-        assert isinstance(pools.ctx, DebugContextPool)
+        monkeypatch.delenv("CEPHEUS_POOL_DEBUG", raising=False)
         assert SimPools(ObserverBus()).debug is False
