@@ -42,7 +42,8 @@ from repro import constants
 from repro.apps.pubsub import Broker
 from repro.check import InvariantMonitor
 from repro.core.fallback import SafeguardMonitor
-from repro.harness.campaign import Campaign, CampaignConfig, build_cluster
+from repro.harness.campaign import (Campaign, CampaignConfig, JsonCodec,
+                                    build_cluster)
 from repro.harness.openloop import (
     ChurnOp, CrossOp, OpenLoopSchedule, PublishOp, generate_churn_stream,
     generate_cross_stream, generate_publish_stream, schedule_ops,
@@ -80,23 +81,12 @@ class BrokerFabricConfig(CampaignConfig):
 
 
 @dataclass(frozen=True)
-class BrokerFabricSchedule:
+class BrokerFabricSchedule(JsonCodec):
     """Pure trial input: initial subscriber sets + the three op streams."""
 
     trial_seed: int
     topic_subs: Tuple[Tuple[int, ...], ...]
     ops: OpenLoopSchedule
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"trial_seed": self.trial_seed,
-                "topic_subs": [list(s) for s in self.topic_subs],
-                "ops": self.ops.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "BrokerFabricSchedule":
-        return cls(trial_seed=d["trial_seed"],
-                   topic_subs=tuple(tuple(s) for s in d["topic_subs"]),
-                   ops=OpenLoopSchedule.from_dict(d["ops"]))
 
 
 # ---------------------------------------------------------------------------

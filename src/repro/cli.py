@@ -223,7 +223,10 @@ def _cmd_campaign_run(args) -> int:
                          if cfg_fields[field].default is None else value)
     cfg = campaign.config_cls(**values)
     if args.session:
-        doc, summary = args.session(args, cfg)
+        outcome = args.session(args, cfg)
+        if outcome is None:          # unreadable input, already reported
+            return 2
+        doc, summary = outcome
     else:
         doc = campaign.run(cfg, seed=args.seed, trials=args.trials,
                            shrink=not args.no_shrink)
@@ -257,13 +260,26 @@ def _cmd_campaign_replay(args) -> int:
     return 0
 
 
+def _read_corpus(dirpath: str):
+    """The inputs of a fuzz corpus directory; ``None``, after a one-line
+    message, when one of them is unreadable or malformed."""
+    from repro.harness.fuzz import load_corpus
+
+    try:
+        return load_corpus(dirpath)
+    except (OSError, ValueError) as exc:
+        print(f"fuzz: {exc}", file=sys.stderr)
+        return None
+
+
 def _fuzz_session(args, cfg):
     """The fuzz ``run`` body: a corpus-seeded coverage-guided session."""
-    from repro.harness.fuzz import load_corpus, run_fuzz, save_corpus
+    from repro.harness.fuzz import run_fuzz, save_corpus
 
-    corpus_in = []
-    if args.corpus:
-        corpus_in = [s for _, s in load_corpus(args.corpus)]
+    entries = _read_corpus(args.corpus) if args.corpus else []
+    if entries is None:
+        return None
+    corpus_in = [s for _, s in entries]
     doc = run_fuzz(cfg, seed=args.seed, budget_trials=args.trials,
                    corpus=corpus_in, shrink=not args.no_shrink)
     corpus = doc.pop("_corpus")
@@ -282,7 +298,11 @@ def _cmd_fuzz_replay(args) -> int:
         return _cmd_campaign_replay(args)
     from repro.harness.fuzz import replay_corpus
 
-    doc = replay_corpus(args.file, jobs=args.jobs)
+    try:
+        doc = replay_corpus(args.file, jobs=args.jobs)
+    except (OSError, ValueError) as exc:
+        print(f"fuzz: cannot replay {args.file}: {exc}", file=sys.stderr)
+        return 2
     _write_json(doc, args.out)
     print(f"fuzz: replayed {doc['inputs']} corpus input(s), "
           f"{doc['coverage_keys']} coverage keys "
@@ -292,9 +312,9 @@ def _cmd_fuzz_replay(args) -> int:
 
 
 def _cmd_fuzz_corpus(args) -> int:
-    from repro.harness.fuzz import load_corpus
-
-    entries = load_corpus(args.corpus)
+    entries = _read_corpus(args.corpus)
+    if entries is None:
+        return 2
     if not entries:
         print(f"fuzz: no corpus inputs under {args.corpus}", file=sys.stderr)
         return 2
@@ -317,23 +337,8 @@ def _cmd_bench_compare(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    floors = {}
-    for spec in args.min_events_per_sec:
-        exp_id, sep, value = spec.partition("=")
-        try:
-            if not sep or not exp_id:
-                raise ValueError(spec)
-            floors[exp_id] = float(value)
-        except ValueError:
-            print(f"bench: bad --min-events-per-sec {spec!r} "
-                  f"(expected <exp_id>=<floor>)", file=sys.stderr)
-            return 2
-    comp = bench.compare(
-        current, baseline, tolerances,
-        check_events=args.check_events,
-        max_wall_drift=args.max_wall_drift if args.max_wall_drift >= 0
-        else None,
-        min_events_per_sec=floors or None)
+    comp = bench.compare(current, baseline, tolerances,
+                         check_events=args.check_events)
     print(comp.format(verbose=args.verbose))
     if comp.ok:
         print("bench: no regressions", file=sys.stderr)
@@ -506,16 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--check-events", action="store_true",
                        help="require per-experiment simulator event "
                             "counts to match the baseline exactly")
-    p_cmp.add_argument("--max-wall-drift", type=float, default=-1.0,
-                       help="fail if total_wall_s exceeds the baseline "
-                            "by more than this fraction (e.g. 0.10); "
-                            "one-sided, off by default")
-    p_cmp.add_argument("--min-events-per-sec", action="append",
-                       default=[], metavar="EXP=FLOOR",
-                       help="absolute simulator-throughput floor for one "
-                            "experiment in the current document (e.g. "
-                            "fig11=150000); repeatable; cached entries "
-                            "fail the floor (their throughput is null)")
     p_cmp.add_argument("--verbose", action="store_true",
                        help="print passing metrics too")
     p_cmp.set_defaults(fn=_cmd_bench_compare)

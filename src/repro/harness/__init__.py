@@ -3,7 +3,8 @@ ablation and extension study (`repro.harness.runner.ALL_EXPERIMENTS`),
 the parallel cached experiment engine (`repro.harness.engine`), the
 machine-readable bench documents + regression gate
 (`repro.harness.bench`), plus the campaign kernel
-(`repro.harness.campaign`: schedule -> trial -> shrink -> reproducer)
+(`repro.harness.campaign`: schedule -> `Trial` -> shrink -> reproducer,
+one JSON codec, the timed `Incident` / `ChurnEvent` vocabulary)
 and the harnesses declared against it — chaos (`repro.harness.chaos`),
 membership churn (`repro.harness.churn`), coverage-guided fuzzing
 (`repro.harness.fuzz`) and, in `repro.apps.brokerfabric`, the broker
@@ -12,10 +13,10 @@ trials)`, `.shrink`, `.load`, `.replay`."""
 
 from repro.harness.bench import compare, headline_metrics, load_document
 from repro.harness.cache import ResultCache, code_fingerprint
-from repro.harness.campaign import Campaign
-from repro.harness.chaos import (ChaosConfig, Incident, Schedule,
-                                 generate_schedule, run_trial)
-from repro.harness.churn import (ChurnConfig, ChurnEvent, ChurnSchedule,
+from repro.harness.campaign import Campaign, ChurnEvent, Incident, Trial
+from repro.harness.chaos import (ChaosConfig, Schedule, generate_schedule,
+                                 run_trial)
+from repro.harness.churn import (ChurnConfig, ChurnSchedule,
                                  generate_churn_schedule, run_churn_trial)
 from repro.harness.engine import EngineRun, run_engine
 from repro.harness.openloop import (ChurnOp, CrossOp, OpenLoopSchedule,
@@ -37,7 +38,7 @@ __all__ = ["ExperimentResult", "fmt_size", "fmt_time", "format_table",
            "BcastSweep",
            "EngineRun", "run_engine", "ResultCache", "code_fingerprint",
            "headline_metrics", "compare", "load_document",
-           "Campaign",
+           "Campaign", "Trial",
            "ChaosConfig", "Incident", "Schedule", "generate_schedule",
            "run_trial",
            "ChurnConfig", "ChurnEvent", "ChurnSchedule",

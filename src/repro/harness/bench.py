@@ -249,35 +249,22 @@ class Comparison:
 
 def compare(current: Dict[str, Any], baseline: Dict[str, Any],
             tolerances: Optional[Dict[str, Any]] = None, *,
-            check_events: bool = False,
-            max_wall_drift: Optional[float] = None,
-            min_events_per_sec: Optional[Dict[str, float]] = None) -> Comparison:
+            check_events: bool = False) -> Comparison:
     """Diff ``current`` against ``baseline`` metric-by-metric.
 
     Every baseline metric must exist in ``current`` and sit within its
     relative tolerance; experiments/metrics only present in ``current``
     are reported but never fail (the trajectory is allowed to grow).
     Wall times, event counts and cache flags are provenance and not
-    compared by default; two opt-in gates tighten that:
+    compared by default.  Host time never is — ``perfbench/check.py``'s
+    paired ratios are the one judge of it — and one opt-in gate
+    tightens the rest:
 
     * ``check_events`` — per-experiment simulator event counts must
       match the baseline exactly (the simulations are deterministic; a
       drifting event count means the datapath's scheduling behaviour
       changed).  A ``"<exp_id>.events"`` tolerance pattern can relax
       individual experiments.
-    * ``max_wall_drift`` — ``total_wall_s`` may exceed the baseline by
-      at most this fraction (one-sided: getting faster never fails).
-      Catches accidental hot-path regressions, e.g. an observer bus
-      publication that stopped being branch-guarded.
-    * ``min_events_per_sec`` — per-experiment absolute simulator
-      throughput floors (``{"fig11": 150000.0, ...}``) checked against
-      the *current* document only; the baseline plays no part.  An
-      experiment that is absent, was served from the result cache
-      (``events_per_sec`` is null — a cache hit measures the cache, not
-      the simulator) or runs below its floor fails.  This is the CI
-      guard that keeps the event-core optimizations from silently
-      eroding; floors are machine-dependent by nature, so they belong
-      in the CI invocation, not in the tolerance file.
     """
     comp = Comparison()
     cur_exps = current.get("experiments", {})
@@ -314,22 +301,6 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any],
                 elif delta.rel_delta > delta.rel_tol:
                     delta.status = "regressed"
                 comp.deltas.append(delta)
-    if min_events_per_sec:
-        for exp_id in sorted(min_events_per_sec):
-            floor = float(min_events_per_sec[exp_id])
-            name = f"{exp_id}.events_per_sec"
-            entry = cur_exps.get(exp_id)
-            eps = entry.get("events_per_sec") if entry is not None else None
-            delta = MetricDelta(name=name, baseline=floor,
-                                current=None if eps is None else float(eps),
-                                rel_tol=0.0)
-            if eps is None:
-                # Absent experiment, or a cached entry: neither measured
-                # the simulator, so the floor cannot be attested.
-                delta.status = "missing"
-            elif float(eps) < floor:
-                delta.status = "regressed"  # one-sided: faster is fine
-            comp.deltas.append(delta)
     base_eps = baseline.get("events_per_sec")
     cur_eps = current.get("events_per_sec")
     if base_eps and cur_eps:
@@ -341,17 +312,4 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any],
         comp.throughput_notes.append(
             f"note events_per_sec: current {cur_eps:.6g} "
             f"(no baseline, informational)")
-    if max_wall_drift is not None:
-        base_wall = baseline.get("total_wall_s")
-        cur_wall = current.get("total_wall_s")
-        if base_wall:
-            delta = MetricDelta(name="total_wall_s", baseline=float(base_wall),
-                                current=None if cur_wall is None
-                                else float(cur_wall),
-                                rel_tol=float(max_wall_drift))
-            if cur_wall is None:
-                delta.status = "missing"
-            elif float(cur_wall) > float(base_wall) * (1.0 + max_wall_drift):
-                delta.status = "regressed"  # one-sided: faster is fine
-            comp.deltas.append(delta)
     return comp

@@ -11,10 +11,12 @@ same way :mod:`repro.harness.chaos` stresses the loss-recovery paths:
   receiver *crashes* — the host's access link is cut and never
   repaired, so only the failure detector can unstick the group) plus
   message offsets that interleave broadcasts with the churn;
-* a **trial** is a pure function of (config, schedule): build a fresh
-  cluster, register the initial group, start the failure detector, post
-  the message sequence while members come and go, and record per-member
-  deliveries + invariant violations.  Exactly-once delivery is asserted
+* a **trial** is a pure function of (config, schedule): the kernel's
+  :class:`~repro.harness.campaign.Trial` builds a fresh cluster,
+  registers the initial group and posts the message sequence while
+  members come and go; this module starts the failure detector,
+  snapshots who is owed each message, and records per-member deliveries
+  + invariant violations.  Exactly-once delivery is asserted
   for every member of the *final* epoch (departed members legitimately
   miss the tail of an in-flight message);
 * a **campaign** runs N seeded trials; failing trials are greedily
@@ -31,15 +33,12 @@ campaign detects real liveness bugs rather than vacuously passing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro import constants
-from repro.check import InvariantMonitor
-from repro.collectives import CepheusBcast
-from repro.harness.campaign import (Campaign, CampaignConfig, build_cluster,
-                                    drive_messages)
-from repro.net.failures import FailureInjector
+from repro.harness.campaign import (Campaign, CampaignConfig, ChurnEvent,
+                                    JsonCodec, Trial, build_cluster)
 
 __all__ = ["CAMPAIGN", "ChurnConfig", "ChurnEvent", "ChurnSchedule",
            "generate_churn_schedule", "run_churn_trial"]
@@ -69,24 +68,7 @@ class ChurnConfig(CampaignConfig):
 
 
 @dataclass(frozen=True)
-class ChurnEvent:
-    """One membership change at virtual time ``at`` (relative to the
-    traffic start).  ``kind`` is ``join`` / ``leave`` / ``crash``."""
-
-    kind: str
-    ip: int
-    at: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "ip": self.ip, "at": self.at}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChurnEvent":
-        return cls(kind=d["kind"], ip=d["ip"], at=d["at"])
-
-
-@dataclass(frozen=True)
-class ChurnSchedule:
+class ChurnSchedule(JsonCodec):
     """Pure, JSON-able trial input: message offsets + churn events.
 
     The leader (``hosts[0]``) is the source of every message — LEAVE and
@@ -97,18 +79,6 @@ class ChurnSchedule:
     trial_seed: int
     offsets: Tuple[float, ...]
     events: Tuple[ChurnEvent, ...]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"trial_seed": self.trial_seed,
-                "offsets": list(self.offsets),
-                "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChurnSchedule":
-        return cls(trial_seed=d["trial_seed"],
-                   offsets=tuple(d["offsets"]),
-                   events=tuple(ChurnEvent.from_dict(e)
-                                for e in d["events"]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,134 +136,76 @@ def generate_churn_schedule(cfg: ChurnConfig, rng) -> ChurnSchedule:
 def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
                     trial_index: int = 0) -> Dict[str, object]:
     """Execute one churn trial; returns a JSON-able deterministic record."""
-    cluster = build_cluster(cfg, schedule.trial_seed)
-    sim = cluster.sim
-    fabric = cluster.fabric
-    monitor = InvariantMonitor()
-    monitor.attach_cluster(cluster)
-    try:
-        hosts = list(cluster.host_ips)
-        initial = hosts[:cfg.initial_members]
-        leader = initial[0]
-        algo = CepheusBcast(cluster, initial, leader)
-        algo.prepare()
-        full_records = sum(a.mrp_records_installed
-                           for a in fabric.accelerators.values())
-
-        mm = fabric.membership(algo.group,
-                               coalesce_window=cfg.coalesce_window)
+    with Trial(cfg, schedule.trial_seed, members=cfg.initial_members) as t:
+        fabric, group, leader = t.cluster.fabric, t.algo.group, t.leader
+        accels = fabric.accelerators.values()
+        full_records = sum(a.mrp_records_installed for a in accels)
+        mm = fabric.membership(group, coalesce_window=cfg.coalesce_window)
         if cfg.mutate is None:
             mm.start_failure_detector(interval=cfg.detector_interval,
                                       misses=cfg.detector_misses)
         elif cfg.mutate != "no-detector":
             raise ValueError(f"unknown mutation {cfg.mutate!r}")
+        t.install(churn=schedule.events)
+        expected: Counter = Counter()
 
-        injector = FailureInjector(cluster.topo)
-        start = sim.now
-        size = cfg.msg_packets * constants.MTU_BYTES
-        deliveries: Dict[int, int] = {}
-        expected: Dict[int, int] = {}
-        crashed: Set[int] = set()
-
-        def track(ip: int) -> None:
-            deliveries.setdefault(ip, 0)
-            expected.setdefault(ip, 0)
-
-        def on_delivery(ip, handle, nbytes, now, meta) -> None:
-            deliveries[ip] += 1
-        algo.on_delivery = on_delivery
-
-        for ip in initial:
-            if ip != leader:
-                track(ip)
-
-        # -- churn events -------------------------------------------------
-        def do_join(ip: int) -> None:
-            algo.start_join(ip)
-            track(ip)
-
-        def do_leave(ip: int) -> None:
-            if ip in algo.group.members and not mm.has_inflight(ip):
-                algo.start_leave(ip)
-
-        def do_crash(ip: int) -> None:
-            sw, port = cluster.topo.leaf_of(ip)
-            injector.fail_link(sw, port)   # never repaired
-            crashed.add(ip)
-
-        actions = {"join": do_join, "leave": do_leave, "crash": do_crash}
-        for ev in schedule.events:
-            sim.schedule(start + ev.at - sim.now, actions[ev.kind], ev.ip)
-
-        # -- traffic ------------------------------------------------------
-        def post(_i: int, on_done) -> None:
-            # Snapshot who is owed this message: every current member
-            # except the source and receivers already known dead.  A
-            # joiner whose delta is still in flight counts — the JOIN
-            # PSN sync guarantees it recovers everything posted from the
-            # moment it was admitted.
-            for ip in algo.group.members:
-                if ip != leader and ip not in crashed:
+        def snapshot(_i: int) -> None:
+            # Who is owed this message: every current member except the
+            # source and receivers already known dead.  A joiner whose
+            # delta is still in flight counts — the JOIN PSN sync
+            # guarantees it recovers everything posted from the moment
+            # it was admitted.
+            for ip in group.members:
+                if ip != leader and ip not in t.crashed:
                     expected[ip] += 1
-            algo.post(size, on_complete=on_done)
 
-        done = drive_messages(sim, start, schedule.offsets, post)
-        sim.run(until=start + cfg.horizon, max_events=20_000_000)
+        done = t.drive((leader,) * len(schedule.offsets), schedule.offsets,
+                       before_post=snapshot)
+        t.run()
         mm.stop_failure_detector()
-
         # Crashed receivers must have been pruned out of the group (the
-        # failure detector's whole job); once they are, every MDT port
-        # sits on a live link again and the structural sweep can demand
-        # connectivity despite the unrepaired access links.
-        unpruned = sorted(ip for ip in crashed if ip in algo.group.members)
-        if not unpruned:
-            monitor.check_mft_consistency(fabric, expect_connected=True,
-                                          injector=injector)
-        else:
-            monitor.check_mft_consistency(fabric, injector=injector)
+        # failure detector's whole job); the sweep demands connectivity
+        # despite their unrepaired access links only once they are.
+        violations = t.sweep()
+        unpruned = sorted(ip for ip in t.crashed if ip in group.members)
 
-        final_members = [ip for ip in algo.group.members if ip != leader]
-        mismatched = sorted(
-            ip for ip in final_members
-            if deliveries.get(ip, 0) != expected.get(ip, 0))
-        violations = [v.to_dict() for v in monitor.violations]
+        # Exactly-once for every receiver of the *final* epoch (departed
+        # members legitimately miss the tail of an in-flight message).
+        mismatched = sorted(ip for ip in group.members if ip != leader
+                            and t.deliveries[ip] != expected[ip])
         failing = (bool(violations)
                    or len(done) < cfg.messages
-                   or not algo.send_idle
+                   or not t.algo.send_idle
                    or bool(mismatched)
                    or bool(unpruned)
                    or bool(mm.delta_failures))
-        delta_records = sum(a.mrp_records_installed
-                            for a in fabric.accelerators.values()) - full_records
-        removed_records = sum(a.mrp_records_removed
-                              for a in fabric.accelerators.values())
+        tracked = sorted(set(t.members[1:]) | set(t.joined))
         return {
             "trial": trial_index,
             "trial_seed": schedule.trial_seed,
             "schedule": schedule.to_dict(),
             "expected_messages": cfg.messages,
             "completed_messages": len(done),
-            "done_times_us": [round((at - start) * 1e6, 3)
+            "done_times_us": [round((at - t.start) * 1e6, 3)
                               for _, at in done],
-            "deliveries": {str(ip): deliveries[ip] for ip in sorted(deliveries)},
-            "expected": {str(ip): expected[ip] for ip in sorted(expected)},
-            "final_members": sorted(algo.group.members),
-            "final_epoch": algo.group.epoch,
+            "deliveries": {str(ip): t.deliveries[ip] for ip in tracked},
+            "expected": {str(ip): expected[ip] for ip in tracked},
+            "final_members": sorted(group.members),
+            "final_epoch": group.epoch,
             "epoch_log": [list(e) for e in mm.epoch_log],
             "pruned": sorted(mm.pruned),
             "unpruned_crashes": unpruned,
             "mismatched": mismatched,
             "delta_failures": [list(f) for f in mm.delta_failures],
             "full_records": full_records,
-            "delta_records": delta_records,
-            "removed_records": removed_records,
-            "events": sim.events_run,
-            "checked": monitor.events_checked,
+            "delta_records": sum(a.mrp_records_installed
+                                 for a in accels) - full_records,
+            "removed_records": sum(a.mrp_records_removed for a in accels),
+            "events": t.sim.events_run,
+            "checked": t.monitor.events_checked,
             "violations": violations,
             "failing": failing,
         }
-    finally:
-        monitor.detach()
 
 
 # ``messages`` must track the schedule's offsets, so the shrinker lowers

@@ -106,7 +106,7 @@ def run_engine(names: List[str], *, quick: bool = True, jobs: int = 1,
             entry = cache.get(keys[name])
             if entry is not None:
                 # A hit measured the cache, not the simulator: the stored
-                # throughput figure must not pass a --min-events-per-sec floor.
+                # throughput figure does not describe this run.
                 entry = dict(entry, cached=True, events_per_sec=None)
                 run.entries[name] = entry
                 run.cache_hits += 1

@@ -13,7 +13,8 @@ schedules that exercise the most protocol surface:
   plan (§III-E source switching) and message offsets — pure JSON-able
   data;
 * a **trial** runs the *same* schedule once per accelerator deployment
-  (inline, look-aside, source-routed) under the
+  (inline, look-aside, source-routed), each a kernel
+  :class:`~repro.harness.campaign.Trial` under the
   :class:`~repro.check.InvariantMonitor` and a
   :class:`~repro.check.CoverageCollector`; behavioral coverage is the
   union of stage-verdict, channel-transition, feedback-decision, drop
@@ -59,17 +60,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.analytic.models import NetModel, cepheus_jct
-from repro.apps.cluster import Cluster
-from repro.check import CoverageCollector, CoverageMap, InvariantMonitor
-from repro.collectives import CepheusBcast
+from repro.check import CoverageMap
 from repro.core.accelerator import DEPLOYMENTS
-from repro.errors import TopologyError
-from repro.harness.campaign import (Campaign, CampaignConfig, build_cluster,
-                                    drive_messages, trial_rng)
-from repro.harness.chaos import (Incident, _enumerate_targets,
-                                 _install_incident)
-from repro.harness.churn import ChurnEvent
-from repro.net.failures import FailureInjector
+from repro.harness.campaign import (Campaign, CampaignConfig, ChurnEvent,
+                                    Incident, JsonCodec, Trial, build_cluster,
+                                    draw_incident, enumerate_targets,
+                                    read_document, trial_rng)
 
 __all__ = [
     "CAMPAIGN", "FuzzConfig", "FuzzSchedule", "generate_fuzz_schedule",
@@ -113,7 +109,7 @@ class FuzzConfig(CampaignConfig):
 
 
 @dataclass(frozen=True)
-class FuzzSchedule:
+class FuzzSchedule(JsonCodec):
     """One fuzzing input: chaos incidents + churn ops + source plan.
 
     The validity contract (enforced by :func:`_sanitize`, which every
@@ -143,29 +139,12 @@ class FuzzSchedule:
     churn: Tuple[ChurnEvent, ...]
     lane_kills: Tuple[Tuple[int, float, float], ...] = ()
 
-    def to_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {
-            "trial_seed": self.trial_seed,
-            "sources": list(self.sources),
-            "offsets": list(self.offsets),
-            "incidents": [i.to_dict() for i in self.incidents],
-            "churn": [e.to_dict() for e in self.churn]}
-        if self.lane_kills:
-            d["lane_kills"] = [list(k) for k in self.lane_kills]
-        return d
-
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "FuzzSchedule":
-        return cls(trial_seed=d["trial_seed"],
-                   sources=tuple(d["sources"]),
-                   offsets=tuple(d["offsets"]),
-                   incidents=tuple(Incident.from_dict(i)
-                                   for i in d["incidents"]),
-                   churn=tuple(ChurnEvent.from_dict(e)
-                               for e in d.get("churn", [])),
-                   lane_kills=tuple(
-                       (int(l), float(a), float(r))
-                       for l, a, r in d.get("lane_kills", [])))
+        # ``churn`` is always written (the corpus file names hash it, so
+        # it cannot become an omitted-when-empty default) yet optional
+        # on read: reproducers that predate churn ops carry none.
+        return super().from_dict({"churn": [], **d})
 
     def content_hash(self) -> str:
         """Canonical digest; names corpus files and dedupes entries."""
@@ -190,7 +169,11 @@ class _Shape:
         self.initial = hosts[:cfg.initial_members]
         self.leader = self.initial[0]
         self.outsiders = hosts[cfg.initial_members:]
-        self.targets = _enumerate_targets(cluster)
+        self.targets = enumerate_targets(cluster)
+        self.horizon = cfg.horizon
+
+    def draw_incident(self, rng) -> Incident:
+        return draw_incident(rng.choice(self.targets), rng, self.horizon)
 
 
 def _draw_churn_time(cfg: FuzzConfig, offsets: Tuple[float, ...],
@@ -207,16 +190,6 @@ def _draw_churn_time(cfg: FuzzConfig, offsets: Tuple[float, ...],
         at = base + rng.uniform(-window, window)
         return round(min(max(at, 0.0), 0.6 * h), 9)
     return round(rng.uniform(0.05, 0.5) * h, 9)
-
-
-def _draw_incident(cfg: FuzzConfig, shape: _Shape, rng) -> Incident:
-    raw = rng.choice(shape.targets)
-    if raw[0] == "loss":
-        raw = raw + (round(rng.uniform(0.05, 0.3), 4),)
-    h = cfg.horizon
-    at = round(rng.uniform(0.05, 0.55) * h, 9)
-    repair_at = round(at + rng.uniform(0.05, 0.2) * h, 9)
-    return Incident(kind=raw[0], target=raw, at=at, repair_at=repair_at)
 
 
 def _draw_lane_kill(cfg: FuzzConfig, rng) -> Tuple[int, float, float]:
@@ -300,7 +273,7 @@ def generate_fuzz_schedule(cfg: FuzzConfig, rng,
     offsets = (0.0,) + tuple(sorted(
         round(rng.uniform(0.05, 0.55) * h, 9)
         for _ in range(cfg.messages - 1)))
-    incidents = tuple(_draw_incident(cfg, shape, rng)
+    incidents = tuple(shape.draw_incident(rng)
                       for _ in range(rng.randint(0, cfg.incidents_max)))
     churn: List[ChurnEvent] = []
     for ip in rng.sample(shape.outsiders,
@@ -338,7 +311,7 @@ def mutate_schedule(cfg: FuzzConfig, schedule: FuzzSchedule, rng,
     incidents = list(schedule.incidents)
     churn = list(schedule.churn)
     if op == "incident-add":
-        incidents.append(_draw_incident(cfg, shape, rng))
+        incidents.append(shape.draw_incident(rng))
     elif op == "incident-remove" and incidents:
         incidents.pop(rng.randrange(len(incidents)))
     elif op == "incident-retime" and incidents:
@@ -350,7 +323,7 @@ def mutate_schedule(cfg: FuzzConfig, schedule: FuzzSchedule, rng,
             repair_at=round(at + rng.uniform(0.05, 0.2) * h, 9))
     elif op == "incident-retarget" and incidents:
         i = rng.randrange(len(incidents))
-        fresh = _draw_incident(cfg, shape, rng)
+        fresh = shape.draw_incident(rng)
         incidents[i] = replace(fresh, at=incidents[i].at,
                                repair_at=incidents[i].repair_at)
     elif op == "churn-splice":
@@ -437,77 +410,21 @@ def crossover_schedules(cfg: FuzzConfig, a: FuzzSchedule, b: FuzzSchedule,
 # one trial: three deployments + differential oracles
 # ---------------------------------------------------------------------------
 
-def _install_lane_kills(cluster: Cluster, injector: FailureInjector,
-                        schedule: FuzzSchedule, leader: int,
-                        initial: List[int], cfg: FuzzConfig, start: float,
-                        coverage: CoverageMap, deployment: str) -> None:
-    """Schedule each lane kill on that lane's *exclusive* uplink.
-
-    Star topologies (and fat-trees narrower than the lane count) have
-    no lane-exclusive link to cut — the kill is skipped, but the
-    outcome still lands in coverage so the loop can tell the two
-    schedules apart.
-    """
-    sim = cluster.sim
-    try:
-        uplinks = cluster.topo.lane_uplinks(leader, initial, cfg.paths)
-    except TopologyError:
-        coverage.add(f"lanekill/{deployment}/no-exclusive-uplink")
-        return
-
-    def repair(sw, port) -> None:
-        try:
-            injector.repair_link(sw, port)
-        except TopologyError:
-            pass  # a chaos incident repairing the same link won the race
-
-    for lane, at, repair_at in schedule.lane_kills:
-        sw, port = uplinks[lane]
-        sim.schedule(start + at - sim.now, injector.fail_link, sw, port)
-        sim.schedule(start + repair_at - sim.now, repair, sw, port)
-    coverage.add(f"lanekill/{deployment}/installed")
-
-
 def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
                         deployment: str,
                         coverage: CoverageMap) -> Dict[str, object]:
     """Execute the schedule under one deployment; feeds ``coverage``."""
-    cluster = build_cluster(cfg, schedule.trial_seed, deployment)
-    sim = cluster.sim
-    fabric = cluster.fabric
-    monitor = InvariantMonitor()
-    monitor.attach_cluster(cluster)
-    collector = CoverageCollector(sim.bus, deployment, coverage)
-    try:
-        hosts = list(cluster.host_ips)
-        initial = hosts[:cfg.initial_members]
-        leader = initial[0]
-        algo = CepheusBcast(cluster, initial, leader, paths=cfg.paths,
-                            lane_stall_timeout=cfg.lane_stall_timeout)
-        algo.prepare()
-        mm = fabric.membership(algo.group)
-        injector = FailureInjector(cluster.topo)
-        start = sim.now
-        for inc in schedule.incidents:
-            _install_incident(cluster, injector, inc, start)
-        if cfg.paths > 1 and schedule.lane_kills:
-            _install_lane_kills(cluster, injector, schedule, leader,
-                                initial, cfg, start, coverage, deployment)
-
-        def do_leave(ip: int) -> None:
-            if ip in algo.group.members and not mm.has_inflight(ip):
-                algo.start_leave(ip)
-
-        actions = {"join": algo.start_join, "leave": do_leave}
-        for ev in schedule.churn:
-            sim.schedule(start + ev.at - sim.now, actions[ev.kind], ev.ip)
+    with Trial(cfg, schedule.trial_seed, members=cfg.initial_members,
+               deployment=deployment, coverage=coverage, paths=cfg.paths,
+               lane_stall_timeout=cfg.lane_stall_timeout) as t:
+        mm = t.cluster.fabric.membership(t.algo.group)
+        t.install(schedule.incidents, schedule.churn, schedule.lane_kills)
 
         # Per-receiver delivery log for the payload oracle.  Message
         # handles are process-global counters, so deployments see
         # different raw ids for the same message — normalize to the
         # schedule ordinal.  A sprayed packet names its message (and its
         # lane, which keys the log: PSNs are per lane) in its meta.
-        order: Dict[int, int] = {}       # post handle -> schedule ordinal
         seq: Dict[object, List[Tuple[int, int, int]]] = {}
 
         def on_deliver(qp, pkt) -> None:
@@ -517,29 +434,16 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             else:
                 key, handle = qp.nic.ip, pkt.msg_id
             seq.setdefault(key, []).append(
-                (order.get(handle, -1), pkt.psn, pkt.payload))
+                (t.ordinal.get(handle, -1), pkt.psn, pkt.payload))
 
-        sim.bus.subscribe("deliver", on_deliver)
-
-        size = cfg.msg_packets * constants.MTU_BYTES
-
-        def post(i: int, on_done) -> None:
-            src = schedule.sources[i]
-            if algo.group.current_source != src:
-                algo.set_source(src)
-            order[algo.post(size, on_complete=on_done)] = i
-
-        done = drive_messages(
-            sim, start, schedule.offsets[:len(schedule.sources)], post)
-        sim.run(until=start + cfg.horizon, max_events=20_000_000)
-        sim.bus.unsubscribe("deliver", on_deliver)
+        t.sim.bus.subscribe("deliver", on_deliver)
+        done = t.drive(schedule.sources, schedule.offsets)
+        t.run()
+        t.sim.bus.unsubscribe("deliver", on_deliver)
 
         # All incidents repair and all churn deltas land before the
-        # horizon: the fabric must be structurally whole again.
-        monitor.check_mft_consistency(fabric, expect_connected=True,
-                                      injector=injector)
-        violations = [v.to_dict() for v in monitor.violations]
-        collector.add_violations(violations)
+        # horizon: the sweep demands a structurally whole fabric again.
+        violations = t.sweep()
         for op, _ip, _why in mm.delta_failures:
             coverage.add(f"mmdelta/{deployment}/{op}/failed")
         return {
@@ -547,14 +451,11 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             "completed": len(done),
             "durations": [at - posted_at for posted_at, at in done],
             "seq": seq,
-            "source_idle": algo.send_idle,
+            "source_idle": t.algo.send_idle,
             "delta_failures": [list(f) for f in mm.delta_failures],
             "violations": violations,
-            "events": sim.events_run,
+            "events": t.sim.events_run,
         }
-    finally:
-        collector.detach()
-        monitor.detach()
 
 
 def _net_model(cfg: FuzzConfig) -> Tuple[NetModel, int]:
@@ -779,27 +680,21 @@ def save_corpus(dirpath: str, cfg: FuzzConfig,
 
 
 def load_corpus(dirpath: str) -> List[Tuple[FuzzConfig, FuzzSchedule]]:
-    """Load every corpus input, sorted by filename for determinism."""
-    entries = []
+    """Load every corpus input, sorted by filename for determinism.
+    Each ``*.json`` file is read by the reproducer reader
+    (:func:`~repro.harness.campaign.read_document`): a malformed one is
+    a :class:`ValueError` naming it."""
     if not os.path.isdir(dirpath):
-        return entries
-    for name in sorted(os.listdir(dirpath)):
-        if not name.endswith(".json"):
-            continue
-        with open(os.path.join(dirpath, name), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != CORPUS_KIND:
-            continue
-        entries.append((FuzzConfig.from_dict(doc["config"]),
-                        FuzzSchedule.from_dict(doc["schedule"])))
-    return entries
+        return []
+    return [read_document(os.path.join(dirpath, name), CORPUS_KIND,
+                          FuzzConfig, FuzzSchedule)
+            for name in sorted(os.listdir(dirpath)) if name.endswith(".json")]
 
 
-def _replay_entry(doc: Dict[str, object]) -> Dict[str, object]:
+def _replay_entry(entry: Tuple[FuzzConfig, FuzzSchedule]
+                  ) -> Dict[str, object]:
     """Worker for parallel corpus replay (module-level: picklable)."""
-    cfg = FuzzConfig.from_dict(doc["config"])
-    schedule = FuzzSchedule.from_dict(doc["schedule"])
-    record = run_fuzz_trial(cfg, schedule)
+    record = run_fuzz_trial(*entry)
     return {"schedule_hash": record["schedule_hash"],
             "coverage": record["coverage"],
             "coverage_signature": record["coverage_signature"],
@@ -811,14 +706,12 @@ def replay_corpus(dirpath: str, jobs: int = 1) -> Dict[str, object]:
     """Re-run every corpus input; the unified coverage signature is
     identical whatever ``jobs`` is (set union is order-independent)."""
     entries = load_corpus(dirpath)
-    docs = [{"config": c.to_dict(), "schedule": s.to_dict()}
-            for c, s in entries]
-    if jobs > 1 and len(docs) > 1:
+    if jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replay_entry, docs))
+            results = list(pool.map(_replay_entry, entries))
     else:
-        results = [_replay_entry(d) for d in docs]
+        results = [_replay_entry(e) for e in entries]
     unified = CoverageMap()
     for r in results:
         unified.add_all(r["coverage"])

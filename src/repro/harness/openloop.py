@@ -33,7 +33,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
+
+from repro.harness.campaign import JsonCodec
 
 __all__ = [
     "PublishOp", "ChurnOp", "CrossOp", "OpenLoopSchedule",
@@ -47,7 +49,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PublishOp:
+class PublishOp(JsonCodec):
     """One publish arrival: message of ``size`` bytes on topic index
     ``topic`` at virtual offset ``at``."""
 
@@ -55,32 +57,18 @@ class PublishOp:
     topic: int
     size: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"at": self.at, "topic": self.topic, "size": self.size}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "PublishOp":
-        return cls(at=d["at"], topic=d["topic"], size=d["size"])
-
 
 @dataclass(frozen=True)
-class ChurnOp:
+class ChurnOp(JsonCodec):
     """One subscription toggle for host ``ip`` on topic index ``topic``."""
 
     at: float
     topic: int
     ip: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"at": self.at, "topic": self.topic, "ip": self.ip}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChurnOp":
-        return cls(at=d["at"], topic=d["topic"], ip=d["ip"])
-
 
 @dataclass(frozen=True)
-class CrossOp:
+class CrossOp(JsonCodec):
     """One background unicast transfer ``src -> dst`` of ``size`` bytes."""
 
     at: float
@@ -88,40 +76,15 @@ class CrossOp:
     dst: int
     size: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"at": self.at, "src": self.src, "dst": self.dst,
-                "size": self.size}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "CrossOp":
-        return cls(at=d["at"], src=d["src"], dst=d["dst"], size=d["size"])
-
 
 @dataclass(frozen=True)
-class OpenLoopSchedule:
+class OpenLoopSchedule(JsonCodec):
     """The three pre-drawn op streams of one open-loop trial."""
 
     trial_seed: int
     publishes: Tuple[PublishOp, ...]
     churn: Tuple[ChurnOp, ...]
     cross: Tuple[CrossOp, ...]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "trial_seed": self.trial_seed,
-            "publishes": [p.to_dict() for p in self.publishes],
-            "churn": [c.to_dict() for c in self.churn],
-            "cross": [x.to_dict() for x in self.cross],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "OpenLoopSchedule":
-        return cls(
-            trial_seed=d["trial_seed"],
-            publishes=tuple(PublishOp.from_dict(p) for p in d["publishes"]),
-            churn=tuple(ChurnOp.from_dict(c) for c in d["churn"]),
-            cross=tuple(CrossOp.from_dict(x) for x in d["cross"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -137,60 +137,6 @@ class TestCompare:
         tol = {"metrics": {"fig8.events": 0.2}}
         assert bench.compare(drift, base, tol, check_events=True).ok
 
-    def test_wall_drift_is_one_sided(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})  # total_wall_s 1.0
-        slower = _doc({"fig8": {"mean_speedup": 2.5}})
-        slower["total_wall_s"] = 1.2
-        faster = _doc({"fig8": {"mean_speedup": 2.5}})
-        faster["total_wall_s"] = 0.3  # 70% faster: never a failure
-        assert bench.compare(slower, base).ok  # off by default
-        comp = bench.compare(slower, base, max_wall_drift=0.10)
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.name == "total_wall_s"
-        assert bench.compare(slower, base, max_wall_drift=0.25).ok
-        assert bench.compare(faster, base, max_wall_drift=0.10).ok
-
-    def test_min_events_per_sec_floor(self):
-        """Opt-in absolute throughput floors, judged on the current
-        document alone (the baseline carries no rate information)."""
-        base = _doc({"fig11": {"mean_gflops": 1.0}})
-        cur = _doc({"fig11": {"mean_gflops": 1.0}})
-        cur["experiments"]["fig11"]["events_per_sec"] = 200000.0
-        assert bench.compare(cur, base).ok  # off by default
-        assert bench.compare(
-            cur, base, min_events_per_sec={"fig11": 150000.0}).ok
-        comp = bench.compare(
-            cur, base, min_events_per_sec={"fig11": 250000.0})
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.name == "fig11.events_per_sec"
-        assert delta.status == "regressed"
-        assert "FAIL fig11.events_per_sec" in comp.format()
-
-    def test_min_events_per_sec_cached_entry_fails(self):
-        """A cache hit has no measured throughput: the floor cannot be
-        attested, so it fails as missing instead of silently passing."""
-        base = _doc({"fig11": {"mean_gflops": 1.0}})
-        cur = _doc({"fig11": {"mean_gflops": 1.0}})
-        cur["experiments"]["fig11"]["cached"] = True
-        cur["experiments"]["fig11"]["events_per_sec"] = None
-        comp = bench.compare(cur, base,
-                             min_events_per_sec={"fig11": 150000.0})
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.status == "missing"
-
-    def test_min_events_per_sec_absent_experiment_fails(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 2.5}})
-        comp = bench.compare(cur, base,
-                             min_events_per_sec={"fig11": 150000.0})
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.name == "fig11.events_per_sec"
-        assert delta.status == "missing"
-
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": "other"}))
@@ -264,27 +210,6 @@ class TestBenchCli:
         from repro.cli import main
         assert main(["bench", "compare", str(drifted), str(out)]) == 1
         assert "FAIL fig7b.mean_total_MB" in capsys.readouterr().out
-
-    def test_compare_min_events_per_sec_flag(self, tmp_path, capsys):
-        # fig8 executes real simulator events, so its uncached entry
-        # carries a measured positive rate (fig7b is analytic and would
-        # always read as missing).
-        from repro.cli import main
-        out = tmp_path / "fig8.json"
-        assert main(["bench", "emit", "--only", "fig8",
-                     "--no-cache", "--out", str(out)]) == 0
-        assert main(["bench", "compare", str(out), str(out),
-                     "--min-events-per-sec", "fig8=1"]) == 0
-        assert main(["bench", "compare", str(out), str(out),
-                     "--min-events-per-sec", "fig8=1e15"]) == 1
-        assert "FAIL fig8.events_per_sec" in capsys.readouterr().out
-
-    def test_compare_min_events_per_sec_bad_spec(self, tmp_path, capsys):
-        out = self._emit(tmp_path)
-        from repro.cli import main
-        assert main(["bench", "compare", str(out), str(out),
-                     "--min-events-per-sec", "fig7b"]) == 2
-        assert "bad --min-events-per-sec" in capsys.readouterr().err
 
     def test_compare_missing_file_errors(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,7 +4,9 @@ Kernel behaviour (seeding, shrink order, reproducer contract) is pinned
 on a toy campaign with no simulator behind it; everything that must
 hold for *every* registered campaign — the CLI round-trip, the exit
 codes, malformed-reproducer handling — is parametrized over the CLI's
-campaign table, so a fifth campaign is covered by adding its row.
+campaign table, so a fifth campaign is covered by adding its row.  The
+``steady`` campaign in the middle is the proof that one *is* small: a
+real broadcast campaign declared on :class:`Trial` alone.
 """
 
 import json
@@ -14,8 +16,9 @@ from typing import Tuple
 import pytest
 
 from repro.cli import CAMPAIGNS, load_campaign, main
-from repro.harness.campaign import (Campaign, CampaignConfig, greedy_drop,
-                                    trial_rng)
+from repro.core.accelerator import DEPLOYMENTS
+from repro.harness.campaign import (Campaign, CampaignConfig, JsonCodec,
+                                    Trial, greedy_drop, trial_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,117 @@ def test_run_packages_a_replayable_reproducer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the one JSON form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Leg(JsonCodec):
+    hop: str
+    at: float
+
+
+@dataclass(frozen=True)
+class Route(JsonCodec):
+    trial_seed: int
+    legs: Tuple[Leg, ...]
+    span: Tuple[int, float]
+    tags: Tuple = ()
+    detours: Tuple[Leg, ...] = ()
+
+
+def test_codec_is_driven_by_the_field_declarations():
+    route = Route(7, (Leg("a", 0.5), Leg("b", 1.5)), (2, 0.25))
+    doc = route.to_dict()
+    # nested dataclasses -> objects, tuples -> lists, and a field left
+    # at its empty default is not written (so adding one re-hashes
+    # nothing that does not use it)
+    assert doc == {"trial_seed": 7, "span": [2, 0.25],
+                   "legs": [{"hop": "a", "at": 0.5}, {"hop": "b", "at": 1.5}]}
+    assert Route.from_dict(json.loads(json.dumps(doc))) == route
+    full = Route(7, (), (2, 0.25), ("x", 1), (Leg("c", 2.0),))
+    assert full.to_dict()["detours"] == [{"hop": "c", "at": 2.0}]
+    assert Route.from_dict(dict(full.to_dict(), future_key=1)) == full
+    with pytest.raises(TypeError):              # no default to fall back on
+        Route.from_dict({"trial_seed": 7, "legs": []})
+    with pytest.raises(ValueError):             # fixed-arity tuple
+        Route.from_dict(dict(doc, span=[2]))
+
+
+# ---------------------------------------------------------------------------
+# a campaign in forty lines: steady traffic on Trial, nothing else
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SteadyConfig(CampaignConfig):
+    topo: str = "fat_tree"
+    hosts: int = 8
+    k: int = 4
+    messages: int = 3
+    msg_packets: int = 8
+    horizon: float = 0.01
+    loss_rate: float = 0.0
+    rto: float = 200e-6
+    retransmit_mode: str = "gbn"
+    deployment: str = "inline"
+    paths: int = 1
+
+
+@dataclass(frozen=True)
+class SteadySchedule(JsonCodec):
+    trial_seed: int
+    offsets: Tuple[float, ...]
+
+
+def steady_generate(cfg, rng):
+    return SteadySchedule(rng.randrange(1 << 31), tuple(sorted(
+        round(rng.uniform(0.0, 0.5) * cfg.horizon, 9)
+        for _ in range(cfg.messages))))
+
+
+def steady_trial(cfg, schedule, trial_index=0):
+    n = len(schedule.offsets)
+    with Trial(cfg, schedule.trial_seed, paths=cfg.paths) as t:
+        done = t.drive((t.leader,) * n, schedule.offsets)
+        t.run()
+        violations = t.sweep()
+        # the oracle: every receiver has every message, exactly once
+        exactly_once = dict(t.deliveries) == {ip: n for ip in t.members[1:]}
+        return {"trial": trial_index, "completed": len(done),
+                "violations": violations, "exactly_once": exactly_once,
+                "failing": bool(violations) or len(done) < n
+                or not exactly_once or not t.algo.send_idle}
+
+
+STEADY = Campaign(name="steady", config_cls=SteadyConfig,
+                  schedule_cls=SteadySchedule, generate=steady_generate,
+                  run_trial=steady_trial, droppable=(), trailing=("offsets",),
+                  count_field="messages", extras=("violations",))
+
+
+@pytest.mark.parametrize("paths", [1, 2])
+@pytest.mark.parametrize("deployment", DEPLOYMENTS)
+def test_steady_campaign_is_clean_on_every_deployment_and_lane_count(
+        deployment, paths):
+    cfg = SteadyConfig(deployment=deployment, paths=paths)
+    doc = STEADY.run(cfg, seed=3, trials=2)
+    assert doc["failing_trials"] == [], doc["records"]
+    assert [r["completed"] for r in doc["records"]] == [cfg.messages] * 2
+    assert doc == STEADY.run(cfg, seed=3, trials=2)
+
+
+def test_steady_oracle_bites_and_its_reproducer_round_trips(tmp_path):
+    """The same declaration, starved: a horizon too short for the last
+    message must fail, shrink and replay like any other campaign."""
+    cfg = SteadyConfig(horizon=2e-5)
+    doc = STEADY.run(cfg, seed=3, trials=1)
+    assert doc["failing_trials"] == [0]
+    path = tmp_path / "steady.json"
+    path.write_text(json.dumps(doc["reproducers"][0]))
+    assert STEADY.load(str(path))[0].horizon == cfg.horizon
+    assert STEADY.replay(str(path))["failing"]
+
+
+# ---------------------------------------------------------------------------
 # every registered campaign, through the CLI
 # ---------------------------------------------------------------------------
 
@@ -190,24 +304,49 @@ def test_cli_unknown_mutation_is_a_usage_error(name, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def _malformed(kind: str, case: str) -> str:
+    """File text of one malformed ``kind`` document."""
+    whole = {"kind": kind, "config": {}, "schedule": {"trial_seed": 1}}
+    return {
+        "non-object": "[1, 2]",
+        "wrong-kind": json.dumps(dict(whole, kind="something-else")),
+        "missing-schedule": json.dumps({"kind": kind, "config": {}}),
+        "malformed-schedule": json.dumps(whole),
+        "truncated": json.dumps(whole)[:-9],
+    }[case]
+
+
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 @pytest.mark.parametrize("case", ["non-object", "wrong-kind",
-                                  "missing-schedule", "malformed-schedule"])
+                                  "missing-schedule", "malformed-schedule",
+                                  "truncated"])
 def test_malformed_reproducer_is_rejected_not_a_traceback(
         name, case, tmp_path, capsys):
     campaign = load_campaign(name)
-    doc = {
-        "non-object": [1, 2],
-        "wrong-kind": {"kind": "something-else", "config": {},
-                       "schedule": {}},
-        "missing-schedule": {"kind": campaign.kind, "config": {}},
-        "malformed-schedule": {"kind": campaign.kind, "config": {},
-                               "schedule": {"trial_seed": 1}},
-    }[case]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    path.write_text(_malformed(campaign.kind, case))
+    with pytest.raises(ValueError, match="bad.json"):
         campaign.load(str(path))
     assert main([name, "replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{name}: cannot replay") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["non-object", "missing-schedule",
+                                  "truncated"])
+def test_malformed_corpus_input_is_rejected_not_a_traceback(
+        case, tmp_path, capsys):
+    """A corpus input goes through the reproducer reader, so the same
+    faults get the same treatment on all three corpus-reading paths."""
+    from repro.harness.fuzz import CORPUS_KIND, load_corpus
+
+    (tmp_path / "input-bad.json").write_text(_malformed(CORPUS_KIND, case))
+    with pytest.raises(ValueError, match="input-bad.json"):
+        load_corpus(str(tmp_path))
+    for argv in (["fuzz", "replay", str(tmp_path)],
+                 ["fuzz", "corpus", "--corpus", str(tmp_path)],
+                 ["fuzz", "run", "--budget-trials", "1",
+                  "--corpus", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input-bad.json" in err and err.count("\n") == 1

@@ -145,14 +145,19 @@ def test_source_routed_campaign_trial_covers_sp_forward():
     silently fell back to inline, the header-driven path would go
     untested by every campaign."""
     from repro.check import CoverageMap
+    from repro.harness.campaign import Trial
 
     cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
                       incidents=1, horizon=0.01,
                       deployment="source_routed")
     sched = generate_schedule(cfg, random.Random(2))
     cov = CoverageMap()
-    rec = run_trial(cfg, sched, coverage=cov)
-    assert not rec["failing"], rec["violations"]
+    with Trial(cfg, sched.trial_seed, coverage=cov) as t:
+        t.install(incidents=sched.incidents)
+        done = t.drive(sched.sources, sched.offsets)
+        t.run()
+        assert t.sweep() == []
+    assert len(done) == cfg.messages
     keys = cov.to_list()
     assert any(k.startswith("stage/source_routed/accel/sp_forward/")
                for k in keys), keys

@@ -11,7 +11,10 @@ import random
 
 from dataclasses import replace
 
+import pytest
+
 from repro.check import CoverageMap
+from repro.harness.campaign import Incident, Trial
 from repro.harness.fuzz import (MUTATIONS, FuzzConfig, FuzzSchedule,
                                 _run_one_deployment, _sanitize, _Shape,
                                 generate_fuzz_schedule, mutate_schedule,
@@ -87,6 +90,40 @@ class TestLaneKillScheduling:
         assert not doc["failing"], doc["fail_reasons"]
         for dep in cfg.deployments:
             assert f"lanekill/{dep}/no-exclusive-uplink" in doc["coverage"]
+
+
+class TestOverlappingFailureWindows:
+    """A chaos link incident and a lane kill on the same uplink: the
+    link is down for the union of the two windows — neither repair may
+    revive it under the other, and the trial reports instead of dying
+    on the second repair."""
+
+    @pytest.mark.parametrize("incident, kill, far_end", [
+        ((0.2, 0.5), (0.1, 0.3), False),    # the kill repairs first
+        ((0.1, 0.3), (0.2, 0.5), False),    # the incident repairs first
+        ((0.2, 0.5), (0.1, 0.3), True),     # ... named from the other end
+    ])
+    def test_link_is_down_for_the_union(self, incident, kill, far_end):
+        cfg = _cfg(2, hosts=16, deployments=("inline",))
+        h = cfg.horizon
+        with Trial(cfg, 1, members=cfg.initial_members, paths=2) as t:
+            sw, port = t.cluster.topo.lane_uplinks(t.leader, t.members, 2)[1]
+            if far_end:
+                sw, port = sw.ports[port].peer_device, sw.ports[port].peer_port
+            schedule = FuzzSchedule(
+                trial_seed=1, sources=(t.leader,) * 2, offsets=(0.0, 0.4 * h),
+                incidents=(Incident("link", ("link", sw.name, port),
+                                    incident[0] * h, incident[1] * h),),
+                churn=(), lane_kills=((1, kill[0] * h, kill[1] * h),))
+            t.install(schedule.incidents, lane_kills=schedule.lane_kills)
+            down = []
+            for at in (0.05, 0.15, 0.25, 0.35, 0.45, 0.55):
+                t.sim.schedule(at * h, lambda: down.append(
+                    t.injector.active_failures))
+            t.run()
+        assert down == [0, 1, 1, 1, 1, 0]
+        doc = run_fuzz_trial(cfg, schedule)
+        assert not doc["failing"], doc["fail_reasons"]
 
 
 class TestSanitizeContract:

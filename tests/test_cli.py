@@ -34,13 +34,10 @@ class TestParser:
     def test_bench_compare_gate_flags(self):
         parser = build_parser()
         args = parser.parse_args(["bench", "compare", "a.json", "b.json",
-                                  "--check-events",
-                                  "--max-wall-drift", "0.10"])
+                                  "--check-events"])
         assert args.check_events is True
-        assert args.max_wall_drift == pytest.approx(0.10)
         defaults = parser.parse_args(["bench", "compare", "a.json", "b.json"])
         assert defaults.check_events is False
-        assert defaults.max_wall_drift == -1.0  # sentinel: gate off
 
     def test_pipeline_subcommand_registered(self):
         args = build_parser().parse_args(
