@@ -6,11 +6,6 @@ through the same single :class:`~repro.net.pipeline.ObserverBus` the
 invariant monitor uses.  A :class:`CoverageCollector` subscribed to a
 simulation turns its event stream into a set of stable string keys:
 
-``stage/<deployment>/<chain>/<stage>/<verdict>``
-    One pipeline stage executed with one verdict (the ``stage`` channel
-    published by :class:`~repro.net.pipeline.Pipeline`) — e.g. the
-    look-aside detour deferring, ``sp_forward`` stopping on a missing
-    residual rule, the loss stage consuming a packet.
 ``trans/<deployment>/<channel>-><channel>``
     Consecutive bus publications (channel-transition pairs): the
     ordering fingerprint of the datapath — replicate feeding bridge,
@@ -89,9 +84,9 @@ class CoverageMap:
 
 
 #: Channels whose publications feed the transition-pair fingerprint.
-#: ``event`` (per-simulator-event tick) and ``stage`` (already covered
-#: by its own richer key) are deliberately excluded — a transition pair
-#: should say "replication fed bridging", not "time passed".
+#: ``event`` (per-simulator-event tick) is deliberately excluded — a
+#: transition pair should say "replication fed bridging", not "time
+#: passed".
 TRANSITION_CHANNELS: Tuple[str, ...] = (
     "classify", "replicate", "bridge", "feedback", "deliver",
     "qp_send", "emit", "drop", "membership_epoch",
@@ -103,10 +98,9 @@ class CoverageCollector:
 
     ``deployment`` prefixes every key, so the same schedule run under
     inline / lookaside / source_routed contributes *distinct* coverage
-    — reaching a behavior in a new deployment is new coverage.  Switch
-    identities are normalized out of stage keys (``sw3.rx`` -> ``rx``):
-    coverage is about *which code behaved how*, not on which of many
-    identical switches.
+    — reaching a behavior in a new deployment is new coverage.  No key
+    names a switch: coverage is about *which code behaved how*, not on
+    which of many identical switches.
     """
 
     def __init__(self, bus, deployment: str,
@@ -120,12 +114,6 @@ class CoverageCollector:
 
     # -- key builders ------------------------------------------------------
 
-    def _chain_kind(self, pipeline) -> str:
-        """``sw2.rx`` -> ``rx``; ``sw2.accel[inline]`` -> ``accel``."""
-        name = pipeline.name
-        _, _, tail = name.rpartition(".")
-        return tail.split("[", 1)[0] or "chain"
-
     def _transition(self, channel: str) -> None:
         prev = self._prev_channel
         self._prev_channel = channel
@@ -137,8 +125,6 @@ class CoverageCollector:
 
     def _attach(self) -> None:
         bus = self.bus
-        bus.subscribe("stage", self._on_stage)
-        self._subscriptions.append(("stage", self._on_stage))
         for channel in TRANSITION_CHANNELS:
             handler = self._make_transition_handler(channel)
             bus.subscribe(channel, handler)
@@ -162,11 +148,6 @@ class CoverageCollector:
         def on_any(*args, _ch=channel) -> None:
             self._transition(_ch)
         return on_any
-
-    def _on_stage(self, pipeline, stage_name: str, verdict) -> None:
-        self.coverage.add(
-            f"stage/{self.deployment}/{self._chain_kind(pipeline)}/"
-            f"{stage_name}/{verdict.name if verdict is not None else 'PASS'}")
 
     # -- harness hooks -----------------------------------------------------
 

@@ -19,7 +19,6 @@ Installed as the ``cepheus-repro`` console script::
     cepheus-repro fuzz corpus                    # list corpus inputs
     cepheus-repro bench emit --jobs 4            # parallel run -> BENCH_quick.json
     cepheus-repro bench compare BENCH_quick.json benchmarks/baselines/BENCH_quick.json
-    cepheus-repro pipeline dump --deployment lookaside  # stage chains
     cepheus-repro info                           # model constants
 """
 
@@ -349,38 +348,6 @@ def _cmd_bench_compare(args) -> int:
     return 1
 
 
-def _cmd_pipeline_dump(args) -> int:
-    from repro.apps import Cluster
-    from repro.core.accelerator import DEPLOYMENTS, AcceleratorConfig
-
-    if args.deployment not in DEPLOYMENTS:
-        print(f"pipeline: unknown deployment {args.deployment!r}; "
-              f"valid modes: {', '.join(DEPLOYMENTS)}", file=sys.stderr)
-        return 2
-    accel_config = AcceleratorConfig(deployment=args.deployment)
-    if args.topo == "star":
-        cluster = Cluster.testbed(args.hosts, accel_config=accel_config)
-    else:
-        cluster = Cluster.fat_tree_cluster(args.k, accel_config=accel_config)
-    switches = cluster.topo.switches
-    if args.switch:
-        switches = [s for s in switches if s.name == args.switch]
-        if not switches:
-            names = ", ".join(s.name for s in cluster.topo.switches)
-            print(f"pipeline: no switch {args.switch!r} (have: {names})",
-                  file=sys.stderr)
-            return 2
-    print(f"topology {args.topo}; deployment {args.deployment}")
-    for sw in switches:
-        print(f"\n{sw.name} ({sw.n_ports} ports)")
-        print(f"  rx: {sw.pipeline.describe()}")
-        if sw.accelerator is not None:
-            accel = sw.accelerator
-            print(f"  accel[{accel.cfg.deployment}]: "
-                  f"{accel.pipeline.describe()}")
-    return 0
-
-
 def _cmd_info(args) -> int:
     print("Cepheus reproduction — model constants (repro/constants.py)\n")
     entries = [
@@ -514,26 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--verbose", action="store_true",
                        help="print passing metrics too")
     p_cmp.set_defaults(fn=_cmd_bench_compare)
-
-    p_pipe = sub.add_parser(
-        "pipeline", help="inspect the configured datapath stage chains")
-    pipe_sub = p_pipe.add_subparsers(dest="pipeline_command", required=True)
-
-    p_dump = pipe_sub.add_parser(
-        "dump", help="print each switch's rx chain and accelerator "
-                     "stage chain (inline/lookaside/source_routed)")
-    p_dump.add_argument("--topo", default="star",
-                        choices=("star", "fat_tree"))
-    p_dump.add_argument("--hosts", type=int, default=4,
-                        help="host count (star topo only)")
-    p_dump.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_dump.add_argument("--deployment", default="inline",
-                        help="accelerator deployment mode "
-                             "(inline, lookaside, source_routed)")
-    p_dump.add_argument("--switch", default="",
-                        help="only this switch (default: all)")
-    p_dump.set_defaults(fn=_cmd_pipeline_dump)
 
     p_info = sub.add_parser("info", help="print the model constants")
     p_info.set_defaults(fn=_cmd_info)

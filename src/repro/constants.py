@@ -111,6 +111,10 @@ milliseconds; the paper relies on it as the reliability backstop."""
 ROCE_MAX_OUTSTANDING_PKTS: int = 256
 """Cap on unacknowledged packets in flight (IB RC window, ~1 BDP+)."""
 
+PSN_SPACE: int = 1 << 24
+"""The BTH carries a 24-bit PSN.  PSNs do not wrap in this model: a QP
+refuses a message that would cross this bound (docs/PROTOCOL.md)."""
+
 HOST_STACK_SEND_S: float = 1.2e-6
 """End-host software cost to post one message (verbs + MPI shim).
 

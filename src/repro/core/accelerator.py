@@ -4,14 +4,11 @@ In the paper this is an FPGA board hanging off a commodity switch; ACL
 rules steer multicast traffic through it.  Here it is an object attached
 to a simulated :class:`~repro.net.switch.Switch` whose
 :meth:`classify` implements the ACL and whose :meth:`process` runs the
-Fig. 7a sequence (admit → [lookaside detour →] MRP → MFT lookup →
-reduce → track source → replicate → bridge → feedback).  The sequence
-exists twice, selected by whether anyone taps the bus's ``stage``
-channel: an explicit :class:`~repro.net.pipeline.Pipeline` of named
-stages when someone does (the fuzzer's coverage feed), and straight-line
-code — no context object, no stage loop — when nobody does;
-``tests/core/test_fast_path_equivalence.py`` holds the two equal.
-Either way:
+Fig. 7a sequence (admit → [lookaside detour →] MRP → [sp_forward →]
+MFT lookup → reduce → track source → replicate → bridge → feedback) as
+straight-line code, publishing each decision on the simulator's
+observer bus (``tests/core/test_datapath_transcripts.py`` pins the
+publication sequence):
 
 * **MRP packets** build the local MFT and fan sub-MRPs out downstream
   (reuse-a-tree-port first, then least-loaded port selection, §III-C);
@@ -42,18 +39,17 @@ from repro.core.mrp import MrpError, MrpPayload
 from repro.core.source_routing import SourceRoutingConfig
 from repro.errors import RegistrationError
 from repro.net.packet import Packet, PacketType, is_multicast_ip
-from repro.net.pipeline import DEFER, STOP, Pipeline, PipelineContext
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 
 __all__ = ["AcceleratorConfig", "CepheusAccelerator", "DEPLOYMENTS"]
 
 #: The valid deployment styles (§IV integration options + the
-#: source-routed mode): chain configuration is the only difference.
+#: source-routed mode): which optional steps run is the only difference.
 DEPLOYMENTS = ("inline", "lookaside", "source_routed")
 
 # An enum member read through its class costs more than a function call
-# here; the per-packet code (classify + the untapped path) binds them once.
+# here; the per-packet code binds them once.
 _DATA, _ACK, _NACK, _CNP, _MRP = (
     PacketType.DATA, PacketType.ACK, PacketType.NACK, PacketType.CNP,
     PacketType.MRP)
@@ -76,7 +72,7 @@ class AcceleratorConfig:
       pays two extra link traversals.
     * ``"source_routed"`` — the Elmo/Bert mode: the sender carries the
       tree in a bounded header extension, switches pop their sp-rule
-      in an ``sp_forward`` stage and keep only *soft* per-group
+      in an ``sp_forward`` step and keep only *soft* per-group
       feedback state (plus a small residual table for rules that
       overflowed the header budget).  ``source_routing`` tunes the
       encoder; None means defaults.
@@ -103,7 +99,7 @@ class CepheusAccelerator:
                 f"valid: {', '.join(DEPLOYMENTS)}")
         self.table = MftTable(switch.n_ports, self.cfg.max_groups)
         # The switch's simulator bus is the single observation point for
-        # this accelerator's stages and its feedback engine.  The
+        # this accelerator's decisions and its feedback engine.  The
         # "replicate" channel fires after the replication/filter decision
         # for every multicast DATA packet (the InvariantMonitor's view of
         # ingress pruning and retransmission filtering); "bridge" after
@@ -139,36 +135,14 @@ class CepheusAccelerator:
         # than a full re-registration (§III-C incremental MRP).
         self.mrp_records_installed = 0
         self.mrp_records_removed = 0
-        self.pipeline = self._build_pipeline()
-        # The untapped continuation of the admission delay.
-        self._admitted = (self._fast_detour
+        # Where a packet continues after the admission delay: the §IV
+        # deployment options differ only in that the look-aside FPGA
+        # prototype detours first and the proposed inline ASIC does not.
+        self._admitted = (self._detour
                           if self.cfg.deployment == "lookaside"
-                          else self._fast_path)
+                          else self._dispatch)
         self._source_routed = self.cfg.deployment == "source_routed"
         switch.accelerator = self
-
-    def _build_pipeline(self) -> Pipeline:
-        """The Fig. 7a stage chain.  The §IV deployment options differ
-        only in chain configuration: the look-aside FPGA prototype adds
-        a detour stage after admission; the proposed inline ASIC does
-        not."""
-        stages = [self.stage_admit]
-        if self.cfg.deployment == "lookaside":
-            stages.append(self.stage_lookaside_detour)
-        stages += [self.stage_mrp]
-        if self.cfg.deployment == "source_routed":
-            stages.append(self.stage_sp_forward)
-        stages += [
-            self.stage_mft_lookup,
-            self.stage_reduce,
-            self.stage_track_source,
-            self.stage_replicate,
-            self.stage_bridge,
-            self.stage_feedback,
-        ]
-        return Pipeline(stages,
-                        name=f"{self.switch.name}.accel[{self.cfg.deployment}]",
-                        bus=self.bus)
 
     # ------------------------------------------------------------------
     # ACL classification (what gets redirected to the FPGA)
@@ -186,26 +160,19 @@ class CepheusAccelerator:
             t == _ACK or t == _NACK or t == _CNP)
 
     # ------------------------------------------------------------------
-    # main pipeline: stage dispatch
+    # the Fig. 7a sequence, one heap entry per admission and per detour
     # ------------------------------------------------------------------
 
     def process(self, pkt: Packet, in_port: int) -> None:
-        """Run one classified packet through the Fig. 7a sequence: the
-        staged chain when ``stage`` is tapped, straight-line otherwise."""
-        if self.bus.stage:
-            self._run_staged(pkt, in_port, self.stage_admit)
-            return
+        """Run one classified packet through the Fig. 7a sequence,
+        starting with the fixed per-packet processing latency of the
+        board (§IV): every deployment pays it before any table state is
+        read."""
         delay = self.switch.config.accelerator_delay
         if delay > 0:
             self.sim.post(delay, self._admitted, pkt, in_port)
         else:
             self._admitted(pkt, in_port)
-
-    def _run_staged(self, pkt: Packet, in_port: int, first) -> None:
-        """Run the staged chain on ``pkt`` from stage ``first`` on."""
-        pipeline = self.pipeline
-        pipeline.run(PipelineContext(pkt, in_port, self.switch, self),
-                     pipeline.stages.index(first))
 
     def _drop(self, pkt: Packet, in_port: int, reason: str) -> None:
         bus = self.bus
@@ -213,31 +180,26 @@ class CepheusAccelerator:
             bus.publish("drop", self.switch, pkt, in_port, reason)
         self._pkt_pool.release(pkt)
 
-    # ------------------------------------------------------------------
-    # the untapped path: same decisions, counters, RNG/pid draws, bus
-    # publications and pool releases as the stages below, in the same
-    # order, one heap entry per admission and per detour
-    # ------------------------------------------------------------------
-
-    def _fast_detour(self, pkt: Packet, in_port: int) -> None:
-        if self.bus.stage:  # tapped while in admission
-            self._run_staged(pkt, in_port, self.stage_lookaside_detour)
-            return
+    def _detour(self, pkt: Packet, in_port: int) -> None:
+        """Switch -> FPGA -> switch detour of the look-aside prototype
+        (§IV)."""
         self.lookaside_detours += 1
-        self.sim.post(self._detour_delay(pkt), self._fast_path, pkt, in_port)
+        self.sim.post(self._detour_delay(pkt), self._dispatch, pkt, in_port)
 
-    def _fast_path(self, pkt: Packet, in_port: int) -> None:
-        bus = self.bus
-        if bus.stage:  # tapped while in admission / the detour
-            self._run_staged(pkt, in_port, self.stage_mrp)
-            return
+    def _dispatch(self, pkt: Packet, in_port: int) -> None:
+        """Everything after admission: MRP, then group resolution, then
+        the feedback or the DATA half of the sequence."""
         t = pkt.ptype
         pool = self._pkt_pool
         if t == _MRP:
+            # Control plane: joins/leaves patch the local MFT and fan
+            # sub-MRPs downstream.
             self._process_mrp(pkt, in_port)
-            pool.release(pkt)
+            pool.release(pkt)  # consumed; sub-MRPs are fresh
             return
         if self._source_routed and t == _DATA and pkt.sr is not None:
+            # sp_forward: the header (or the residual table) resolves
+            # and syncs the soft MFT in place of the lookup below.
             mft = self._sp_rule(pkt, in_port)
             if mft is None:
                 return
@@ -251,6 +213,8 @@ class CepheusAccelerator:
             if mft.mode == "reduce":
                 self._replicate_feedback_down(mft, pkt, in_port)
             else:
+                # The FeedbackEngine turns the many per-path streams into
+                # the single unicast-like stream the source RNIC expects.
                 if t == _ACK:
                     emits = self.feedback.on_ack(mft, in_port, pkt.psn)
                 elif t == _NACK:
@@ -258,14 +222,18 @@ class CepheusAccelerator:
                 else:
                     emits = self.feedback.on_cnp(mft, in_port, self.sim.now)
                 self._emit_feedback(mft, emits, in_port)
-            pool.release(pkt)
+            pool.release(pkt)  # aggregated feedback is fresh packets
             return
+        # Counted after the lookup: DATA for a group this switch does not
+        # know is an unregistered drop, not accelerator input.
         self.data_in += 1
         if mft.mode == "reduce":
             self._process_reduce_data(mft, pkt, in_port)
-            pool.release(pkt)
+            pool.release(pkt)  # reduce emits clones only
             return
         self._track_source(mft, pkt, in_port)
+        # Replication with ingress pruning and retransmission filtering
+        # (§III-B, §III-D): decide the target set first.
         retx_filter = self.cfg.retransmit_filter
         psn = pkt.psn
         targets: List[PathEntry] = []
@@ -273,16 +241,24 @@ class CepheusAccelerator:
             if e.port == in_port:
                 continue
             if retx_filter and psn <= e.ack_psn:
+                # This subtree already acknowledged the PSN: suppress the
+                # duplicate (saves bandwidth, §III-D).
                 self.retransmits_filtered += 1
                 continue
             targets.append(e)
+        bus = self.bus
         if bus.replicate:
             bus.publish("replicate", self, mft, pkt, in_port, targets)
         if not targets:
+            # Every target was pruned/filtered: the ingress packet goes
+            # nowhere and is dead here.
             pool.release(pkt)
             return
-        # Clone every branch but the last before any rewrite or emit
-        # (PFC frames draw pids inside emit).
+        # One replica per target — clones for every branch but the last,
+        # which reuses the ingress packet — all materialized *before* any
+        # header is rewritten or anything is emitted: a replica queued
+        # for a sibling subtree can never observe another leaf's rewrite
+        # (and PFC frames draw pids inside emit).
         clone = pool.clone
         replicas = [clone(pkt) for _ in range(len(targets) - 1)]
         replicas.append(pkt)
@@ -296,24 +272,10 @@ class CepheusAccelerator:
             emit(replica, entry.port, in_port)
             self.replicas_out += 1
 
-    def stage_admit(self, ctx: PipelineContext):
-        """Fixed per-packet processing latency of the board (§IV); both
-        deployments pay it before any table state is read."""
-        delay = self.switch.config.accelerator_delay
-        if delay > 0:
-            self.sim.post(delay, self.pipeline.resume, ctx)
-            return DEFER
-        return None
-
-    def stage_lookaside_detour(self, ctx: PipelineContext):
-        """Switch -> FPGA -> switch detour of the look-aside prototype
-        (§IV): admission gated by the board's aggregate transceiver
-        capacity, plus one link serialization and two propagations."""
-        self.lookaside_detours += 1
-        self.sim.post(self._detour_delay(ctx.pkt), self.pipeline.resume, ctx)
-        return DEFER
-
     def _detour_delay(self, pkt: Packet) -> float:
+        """The board's aggregate transceiver capacity gates when a
+        packet can *enter* it (the §VI scalability limit); the packet
+        then pays one link serialization and two propagations."""
         sim = self.switch.sim
         bits = pkt.wire_size * 8.0
         start = max(sim.now, self._lookaside_free_at)
@@ -326,15 +288,6 @@ class CepheusAccelerator:
     # ------------------------------------------------------------------
     # MRP: local MFT construction + downstream fan-out (§III-C)
     # ------------------------------------------------------------------
-
-    def stage_mrp(self, ctx: PipelineContext):
-        """Control-plane stage: MRP joins/leaves patch the local MFT and
-        fan sub-MRPs downstream; data-plane packets pass through."""
-        if ctx.pkt.ptype != PacketType.MRP:
-            return None
-        self._process_mrp(ctx.pkt, ctx.in_port)
-        self._pkt_pool.release(ctx.pkt)  # consumed; sub-MRPs are fresh
-        return STOP
 
     def _process_mrp(self, pkt: Packet, in_port: int) -> None:
         """The switch-side MRP walk, one for all four ops and both
@@ -571,28 +524,17 @@ class CepheusAccelerator:
     # source-routed mode: sp_forward (Elmo/Bert)
     # ------------------------------------------------------------------
 
-    def stage_sp_forward(self, ctx: PipelineContext):
+    def _sp_rule(self, pkt: Packet, in_port: int) -> Optional[Mft]:
         """Source-routed forwarding: pop this switch's sp-rule from the
         header (or the residual table, for rules that overflowed the
-        budget) and sync the *soft* per-group feedback MFT to it.
+        budget) and sync the *soft* per-group feedback MFT to it; None
+        means the packet was dropped (and released).
 
-        Replication itself stays in the replicate/bridge stages, driven
+        Replication itself stays in the replicate/bridge steps, driven
         by the synced MFT — so ingress pruning, retransmission
         filtering and min-AckPSN aggregation run off the same entries
         as the MFT deployments, with the switch holding no
         control-plane-installed forwarding state."""
-        pkt = ctx.pkt
-        if pkt.ptype != PacketType.DATA or pkt.sr is None:
-            return None
-        mft = self._sp_rule(pkt, ctx.in_port)
-        if mft is None:
-            return STOP
-        ctx.mft = mft
-        return None
-
-    def _sp_rule(self, pkt: Packet, in_port: int) -> Optional[Mft]:
-        """Resolve and apply this switch's sp-rule for a header-carrying
-        DATA packet; None means the packet was dropped (and released)."""
         hdr = pkt.sr
         bitmap = hdr.rules.get(self.switch.name)
         if bitmap is not None:
@@ -657,96 +599,8 @@ class CepheusAccelerator:
                                     ack_psn=mft.agg_ack_psn))
 
     # ------------------------------------------------------------------
-    # DATA: MFT lookup, replication + connection bridging (§III-B)
+    # DATA: source tracking + connection bridging (§III-B, §III-E)
     # ------------------------------------------------------------------
-
-    def stage_mft_lookup(self, ctx: PipelineContext):
-        """Fig. 7a MFT lookup: resolve the group table entry every
-        later stage keys off; unregistered groups are dropped here.
-        In the source-routed mode ``sp_forward`` may already have
-        resolved (and header-synced) the soft MFT."""
-        mft = ctx.mft
-        if mft is None:
-            mft = self.table.get(ctx.pkt.dst_ip)
-        if mft is None:
-            self.unregistered_drops += 1
-            self._drop(ctx.pkt, ctx.in_port, "unregistered-group")
-            return STOP
-        ctx.mft = mft
-        if ctx.pkt.ptype == PacketType.DATA:
-            self.data_in += 1
-        return None
-
-    def stage_reduce(self, ctx: PipelineContext):
-        """Experimental many-to-one groups (§VIII) run the dual
-        datapath: contributions combine upward, feedback fans out."""
-        if ctx.mft.mode != "reduce":
-            return None
-        if ctx.pkt.ptype == PacketType.DATA:
-            self._process_reduce_data(ctx.mft, ctx.pkt, ctx.in_port)
-        else:
-            self._replicate_feedback_down(ctx.mft, ctx.pkt, ctx.in_port)
-        self._pkt_pool.release(ctx.pkt)  # reduce emits clones only
-        return STOP
-
-    def stage_track_source(self, ctx: PipelineContext):
-        """Multicast source switching (§III-E): data entering from a new
-        tree port re-points AckOutPort and resets the trigger port."""
-        if ctx.pkt.ptype == PacketType.DATA:
-            self._track_source(ctx.mft, ctx.pkt, ctx.in_port)
-        return None
-
-    def stage_replicate(self, ctx: PipelineContext):
-        """Replication with ingress pruning and retransmission
-        filtering (§III-B, §III-D): decide the target set, then
-        materialize one replica per target — clones for every branch
-        but the last, which reuses the ingress packet.  Cloning happens
-        *before* the bridge stage rewrites any header, so a replica
-        queued for a sibling subtree can never observe another leaf's
-        rewrite."""
-        pkt = ctx.pkt
-        if pkt.ptype != PacketType.DATA:
-            return None
-        mft = ctx.mft
-        in_port = ctx.in_port
-        targets: List[PathEntry] = []
-        for e in mft.iter_downstream(in_port):
-            if self.cfg.retransmit_filter and pkt.psn <= e.ack_psn:
-                # This subtree already acknowledged the PSN: suppress the
-                # duplicate (saves bandwidth, §III-D).
-                self.retransmits_filtered += 1
-                continue
-            targets.append(e)
-        ctx.targets = targets
-        bus = self.bus
-        if bus.replicate:
-            bus.publish("replicate", self, mft, pkt, in_port, targets)
-        last = len(targets) - 1
-        pool = self._pkt_pool
-        ctx.replicas = [(e, pkt if i == last else pool.clone(pkt))
-                        for i, e in enumerate(targets)]
-        return None
-
-    def stage_bridge(self, ctx: PipelineContext):
-        """Connection bridging (Fig. 4) at host-facing entries, then
-        egress: every replica leaves the switch here."""
-        if ctx.pkt.ptype != PacketType.DATA:
-            return None
-        mft = ctx.mft
-        in_port = ctx.in_port
-        bus = self.bus
-        for entry, replica in ctx.replicas:
-            if entry.is_host:
-                self._bridge(replica, entry, mft.mcst_id)
-                if bus.bridge:
-                    bus.publish("bridge", self, mft, replica, entry)
-            self.switch.emit(replica, entry.port, in_port)
-            self.replicas_out += 1
-        if not ctx.replicas:
-            # Every target was pruned/filtered: the ingress packet goes
-            # nowhere and is dead here.
-            self._pkt_pool.release(ctx.pkt)
-        return STOP
 
     def _track_source(self, mft: Mft, pkt: Packet, in_port: int) -> None:
         if mft.ack_out_port != in_port:
@@ -832,24 +686,6 @@ class CepheusAccelerator:
     # ------------------------------------------------------------------
     # feedback: aggregate/filter, then forward toward the source (§III-D)
     # ------------------------------------------------------------------
-
-    def stage_feedback(self, ctx: PipelineContext):
-        """Terminal stage for ACK/NACK/CNP: the FeedbackEngine turns
-        the many per-path streams into the single unicast-like stream
-        the source RNIC expects, published on the same bus."""
-        pkt = ctx.pkt
-        mft = ctx.mft
-        in_port = ctx.in_port
-        t = pkt.ptype
-        if t == PacketType.ACK:
-            emits = self.feedback.on_ack(mft, in_port, pkt.psn)
-        elif t == PacketType.NACK:
-            emits = self.feedback.on_nack(mft, in_port, pkt.psn)
-        else:
-            emits = self.feedback.on_cnp(mft, in_port, self.switch.sim.now)
-        self._emit_feedback(mft, emits, in_port)
-        self._pkt_pool.release(pkt)  # aggregated feedback is fresh packets
-        return STOP
 
     def _emit_feedback(self, mft: Mft, emits, in_port: int) -> None:
         """Send aggregated feedback toward the current source (also the

@@ -39,8 +39,8 @@ This module is the whole sender/control side of that design:
   runtime encoder would, then charged to three bookkeeping backends
   (MFT-Cepheus, Elmo-style, Bert-aggregated).
 
-The switch side (the ``sp_forward`` pipeline stage that pops a rule and
-syncs the soft feedback MFT) lives in
+The switch side (the ``sp_forward`` step that pops a rule and syncs the
+soft feedback MFT) lives in
 :mod:`repro.core.accelerator`.
 """
 

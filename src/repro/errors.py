@@ -23,6 +23,11 @@ class TransportError(ReproError):
     """RoCE transport misuse (posting on a reset QP, PSN overflow...)."""
 
 
+class PsnSpaceExhausted(TransportError):
+    """A message would carry a PSN past the 24-bit space; PSNs do not
+    wrap in this model, so the QP refuses it."""
+
+
 class QPStateError(TransportError):
     """A verbs call was made against a QP in the wrong state."""
 

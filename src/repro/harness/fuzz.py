@@ -17,8 +17,8 @@ schedules that exercise the most protocol surface:
   :class:`~repro.harness.campaign.Trial` under the
   :class:`~repro.check.InvariantMonitor` and a
   :class:`~repro.check.CoverageCollector`; behavioral coverage is the
-  union of stage-verdict, channel-transition, feedback-decision, drop
-  and violation keys across the deployments;
+  union of channel-transition, feedback-decision, drop and violation
+  keys across the deployments;
 * two **differential oracles** run per trial: (a) every *stable*
   receiver (an initial member never targeted by churn) must see a
   byte-identical ``(message, psn, payload)`` delivery sequence in all

@@ -9,8 +9,7 @@ from repro.net.link import LinkInfo, connect
 from repro.net.nic import Nic
 from repro.net.packet import Packet, PacketType, RdmaOp, is_multicast_ip
 from repro.net.pfc import PfcManager
-from repro.net.pipeline import (DEFER, STOP, ObserverBus, Pipeline,
-                                PipelineContext)
+from repro.net.pipeline import ObserverBus
 from repro.net.port import Port
 from repro.net.simulator import Event, Simulator
 from repro.net.switch import Switch, SwitchConfig
@@ -25,7 +24,7 @@ __all__ = [
     "Port", "PfcManager",
     "LinkInfo", "connect",
     "Switch", "SwitchConfig",
-    "ObserverBus", "Pipeline", "PipelineContext", "STOP", "DEFER",
+    "ObserverBus",
     "Nic",
     "Topology", "star", "fat_tree", "dumbbell",
     "ThroughputSampler", "RunStats", "collect_run_stats",

@@ -1,54 +1,31 @@
-"""The staged datapath pipeline and its single observer bus.
+"""The single observer bus of the datapath.
 
-The paper's Fig. 7a draws the accelerator as a fixed sequence of
-stages — ACL classify → MFT lookup → replicate (with ingress pruning
-and retransmission filtering) → connection bridging → feedback
-aggregation.  This module gives the reproduction that shape explicitly
-(the way Elmo and Gleam frame programmable multicast datapaths):
-
-* a :class:`PipelineContext` is carried per packet through an ordered
-  chain of stage callables (a :class:`Pipeline`); a stage returns
-  ``None`` to pass the context on, :data:`STOP` when it consumed the
-  packet, or :data:`DEFER` after scheduling :meth:`Pipeline.resume`
-  for a later virtual time (the accelerator admission delay and the
-  look-aside FPGA detour are *stages*, not special cases);
-* every cross-cutting consumer — the
-  :class:`~repro.check.InvariantMonitor`, telemetry taps, the chaos and
-  churn harnesses — subscribes to one :class:`ObserverBus` per
-  :class:`~repro.net.simulator.Simulator` instead of monkey-patching
-  component methods.
+The paper's Fig. 7a draws the accelerator as a fixed sequence of steps
+— ACL classify → MFT lookup → replicate (with ingress pruning and
+retransmission filtering) → connection bridging → feedback aggregation.
+:meth:`repro.net.switch.Switch.receive` and
+:meth:`repro.core.accelerator.CepheusAccelerator.process` run that
+sequence as straight-line code and publish each decision here: every
+cross-cutting consumer — the :class:`~repro.check.InvariantMonitor`,
+telemetry taps, the fuzzer's coverage map, the chaos and churn
+harnesses — subscribes to one :class:`ObserverBus` per
+:class:`~repro.net.simulator.Simulator` instead of monkey-patching
+component methods.
 
 The bus is deliberately branch-cheap when nobody listens: channels are
 plain tuples stored as attributes, so the datapath guards every
 publication with a single ``if bus.<channel>:`` truthiness test and
 pays nothing else on the no-observer fast path.
+
+(The module is still called ``pipeline``: perfbench's frozen layer map
+names the file and imports the class from it.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["ObserverBus", "Pipeline", "PipelineContext", "STOP", "DEFER"]
-
-
-class _Verdict:
-    """Sentinel returned by a stage to alter chain control flow."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-#: The stage consumed the packet; the chain halts here.
-STOP = _Verdict("STOP")
-
-#: The stage scheduled :meth:`Pipeline.resume` for a later virtual
-#: time; the chain halts now and continues from the next stage then.
-DEFER = _Verdict("DEFER")
+__all__ = ["ObserverBus"]
 
 
 class ObserverBus:
@@ -76,10 +53,6 @@ class ObserverBus:
                               tail drop, or an unregistered-group discard
     ``membership_epoch``      ``(qp, epoch)`` — a membership delta re-based the
                               QP's PSN stream position
-    ``stage``                 ``(pipeline, stage_name, verdict)`` — one stage
-                              of a :class:`Pipeline` ran; ``verdict`` is
-                              ``None``, :data:`STOP` or :data:`DEFER` (the
-                              coverage-guided fuzzer's verdict tap)
     ``event``                 ``(now,)`` — per-simulator-event tick (sampled
                               structural sweeps)
     ``lane_spray``            ``(sprayer, spray_id, lane, lane_id, offset,
@@ -106,7 +79,7 @@ class ObserverBus:
 
     CHANNELS: Tuple[str, ...] = (
         "classify", "replicate", "bridge", "feedback", "deliver",
-        "qp_send", "emit", "drop", "membership_epoch", "stage", "event",
+        "qp_send", "emit", "drop", "membership_epoch", "event",
         "lane_spray", "lane_complete",
     )
 
@@ -213,85 +186,3 @@ class ObserverBus:
         active = {c: len(getattr(self, c)) for c in self.CHANNELS
                   if getattr(self, c)}
         return f"<ObserverBus {active or 'idle'}>"
-
-
-class PipelineContext:
-    """Mutable per-packet state carried through a stage chain.
-
-    ``mft``, ``targets`` and ``replicas`` are filled in by the
-    accelerator's lookup/replicate stages; ``stage_index`` tracks the
-    chain position so a deferring stage can resume after itself.
-    """
-
-    __slots__ = ("pkt", "in_port", "switch", "accel", "mft",
-                 "targets", "replicas", "stage_index")
-
-    def __init__(self, pkt, in_port: int, switch=None, accel=None) -> None:
-        self.pkt = pkt
-        self.in_port = in_port
-        self.switch = switch
-        self.accel = accel
-        self.mft = None
-        self.targets = None
-        self.replicas = None
-        self.stage_index = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PipelineContext {self.pkt!r} in_port={self.in_port} "
-                f"stage={self.stage_index}>")
-
-
-class Pipeline:
-    """An ordered chain of stage callables.
-
-    A stage is any callable taking one :class:`PipelineContext` and
-    returning ``None`` (continue), :data:`STOP` (packet consumed) or
-    :data:`DEFER` (the stage scheduled :meth:`resume` itself).
-
-    When a ``bus`` is attached and someone subscribes to its ``stage``
-    channel, every stage execution publishes
-    ``(pipeline, stage_name, verdict)`` — the behavioral-coverage feed
-    of the protocol fuzzer.  The switch and the accelerator only run
-    their Pipeline while that tap is live; untapped, each runs the same
-    sequence as straight-line code.
-    """
-
-    __slots__ = ("name", "stages", "bus", "_names")
-
-    def __init__(self, stages, name: str = "", bus: Optional[ObserverBus] = None) -> None:
-        self.name = name
-        self.stages = list(stages)
-        self.bus = bus
-        self._names = self.stage_names()
-
-    def run(self, ctx: PipelineContext, start: int = 0) -> Optional[_Verdict]:
-        bus = self.bus
-        stages = self.stages
-        for i in range(start, len(stages)):
-            ctx.stage_index = i
-            verdict = stages[i](ctx)
-            if bus is not None and bus.stage:
-                bus.publish("stage", self, self._names[i], verdict)
-            if verdict is not None:
-                return verdict
-        return None
-
-    def resume(self, ctx: PipelineContext) -> Optional[_Verdict]:
-        """Continue a deferred context from the stage after the deferrer."""
-        return self.run(ctx, ctx.stage_index + 1)
-
-    def stage_names(self) -> List[str]:
-        """Human-readable stage names (``stage_`` prefixes stripped)."""
-        names = []
-        for s in self.stages:
-            name = getattr(s, "__name__", None) or type(s).__name__
-            if name.startswith("stage_"):
-                name = name[len("stage_"):]
-            names.append(name)
-        return names
-
-    def describe(self) -> str:
-        return " -> ".join(self.stage_names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Pipeline {self.name or '?'}: {self.describe()}>"

@@ -4,10 +4,7 @@ The packet-level experiments allocate one :class:`~repro.net.packet.Packet`
 per transmission/replica — millions of short-lived objects whose
 allocation cost dominates once the scheduler is cheap.  Each
 :class:`~repro.net.simulator.Simulator` owns a :class:`SimPools`
-(``sim.pools``) holding the packet pool.  (A
-:class:`~repro.net.pipeline.PipelineContext` only exists while the
-``stage`` channel is tapped, where throughput is not the point, so it
-is not pooled.)
+(``sim.pools``) holding the packet pool.
 
 Lifecycle contract: packets may be retained by bus observers (the
 invariant monitor, the fuzzer's coverage map, chaos taps...), so

@@ -7,12 +7,11 @@ receive path consults through an ACL-style classifier, mirroring the
 paper's deployment ("legacy Ethernet switches ... configured with ACL
 rules to direct multicast traffic towards the FPGA board").
 
-The receive path is an explicit :class:`~repro.net.pipeline.Pipeline`
-of stages (PFC → loss → ACL classify → unicast forward); the ACL stage
-hands classified packets to the accelerator's own stage chain, which is
+The receive path is four steps of straight-line code (PFC → loss →
+ACL classify → unicast forward); the ACL step hands classified packets
+to :meth:`~repro.core.accelerator.CepheusAccelerator.process`, which is
 the paper's Fig. 7a sequence.  Cross-cutting consumers observe both
-chains through the simulator's single
-:class:`~repro.net.pipeline.ObserverBus`.
+through the simulator's single :class:`~repro.net.pipeline.ObserverBus`.
 
 Random packet discard for the loss-tolerance experiments (§V-C) is a
 per-switch knob, applied on ingress as in the paper ("emulated via
@@ -30,7 +29,6 @@ from repro import constants
 from repro.errors import RoutingError
 from repro.net.packet import Packet, PacketType
 from repro.net.pfc import PfcManager
-from repro.net.pipeline import STOP, Pipeline, PipelineContext
 from repro.net.port import Port
 from repro.net.simulator import Simulator
 
@@ -102,11 +100,6 @@ class Switch:
         self.forwarded = 0
         self.bus = sim.bus
         self._pkt_pool = sim.pools.pkt
-        self.pipeline = Pipeline(
-            [self.stage_pfc, self.stage_loss, self.stage_acl_classify,
-             self.stage_unicast_forward],
-            name=f"{name}.rx", bus=self.bus,
-        )
 
     # -- FIB management -------------------------------------------------------
 
@@ -133,20 +126,15 @@ class Switch:
             raise RoutingError(f"{self.name}: no route for dst {dst_ip}")
         return list(group)
 
-    # -- receive path: the ingress stage chain --------------------------------
+    # -- receive path ---------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: int) -> None:
-        if self.bus.stage:
-            # Someone taps per-stage verdicts (the fuzzer's coverage
-            # map): run the real Pipeline so every stage publishes.
-            self.pipeline.run(PipelineContext(pkt, in_port, self))
-            return
-        # No stage tap: inline the four-stage rx chain — same decisions,
-        # same RNG draws, same bus publications, no context object.
+        # Link-local PAUSE/RESUME frames never travel further.
         if pkt.ptype in _PAUSE_RESUME:
             self.pfc.handle_frame(pkt, in_port)
             self._pkt_pool.release(pkt)
             return
+        # Random ingress discard for the §V-C loss experiments.
         if self.config.loss_rate > 0.0 and self._should_randomly_drop(pkt):
             self.random_drops += 1
             bus = self.bus
@@ -154,6 +142,9 @@ class Switch:
                 bus.publish("drop", self, pkt, in_port, "random-loss")
             self._pkt_pool.release(pkt)
             return
+        # ACL redirect: the accelerator owns classified packets from here
+        # (it models the admission delay and, for look-aside deployments,
+        # the FPGA detour).
         accel = self.accelerator
         if accel is not None and accel.classify(pkt):
             bus = self.bus
@@ -161,44 +152,8 @@ class Switch:
                 bus.publish("classify", self, pkt, in_port)
             accel.process(pkt, in_port)
             return
+        # Default path: flow-hash ECMP forwarding via the FIB.
         self.emit(pkt, self.route_lookup(pkt), in_port)
-
-    def stage_pfc(self, ctx: PipelineContext):
-        """Link-local PAUSE/RESUME frames never travel further."""
-        if ctx.pkt.ptype in _PAUSE_RESUME:
-            self.pfc.handle_frame(ctx.pkt, ctx.in_port)
-            self._pkt_pool.release(ctx.pkt)
-            return STOP
-        return None
-
-    def stage_loss(self, ctx: PipelineContext):
-        """Random ingress discard for the §V-C loss experiments."""
-        if self._should_randomly_drop(ctx.pkt):
-            self.random_drops += 1
-            bus = self.bus
-            if bus.drop:
-                bus.publish("drop", self, ctx.pkt, ctx.in_port, "random-loss")
-            self._pkt_pool.release(ctx.pkt)
-            return STOP
-        return None
-
-    def stage_acl_classify(self, ctx: PipelineContext):
-        """ACL redirect: the accelerator owns classified packets from
-        here (its own stage chain models the admission delay and, for
-        look-aside deployments, the FPGA detour)."""
-        accel = self.accelerator
-        if accel is not None and accel.classify(ctx.pkt):
-            bus = self.bus
-            if bus.classify:
-                bus.publish("classify", self, ctx.pkt, ctx.in_port)
-            accel.process(ctx.pkt, ctx.in_port)
-            return STOP
-        return None
-
-    def stage_unicast_forward(self, ctx: PipelineContext):
-        """Default path: flow-hash ECMP forwarding via the FIB."""
-        self.emit(ctx.pkt, self.route_lookup(ctx.pkt), ctx.in_port)
-        return STOP
 
     def _should_randomly_drop(self, pkt: Packet) -> bool:
         rate = self.config.loss_rate

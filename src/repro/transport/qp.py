@@ -5,11 +5,13 @@ module holds the passive state types: the QP lifecycle states from the
 IB spec (collapsed to the ones the simulation distinguishes), the
 send-queue message records, and receive-side reassembly state.
 
-PSNs are modelled as unbounded integers rather than 24-bit wrapping
+PSNs are modelled as plain integers rather than 24-bit wrapping
 counters: no experiment in the paper sends anywhere near 2^24 packets
-per QP, and unbounded PSNs keep every min/ordering comparison in the
+per QP, and non-wrapping PSNs keep every min/ordering comparison in the
 Cepheus feedback aggregation trivially correct.  (A production switch
-implements the same comparisons with serial-number arithmetic.)
+implements the same comparisons with serial-number arithmetic.)  They
+are bounded all the same: ``RoceQP.post_send`` refuses a message that
+would pass :data:`repro.constants.PSN_SPACE`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro import constants
-from repro.errors import QPStateError, TransportError
+from repro.errors import PsnSpaceExhausted, QPStateError, TransportError
 from repro.net.nic import Nic
 from repro.net.packet import Packet, PacketType, RdmaOp
 from repro.net.simulator import Event, Simulator
@@ -188,6 +188,10 @@ class RoceQP:
             raise TransportError(f"invalid message size {size}")
         mtu = self.cfg.mtu
         npkts = (size + mtu - 1) // mtu
+        if self.sq_psn + npkts > constants.PSN_SPACE:
+            raise PsnSpaceExhausted(
+                f"QP {self.qpn}: {npkts} packet(s) from PSN {self.sq_psn} "
+                f"would pass the 24-bit PSN space; PSNs do not wrap here")
         msg = SendMessage(
             msg_id=next(_msg_ids), size=size, op=op,
             first_psn=self.sq_psn, last_psn=self.sq_psn + npkts - 1,

@@ -141,7 +141,7 @@ def test_campaign_clean_under_alternate_deployments(deployment):
 
 def test_source_routed_campaign_trial_covers_sp_forward():
     """Regression: a source-routed chaos trial must actually route
-    packets through the ``sp_forward`` stage — if the deployment knob
+    packets through the ``sp_forward`` step — if the deployment knob
     silently fell back to inline, the header-driven path would go
     untested by every campaign."""
     from repro.check import CoverageMap
@@ -158,9 +158,9 @@ def test_source_routed_campaign_trial_covers_sp_forward():
         t.run()
         assert t.sweep() == []
     assert len(done) == cfg.messages
+    assert sum(a.sr_header_hits
+               for a in t.cluster.fabric.accelerators.values()) > 0
     keys = cov.to_list()
-    assert any(k.startswith("stage/source_routed/accel/sp_forward/")
-               for k in keys), keys
     # and none of the coverage claims a different deployment ran
     assert all("/inline/" not in k and "/lookaside/" not in k
                for k in keys)

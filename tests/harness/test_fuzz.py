@@ -133,9 +133,9 @@ def test_clean_trial_passes_both_oracles_across_deployments():
     for dep in rec["deployments"]:
         assert dep["completed"] == 2
         assert dep["source_idle"]
-    # coverage spans all three deployments' stage keys
+    # coverage spans all three deployments
     for dep in ("inline", "lookaside", "source_routed"):
-        assert any(k.startswith(f"stage/{dep}/") for k in rec["coverage"])
+        assert any(k.startswith(f"fb/{dep}/") for k in rec["coverage"])
         assert any(k.startswith(f"trans/{dep}/") for k in rec["coverage"])
 
 
@@ -221,13 +221,13 @@ def test_checked_in_corpus_replays_clean_and_deterministically():
     r1 = replay_corpus(dirpath)
     assert r1["inputs"] > 0
     assert r1["failing"] == []
-    # Pinned: the digest covers every stage verdict, bus transition and
-    # feedback decision the 11 inputs reach, so a refactor that perturbs
+    # Pinned: the digest covers every bus transition, feedback decision
+    # and drop reason the 11 inputs reach, so a refactor that perturbs
     # event order fails here.  Re-pin only with a deliberate corpus or
     # protocol change.
-    assert (r1["inputs"], r1["coverage_keys"]) == (11, 190)
+    assert (r1["inputs"], r1["coverage_keys"]) == (11, 140)
     assert r1["coverage_signature"] == (
-        "8c1f3c5e557eca387db143278f1645ce975cf269a7c4425d497ecf25e4966a71")
+        "d99e72f3ead75e6a305cdacb24d5333d9a691a1c6324c937a6826a493171a1b7")
     r2 = replay_corpus(dirpath)
     assert r1["coverage_signature"] == r2["coverage_signature"]
 

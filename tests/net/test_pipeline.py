@@ -1,4 +1,4 @@
-"""ObserverBus + Pipeline unit tests.
+"""ObserverBus unit tests.
 
 The bus is the single cross-cutting observation mechanism of the
 datapath, so its contract is pinned here: registration is idempotent
@@ -12,8 +12,7 @@ import time
 
 import pytest
 
-from repro.net.pipeline import DEFER, STOP, ObserverBus, Pipeline, PipelineContext
-from repro.net.simulator import Simulator
+from repro.net.pipeline import ObserverBus
 
 
 # ---------------------------------------------------------------------------
@@ -181,123 +180,6 @@ class TestIsolation:
         bus.subscribe("drop", strict)  # re-attached as an isolated observer
         bus.publish("drop")  # must not raise
         assert len(bus.errors) == 1
-
-
-# ---------------------------------------------------------------------------
-# pipeline control flow
-# ---------------------------------------------------------------------------
-
-class TestPipeline:
-    def test_stop_halts_the_chain(self):
-        ran = []
-
-        def a(ctx):
-            ran.append("a")
-
-        def b(ctx):
-            ran.append("b")
-            return STOP
-
-        def c(ctx):
-            ran.append("c")
-
-        p = Pipeline([a, b, c], name="t")
-        verdict = p.run(PipelineContext("pkt", 0))
-        assert verdict is STOP
-        assert ran == ["a", "b"]
-
-    def test_defer_resumes_after_the_deferring_stage(self):
-        sim = Simulator()
-        ran = []
-
-        def a(ctx):
-            ran.append("a")
-
-        def delay(ctx):
-            ran.append("delay")
-            sim.schedule(1e-6, p.resume, ctx)
-            return DEFER
-
-        def c(ctx):
-            ran.append("c")
-            return STOP
-
-        p = Pipeline([a, delay, c], name="t")
-        assert p.run(PipelineContext("pkt", 0)) is DEFER
-        assert ran == ["a", "delay"]
-        sim.run()
-        assert ran == ["a", "delay", "c"]
-
-    def test_describe_strips_stage_prefixes(self):
-        def stage_admit(ctx):
-            return None
-
-        def stage_bridge(ctx):
-            return STOP
-
-        p = Pipeline([stage_admit, stage_bridge], name="x")
-        assert p.stage_names() == ["admit", "bridge"]
-        assert p.describe() == "admit -> bridge"
-
-
-# ---------------------------------------------------------------------------
-# the stage verdict tap (coverage-guided fuzzing feed)
-# ---------------------------------------------------------------------------
-
-class TestStageTap:
-    def _chain(self, bus):
-        def stage_admit(ctx):
-            return None
-
-        def stage_halt(ctx):
-            return STOP
-
-        def stage_never(ctx):  # pragma: no cover - halted before
-            return None
-
-        return Pipeline([stage_admit, stage_halt, stage_never],
-                        name="sw0.rx", bus=bus)
-
-    def test_stage_channel_publishes_name_and_verdict(self):
-        bus = ObserverBus()
-        got = []
-        bus.subscribe("stage", lambda p, name, v: got.append((p.name, name, v)))
-        p = self._chain(bus)
-        assert p.run(PipelineContext("pkt", 0)) is STOP
-        assert got == [("sw0.rx", "admit", None), ("sw0.rx", "halt", STOP)]
-
-    def test_no_subscriber_means_no_publication(self):
-        bus = ObserverBus()
-        p = self._chain(bus)
-        # no stage subscriber: the fast loop runs; arm one afterwards
-        assert p.run(PipelineContext("pkt", 0)) is STOP
-        got = []
-        bus.subscribe("stage", lambda *a: got.append(a))
-        p.run(PipelineContext("pkt", 0))
-        assert len(got) == 2
-
-    def test_busless_pipeline_still_runs(self):
-        p = Pipeline([lambda ctx: STOP], name="bare")
-        assert p.run(PipelineContext("pkt", 0)) is STOP
-
-    def test_defer_verdict_reaches_the_tap(self):
-        sim = Simulator()
-        bus = ObserverBus()
-        verdicts = []
-        bus.subscribe("stage", lambda p, n, v: verdicts.append((n, v)))
-
-        def stage_wait(ctx):
-            sim.schedule(1e-6, p.resume, ctx)
-            return DEFER
-
-        def stage_done(ctx):
-            return STOP
-
-        p = Pipeline([stage_wait, stage_done], name="sw0.accel[inline]",
-                     bus=bus)
-        p.run(PipelineContext("pkt", 0))
-        sim.run()
-        assert verdicts == [("wait", DEFER), ("done", STOP)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,6 @@ class TestParser:
         defaults = parser.parse_args(["bench", "compare", "a.json", "b.json"])
         assert defaults.check_events is False
 
-    def test_pipeline_subcommand_registered(self):
-        args = build_parser().parse_args(
-            ["pipeline", "dump", "--deployment", "lookaside"])
-        assert callable(args.fn) and args.deployment == "lookaside"
-
 
 class TestCommands:
     def test_info_prints_constants(self, capsys):
@@ -73,36 +68,3 @@ class TestCommands:
         assert main(["experiments", "--only", "fig99"]) == 2
         assert "unknown experiments" in capsys.readouterr().err
 
-    def test_pipeline_dump_inline(self, capsys):
-        assert main(["pipeline", "dump"]) == 0
-        out = capsys.readouterr().out
-        assert "rx: pfc -> loss -> acl_classify -> unicast_forward" in out
-        assert ("accel[inline]: admit -> mrp -> mft_lookup -> reduce -> "
-                "track_source -> replicate -> bridge -> feedback") in out
-        assert "lookaside_detour" not in out
-
-    def test_pipeline_dump_lookaside_has_detour_stage(self, capsys):
-        assert main(["pipeline", "dump", "--deployment", "lookaside"]) == 0
-        out = capsys.readouterr().out
-        assert "admit -> lookaside_detour -> mrp" in out
-
-    def test_pipeline_dump_source_routed_has_sp_forward(self, capsys):
-        assert main(["pipeline", "dump", "--deployment",
-                     "source_routed"]) == 0
-        out = capsys.readouterr().out
-        assert ("accel[source_routed]: admit -> mrp -> sp_forward -> "
-                "mft_lookup") in out
-
-    def test_pipeline_dump_unknown_deployment_clean_error(self, capsys):
-        assert main(["pipeline", "dump", "--deployment", "quantum"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown deployment 'quantum'" in err
-        assert "inline, lookaside, source_routed" in err
-
-    def test_pipeline_dump_switch_filter(self, capsys):
-        assert main(["pipeline", "dump", "--topo", "fat_tree",
-                     "--switch", "core0"]) == 0
-        out = capsys.readouterr().out
-        assert "core0" in out and "edge0_0" not in out
-        assert main(["pipeline", "dump", "--switch", "nope"]) == 2
-        assert "no switch 'nope'" in capsys.readouterr().err

@@ -50,3 +50,25 @@ class TestPackageSurface:
             if not (mod.__doc__ or "").strip():
                 missing.append(info.name)
         assert missing == []
+
+
+class TestCiWorkflow:
+    def test_workflow_parses_and_names_paths_that_exist(self):
+        """The workflow is YAML a parser accepts, and every ``run:``
+        step that names a repository path names one that exists (a
+        renamed suite must be renamed here too)."""
+        import re
+        from pathlib import Path
+
+        import pytest
+        yaml = pytest.importorskip("yaml")
+
+        root = Path(__file__).parents[1]
+        doc = yaml.safe_load(
+            (root / ".github" / "workflows" / "ci.yml").read_text())
+        runs = [step["run"] for job in doc["jobs"].values()
+                for step in job["steps"] if "run" in step]
+        named = {path for run in runs for path in re.findall(
+            r"(?<![\w/.-])(?:tests|perfbench|benchmarks)/[\w/.-]+", run)}
+        assert any(p.startswith("tests/") for p in named)
+        assert [p for p in sorted(named) if not (root / p).exists()] == []

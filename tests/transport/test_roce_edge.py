@@ -3,6 +3,7 @@
 import pytest
 
 from repro import constants
+from repro.errors import PsnSpaceExhausted, TransportError
 from repro.net import Simulator, SwitchConfig, star
 from repro.net.packet import Packet, PacketType
 from repro.transport import RoceConfig, VerbsContext
@@ -110,3 +111,24 @@ class TestAckCoalesceBoundaries:
         expected = npkts // 4 + (1 if npkts % 4 else 0)
         assert qb.acks_sent == expected
         assert qa.send_idle
+
+
+class TestPsnSpace:
+    def test_last_fitting_message_accepted_then_refused(self):
+        """PSNs do not wrap in this model (docs/PROTOCOL.md): the QP
+        sends up to the last 24-bit PSN and refuses to go past it."""
+        sim, qa, qb, _ = make_pair()
+        base = constants.PSN_SPACE - 3
+        qa.sq_psn = qa.snd_una = qa.snd_nxt = base
+        qb.resync_rx(base)
+        got = []
+        qb.on_message = lambda mid, size, now, meta: got.append(size)
+        with pytest.raises(PsnSpaceExhausted):
+            qa.post_send(4 * constants.MTU_BYTES)   # one packet too many
+        assert qa.sq_psn == base                     # refused whole
+        qa.post_send(3 * constants.MTU_BYTES)        # ends on PSN 2^24 - 1
+        sim.run()
+        assert got == [3 * constants.MTU_BYTES] and qa.send_idle
+        assert qa.sq_psn == constants.PSN_SPACE
+        with pytest.raises(TransportError, match="do not wrap"):
+            qa.post_send(1)
