@@ -65,12 +65,16 @@ skipped — the ablation benches *exist* to demonstrate those violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.mft import NO_ACK, Mft
 from repro.errors import ReproError
 from repro.net.packet import Packet, PacketType
+
+# Bound once: a read through the enum class is a descriptor call.
+_DATA, _ACK = PacketType.DATA, PacketType.ACK
+_NACK, _CNP = PacketType.NACK, PacketType.CNP
 
 __all__ = ["InvariantMonitor", "InvariantViolationError", "Violation"]
 
@@ -108,6 +112,56 @@ def _min_downstream(mft: Mft) -> Optional[int]:
     return best
 
 
+def _mft_clean(mft: Mft, sw, epochs: Dict[Mft, int]) -> bool:
+    """True only when no ``mft-*`` rule of
+    :meth:`InvariantMonitor._check_mft` (``expect_connected=False``) can
+    fire — proven from the MFT's own fields on every call, never from a
+    dirty bit or an event.  May say False for a clean MFT, never True for
+    a dirty one.  Records the epoch it vouched for in ``epochs``."""
+    index = mft.path_index
+    members = mft.port_members
+    member_port = mft.member_port
+    agg = mft.agg_ack_psn
+    ack_out = mft.ack_out_port
+    n_rows = n_members = 0
+    try:
+        for e in mft.path_table:
+            n_rows += 1
+            port = e.port
+            # Row i sits in slot e.port alone (a negative port must not
+            # wrap onto one): no duplicate, bad or mis-indexed port, and
+            # so no radix overflow either.
+            if port < 0 or index[port] != n_rows:
+                return False
+            if e.is_host and (sw.port_kind[port] != "host" or (
+                    members and e.dst_ip
+                    and e.dst_ip not in members[port])):
+                return False
+            if e.ack_psn < agg and port != ack_out:
+                return False
+        # As many non-zero slots as rows: none dangles, none is stray.
+        if (index.count(0) != sw.n_ports - n_rows
+                or ack_out is not None and not index[ack_out]):
+            return False
+        # Every member of a tree port's set is indexed to that port, and
+        # member_port holds nothing else: it is exactly the sets' union.
+        for port, ips in members.items():
+            if ips and not index[port]:
+                return False
+            for ip in ips:
+                if member_port[ip] != port:
+                    return False
+                n_members += 1
+        if n_members != len(member_port):
+            return False
+    except (IndexError, KeyError):
+        return False
+    if mft.epoch < epochs.get(mft, 0):
+        return False
+    epochs[mft] = mft.epoch
+    return True
+
+
 def _merge_ranges(ranges) -> List[Tuple[int, int]]:
     """Independent (offset, length) range union — the monitor must not
     trust :func:`repro.transport.spray.merge_ranges`, which is part of
@@ -136,19 +190,21 @@ class InvariantMonitor:
         self.violations: List[Violation] = []
         self.events_checked = 0
         self._now = 0.0
+        # History is keyed by the object, never ``id()``: the key pins it,
+        # so a freed address cannot hand its history to a newcomer.
         # sender side: per-QP high-water mark of transmitted PSNs
-        self._tx_hi: Dict[int, int] = {}
+        self._tx_hi: Dict[object, int] = {}
         # receiver side: per-QP last delivered PSN + completed msg ids
-        self._rx_last: Dict[int, int] = {}
-        self._rx_msgs: Dict[int, Set[int]] = {}
-        self._qp_names: Dict[int, str] = {}
+        self._rx_last: Dict[object, int] = {}
+        self._rx_msgs: Dict[object, Set[int]] = {}
+        self._qp_names: Dict[object, str] = {}
         # per-MFT last aggregated ACK observed on the wire
-        self._agg_seen: Dict[int, int] = {}
+        self._agg_seen: Dict[Mft, int] = {}
         # per-MFT highest membership epoch observed (must not regress)
-        self._mft_epoch: Dict[int, int] = {}
+        self._mft_epoch: Dict[Mft, int] = {}
         # per-spray primary (non-respray) lane segments: (sprayer, sid)
         # -> [(offset, length, lane)]
-        self._spray_primary: Dict[Tuple[int, int],
+        self._spray_primary: Dict[Tuple[object, int],
                                   List[Tuple[int, int, int]]] = {}
         self._fabrics: List[object] = []
         # Every bus subscription this monitor made, for symmetric detach.
@@ -179,7 +235,7 @@ class InvariantMonitor:
         self._subscribe(qp.bus, "qp_send", self.on_qp_send)
         self._subscribe(qp.bus, "deliver", self.on_qp_deliver)
         self._subscribe(qp.bus, "membership_epoch", self.on_membership_epoch)
-        self._qp_names[id(qp)] = f"{qp.nic.name}:qp{qp.qpn:#x}"
+        self._qp_names[qp] = f"{qp.nic.name}:qp{qp.qpn:#x}"
 
     def attach_fabric(self, fabric) -> None:
         for accel in fabric.accelerators.values():
@@ -256,26 +312,24 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
 
     def _qp_name(self, qp) -> str:
-        key = id(qp)
-        name = self._qp_names.get(key)
+        name = self._qp_names.get(qp)
         if name is None:
-            name = self._qp_names[key] = f"{qp.nic.name}:qp{qp.qpn:#x}"
+            name = self._qp_names[qp] = f"{qp.nic.name}:qp{qp.qpn:#x}"
         return name
 
     def on_qp_send(self, qp, pkt: Packet) -> None:
         self._now = qp.sim.now
         self.events_checked += 1
-        if pkt.ptype != PacketType.DATA:
+        if pkt.ptype != _DATA:
             return
-        key = id(qp)
-        hi = self._tx_hi.get(key)
+        hi = self._tx_hi.get(qp)
         if hi is None:
             # First observed transmission sets the base: QPs begin at a
             # synchronized stream position (0, or rqPSN after a §III-E
             # source switch), either is legitimate.
-            self._tx_hi[key] = pkt.psn
+            self._tx_hi[qp] = pkt.psn
             return
-        if pkt.psn > hi + 1 and self._rx_last.get(key, -1) < pkt.psn - 1:
+        if pkt.psn > hi + 1 and self._rx_last.get(qp, -1) < pkt.psn - 1:
             # Multicast QPs share one bridged PSN stream (§III-E): a QP
             # that *delivered* PSNs while another member was source may
             # legitimately resume sending above its own tx high-water.
@@ -285,7 +339,7 @@ class InvariantMonitor:
                        f"DATA psn {pkt.psn} transmitted but {hi + 1}.."
                        f"{pkt.psn - 1} never were (skipped PSN)")
         if pkt.psn > hi:
-            self._tx_hi[key] = pkt.psn
+            self._tx_hi[qp] = pkt.psn
 
     def on_membership_epoch(self, qp, epoch: int) -> None:
         """A membership change re-based this QP's stream position
@@ -294,21 +348,19 @@ class InvariantMonitor:
         not flagged — completed message ids are kept: exactly-once
         delivery spans epochs."""
         self.events_checked += 1
-        key = id(qp)
-        self._tx_hi.pop(key, None)
-        self._rx_last.pop(key, None)
+        self._tx_hi.pop(qp, None)
+        self._rx_last.pop(qp, None)
 
     def on_qp_deliver(self, qp, pkt: Packet) -> None:
         self._now = qp.sim.now
         self.events_checked += 1
-        key = id(qp)
-        last = self._rx_last.get(key)
+        last = self._rx_last.get(qp)
         if last is not None:
             if pkt.psn <= last:
                 self._flag("duplicate-delivery", self._qp_name(qp),
                            f"psn {pkt.psn} delivered again (last={last})")
             elif (pkt.psn != last + 1
-                  and self._tx_hi.get(key, -1) < pkt.psn - 1):
+                  and self._tx_hi.get(qp, -1) < pkt.psn - 1):
                 # Mirror of the send-side exemption: the stretch a QP
                 # transmitted as source never arrives on its own receive
                 # side, so its delivery stream resumes above it.
@@ -316,9 +368,9 @@ class InvariantMonitor:
                            f"psn {pkt.psn} delivered after {last} "
                            f"(gap of {pkt.psn - last - 1})")
         if last is None or pkt.psn > last:
-            self._rx_last[key] = pkt.psn
+            self._rx_last[qp] = pkt.psn
         if pkt.last:
-            done = self._rx_msgs.setdefault(key, set())
+            done = self._rx_msgs.setdefault(qp, set())
             if pkt.msg_id in done:
                 self._flag("duplicate-message", self._qp_name(qp),
                            f"message {pkt.msg_id} completed twice")
@@ -342,7 +394,7 @@ class InvariantMonitor:
             # A failover respray deliberately re-covers a dead lane's
             # bytes; only primary shares must partition the message.
             return
-        segs = self._spray_primary.setdefault((id(sprayer), sid), [])
+        segs = self._spray_primary.setdefault((sprayer, sid), [])
         for o, l, ln in segs:
             if offset < o + l and o < offset + length:
                 self._flag("path-lane-psn-overlap", where,
@@ -371,17 +423,17 @@ class InvariantMonitor:
         where = f"mft {mft.mcst_id:#x}"
         m_true = _min_downstream(mft)
         for ptype, psn in emits:
-            if ptype == PacketType.ACK:
+            if ptype == _ACK:
                 if m_true is None or psn > m_true:
                     self._flag("ack-overclaim", where,
                                f"aggregated ACK({psn}) emitted but min "
                                f"downstream AckPSN is {m_true}")
-                prev = self._agg_seen.get(id(mft))
+                prev = self._agg_seen.get(mft)
                 if prev is not None and psn < prev:
                     self._flag("ack-regression", where,
                                f"aggregated ACK({psn}) after ACK({prev})")
-                self._agg_seen[id(mft)] = psn
-            elif ptype == PacketType.NACK:
+                self._agg_seen[mft] = psn
+            elif ptype == _NACK:
                 if engine.cfg.nack_aggregation:
                     lagging = [e.port for e in mft.path_table
                                if e.port != mft.ack_out_port
@@ -391,7 +443,7 @@ class InvariantMonitor:
                             "nack-covers-loss", where,
                             f"NACK({psn}) forwarded while ports {lagging} "
                             f"have not acknowledged below it (MePSN rule)")
-            elif ptype == PacketType.CNP:
+            elif ptype == _CNP:
                 if engine.cfg.cnp_filter:
                     counts = mft.cnp_counters
                     if in_port != mft.cnp_max_port:
@@ -455,90 +507,109 @@ class InvariantMonitor:
         sit on a live link — call this after all failures are repaired.
         ``injector`` (a :class:`FailureInjector`) lets the sweep verify
         the injector's own severed-link bookkeeping too.
+
+        Every MFT is walked on every sweep; :meth:`_check_mft`, the only
+        place an ``mft-*`` violation is worded, runs for those
+        :func:`_mft_clean` cannot vouch for, in (switch, McstID) order.
         """
-        for name, accel in sorted(fabric.accelerators.items()):
+        epochs = self._mft_epoch
+        n_live = 0
+        suspects = []
+        for name, accel in fabric.accelerators.items():
             sw = accel.switch
+            n_live += len(accel.table)
             for mcst_id, mft in accel.table.items():
-                where = f"{name}/mft {mcst_id:#x}"
-                rows = mft.path_table
-                if len(rows) > sw.n_ports:
-                    self._flag("mft-radix", where,
-                               f"{len(rows)} paths exceed radix {sw.n_ports}")
-                seen_ports: Set[int] = set()
-                for i, e in enumerate(rows):
-                    if e.port in seen_ports:
-                        self._flag("mft-duplicate-port", where,
-                                   f"port {e.port} appears twice in the "
-                                   f"path table")
-                    seen_ports.add(e.port)
-                    if not (0 <= e.port < sw.n_ports):
-                        self._flag("mft-bad-port", where,
-                                   f"path row {i} references port {e.port}")
-                        continue
-                    if mft.path_index[e.port] != i + 1:
-                        self._flag("mft-index-mismatch", where,
-                                   f"path_index[{e.port}] = "
-                                   f"{mft.path_index[e.port]}, row is {i}")
-                    if e.is_host and not sw.is_host_port(e.port):
-                        self._flag("mft-bridging-port", where,
-                                   f"host-facing entry on non-host port "
-                                   f"{e.port}")
-                    if expect_connected and not sw.ports[e.port].connected:
-                        self._flag("mft-severed-path", where,
-                                   f"MDT port {e.port} has no live link")
-                for port, idx in enumerate(mft.path_index):
-                    if idx and not (1 <= idx <= len(rows)):
-                        self._flag("mft-dangling-index", where,
-                                   f"path_index[{port}] = {idx} but table "
-                                   f"has {len(rows)} rows")
-                if (mft.ack_out_port is not None
-                        and not mft.has_port(mft.ack_out_port)):
-                    self._flag("mft-ackout-unknown", where,
-                               f"AckOutPort {mft.ack_out_port} is not a "
-                               f"tree port")
-                m = _min_downstream(mft)
-                if (m is not None and mft.agg_ack_psn != NO_ACK
-                        and mft.agg_ack_psn > m):
-                    self._flag("mft-agg-above-min", where,
-                               f"AggAckPSN {mft.agg_ack_psn} above min "
-                               f"downstream AckPSN {m}")
-                prev_epoch = self._mft_epoch.get(id(mft))
-                if prev_epoch is not None and mft.epoch < prev_epoch:
-                    self._flag("mft-epoch-regression", where,
-                               f"membership epoch went backwards: "
-                               f"{prev_epoch} -> {mft.epoch}")
-                self._mft_epoch[id(mft)] = max(prev_epoch or 0, mft.epoch)
-                for port, members in mft.port_members.items():
-                    if members and not mft.has_port(port):
-                        self._flag("mft-member-orphan", where,
-                                   f"port {port} serves members "
-                                   f"{sorted(members)} but has no path "
-                                   f"entry")
-                if mft.port_members:
-                    for e in rows:
-                        if (e.is_host and e.dst_ip
-                                and e.dst_ip not in
-                                mft.port_members.get(e.port, ())):
-                            self._flag("mft-member-orphan", where,
-                                       f"host entry for {e.dst_ip} on port "
-                                       f"{e.port} has no member-set record")
-                # The member->port reverse index must mirror port_members
-                # exactly — a stale index entry would mis-route a later
-                # LEAVE/PRUNE to the wrong path.
-                flat = {ip: port for port, members in
-                        mft.port_members.items() for ip in members}
-                if mft.member_port != flat:
-                    only_idx = set(mft.member_port) - set(flat)
-                    only_set = set(flat) - set(mft.member_port)
-                    wrong = {ip for ip in set(flat) & set(mft.member_port)
-                             if flat[ip] != mft.member_port[ip]}
-                    self._flag("mft-member-index-divergence", where,
-                               f"member_port out of sync: index-only="
-                               f"{sorted(only_idx)} set-only="
-                               f"{sorted(only_set)} wrong-port="
-                               f"{sorted(wrong)}")
+                if expect_connected or not _mft_clean(mft, sw, epochs):
+                    suspects.append((name, mcst_id, sw, mft))
+        for name, mcst_id, sw, mft in sorted(suspects):  # keys never tie
+            self._check_mft(f"{name}/mft {mcst_id:#x}", sw, mft,
+                            expect_connected)
+        # Every MFT walked now has an epoch on record; any record beyond
+        # those pins an MFT no table of this or an attached fabric holds.
+        if len(epochs) > n_live or not self._agg_seen.keys() <= epochs.keys():
+            live = {mft for f in (fabric, *self._fabrics)
+                    for accel in f.accelerators.values()
+                    for _, mft in accel.table.items()}
+            for hist in (self._agg_seen, epochs):
+                for mft in [m for m in hist if m not in live]:
+                    del hist[mft]
         if injector is not None:
             self._check_injector(injector)
+
+    def _check_mft(self, where: str, sw, mft: Mft,
+                   expect_connected: bool) -> None:
+        """Every ``mft-*`` rule on one MFT."""
+        rows = mft.path_table
+        if len(rows) > sw.n_ports:
+            self._flag("mft-radix", where,
+                       f"{len(rows)} paths exceed radix {sw.n_ports}")
+        seen_ports: Set[int] = set()
+        for i, e in enumerate(rows):
+            if e.port in seen_ports:
+                self._flag("mft-duplicate-port", where,
+                           f"port {e.port} appears twice in the path table")
+            seen_ports.add(e.port)
+            if not (0 <= e.port < sw.n_ports):
+                self._flag("mft-bad-port", where,
+                           f"path row {i} references port {e.port}")
+                continue
+            if mft.path_index[e.port] != i + 1:
+                self._flag("mft-index-mismatch", where,
+                           f"path_index[{e.port}] = "
+                           f"{mft.path_index[e.port]}, row is {i}")
+            if e.is_host and not sw.is_host_port(e.port):
+                self._flag("mft-bridging-port", where,
+                           f"host-facing entry on non-host port {e.port}")
+            if expect_connected and not sw.ports[e.port].connected:
+                self._flag("mft-severed-path", where,
+                           f"MDT port {e.port} has no live link")
+        for port, idx in enumerate(mft.path_index):
+            if idx and not (1 <= idx <= len(rows)):
+                self._flag("mft-dangling-index", where,
+                           f"path_index[{port}] = {idx} but table has "
+                           f"{len(rows)} rows")
+        if (mft.ack_out_port is not None
+                and not mft.has_port(mft.ack_out_port)):
+            self._flag("mft-ackout-unknown", where,
+                       f"AckOutPort {mft.ack_out_port} is not a tree port")
+        m = _min_downstream(mft)
+        if (m is not None and mft.agg_ack_psn != NO_ACK
+                and mft.agg_ack_psn > m):
+            self._flag("mft-agg-above-min", where,
+                       f"AggAckPSN {mft.agg_ack_psn} above min "
+                       f"downstream AckPSN {m}")
+        prev_epoch = self._mft_epoch.get(mft)
+        if prev_epoch is not None and mft.epoch < prev_epoch:
+            self._flag("mft-epoch-regression", where,
+                       f"membership epoch went backwards: "
+                       f"{prev_epoch} -> {mft.epoch}")
+        self._mft_epoch[mft] = max(prev_epoch or 0, mft.epoch)
+        for port, members in mft.port_members.items():
+            if members and not mft.has_port(port):
+                self._flag("mft-member-orphan", where,
+                           f"port {port} serves members {sorted(members)} "
+                           f"but has no path entry")
+        if mft.port_members:
+            for e in rows:
+                if (e.is_host and e.dst_ip and e.dst_ip
+                        not in mft.port_members.get(e.port, ())):
+                    self._flag("mft-member-orphan", where,
+                               f"host entry for {e.dst_ip} on port "
+                               f"{e.port} has no member-set record")
+        # The member->port reverse index must mirror port_members
+        # exactly — a stale index entry would mis-route a later
+        # LEAVE/PRUNE to the wrong path.
+        flat = {ip: port for port, members in
+                mft.port_members.items() for ip in members}
+        if mft.member_port != flat:
+            only_idx = set(mft.member_port) - set(flat)
+            only_set = set(flat) - set(mft.member_port)
+            wrong = {ip for ip in set(flat) & set(mft.member_port)
+                     if flat[ip] != mft.member_port[ip]}
+            self._flag("mft-member-index-divergence", where,
+                       f"member_port out of sync: index-only="
+                       f"{sorted(only_idx)} set-only={sorted(only_set)} "
+                       f"wrong-port={sorted(wrong)}")
 
     def _check_injector(self, injector) -> None:
         """The injector's severed map must mirror the port state."""

@@ -22,7 +22,7 @@ alongside the MFT in the accelerator's BRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, ItemsView, Iterator, List, Optional, Set
 
 from repro import constants
 from repro.errors import GroupError, RegistrationError
@@ -246,10 +246,11 @@ class MftTable:
     def remove(self, mcst_id: int) -> None:
         self._tables.pop(mcst_id, None)
 
-    def items(self) -> "List[tuple[int, Mft]]":
-        """(McstID, Mft) pairs in deterministic McstID order — the
-        iteration surface the InvariantMonitor's consistency sweeps use."""
-        return sorted(self._tables.items())
+    def items(self) -> "ItemsView[int, Mft]":
+        """Live (McstID, Mft) view in registration order — the iteration
+        surface the InvariantMonitor's consistency sweeps use.  A reader
+        that needs McstID order sorts what it keeps."""
+        return self._tables.items()
 
     def __len__(self) -> int:
         return len(self._tables)

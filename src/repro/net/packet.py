@@ -45,6 +45,16 @@ class RdmaOp(enum.IntEnum):
     WRITE = 1
 
 
+# Bound once: a read through the enum class is a descriptor call, and
+# ``_wire_size`` made up to ten of them per feedback or MRP packet.
+_DATA = PacketType.DATA
+_FEEDBACK = (PacketType.ACK, PacketType.NACK)
+_CNP = PacketType.CNP
+_PFC = (PacketType.PAUSE, PacketType.RESUME)
+_MRP = (PacketType.MRP, PacketType.MRP_CONFIRM)
+_WRITE = RdmaOp.WRITE
+
+
 def is_multicast_ip(ip: int) -> bool:
     """True when ``ip`` is a McstID (reserved multicast range)."""
     return ip >= constants.MCSTID_BASE
@@ -112,8 +122,8 @@ class Packet:
         # least once, so the lazy memo always paid this exact cost — and
         # paying it here lets the per-hop paths read the ``_ws`` slot
         # directly instead of going through the property.
-        if ptype == PacketType.DATA:
-            extra = 16 if (op == RdmaOp.WRITE and first) else 0
+        if ptype == _DATA:
+            extra = 16 if (op == _WRITE and first) else 0
             if sr is not None:
                 extra += sr.header_bytes
             self._ws = payload + constants.HEADER_BYTES + extra
@@ -140,18 +150,18 @@ class Packet:
 
     def _wire_size(self) -> int:
         t = self.ptype
-        if t == PacketType.DATA:
-            extra = 16 if (self.op == RdmaOp.WRITE and self.first) else 0
+        if t == _DATA:
+            extra = 16 if (self.op == _WRITE and self.first) else 0
             if self.sr is not None:
                 extra += self.sr.header_bytes
             return self.payload + constants.HEADER_BYTES + extra
-        if t in (PacketType.ACK, PacketType.NACK):
+        if t in _FEEDBACK:
             return constants.ACK_BYTES
-        if t == PacketType.CNP:
+        if t == _CNP:
             return constants.CNP_BYTES
-        if t in (PacketType.PAUSE, PacketType.RESUME):
+        if t in _PFC:
             return 64
-        if t in (PacketType.MRP, PacketType.MRP_CONFIRM):
+        if t in _MRP:
             return min(constants.MRP_MTU_BYTES, 64 + self.payload)
         return 64 + self.payload
 

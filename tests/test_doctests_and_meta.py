@@ -72,3 +72,39 @@ class TestCiWorkflow:
             r"(?<![\w/.-])(?:tests|perfbench|benchmarks)/[\w/.-]+", run)}
         assert any(p.startswith("tests/") for p in named)
         assert [p for p in sorted(named) if not (root / p).exists()] == []
+
+
+class TestOracleIndependence:
+    """``check/invariants.py`` re-derives what it checks.  It may read the
+    state the datapath keeps (``Mft`` fields, packets); it may not import
+    the feedback engine or the transport, nor call the helpers they
+    decide with — an oracle that shares code with the machinery under
+    test agrees with its bugs.  The names are parsed, not grepped, so the
+    docstrings that explain the rule do not trip it."""
+
+    FORBIDDEN_MODULES = ("repro.core.feedback", "repro.transport")
+    FORBIDDEN_NAMES = {"min_ack_psn", "min_port", "merge_ranges",
+                       "reevaluate", "iter_downstream"}
+
+    def test_the_monitor_shares_no_code_with_what_it_checks(self):
+        import ast
+        from pathlib import Path
+
+        from repro.check import invariants
+
+        tree = ast.parse(Path(invariants.__file__).read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        assert [m for m in sorted(imported) if any(
+            m == f or m.startswith(f + ".")
+            for f in self.FORBIDDEN_MODULES)] == []
+        assert sorted(used & self.FORBIDDEN_NAMES) == []
