@@ -35,6 +35,13 @@ from repro.net.pipeline import ObserverBus
 
 __all__ = ["PacketPool", "SimPools", "DebugPacketPool", "PoolError"]
 
+# Hot-path constants: one global load instead of a class-attribute chain
+# per acquired packet.
+_DATA = PacketType.DATA
+_CNP = PacketType.CNP
+_SEND = RdmaOp.SEND
+_WRITE = RdmaOp.WRITE
+
 
 class PoolError(AssertionError):
     """A pool-hygiene invariant was violated (debug pools only)."""
@@ -84,7 +91,7 @@ class PacketPool:
             pkt = Packet.__new__(Packet)
             self.created += 1
         pkt.pid = next(_packet_ids)
-        pkt.ptype = PacketType.DATA
+        pkt.ptype = _DATA
         pkt.src_ip = src_ip
         pkt.dst_ip = dst_ip
         pkt.src_qp = src_qp
@@ -105,7 +112,7 @@ class PacketPool:
         pkt.sr = None
         pkt.hops = 0
         pkt._ws = payload + constants.HEADER_BYTES + (
-            16 if (first and op == RdmaOp.WRITE) else 0)
+            16 if (first and op == _WRITE) else 0)
         return pkt
 
     def acquire_fb(self, ptype, src_ip, dst_ip, src_qp, dst_qp, psn,
@@ -126,7 +133,7 @@ class PacketPool:
         pkt.dst_qp = dst_qp
         pkt.psn = psn
         pkt.payload = 0
-        pkt.op = RdmaOp.SEND
+        pkt.op = _SEND
         pkt.msg_id = 0
         pkt.first = False
         pkt.last = False
@@ -139,7 +146,7 @@ class PacketPool:
         pkt.meta = None
         pkt.sr = None
         pkt.hops = 0
-        pkt._ws = (constants.CNP_BYTES if ptype == PacketType.CNP
+        pkt._ws = (constants.CNP_BYTES if ptype == _CNP
                    else constants.ACK_BYTES)
         return pkt
 

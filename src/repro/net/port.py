@@ -163,9 +163,13 @@ class Port:
             self._busy = True
             sim = self.sim
             sim._seq += 1
-            heappush(sim._heap,
-                     [sim.now + size * 8.0 / self.bandwidth, sim._seq,
-                      self._on_tx_done, (pkt, in_port, size), False])
+            when = sim.now + size * 8.0 / self.bandwidth
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                bucket = sim._buckets[when] = []
+                heappush(sim._times, when)
+            bucket.append([when, sim._seq, self._on_tx_done,
+                           (pkt, in_port, size), False])
             return True
         if pkt.ptype == _DATA:
             self._maybe_mark_ecn(pkt)
@@ -195,15 +199,18 @@ class Port:
         if self._busy or self._paused or not self._queue:
             return
         # Queue entries are (pkt, in_port, size) — exactly _on_tx_done's
-        # argument tuple, so they ride into the heap entry unrepacked.
+        # argument tuple, so they ride into the event entry unrepacked.
         entry = self._queue.popleft()
         self._queued_bytes -= entry[2]
         self._busy = True
         sim = self.sim
         sim._seq += 1
-        heappush(sim._heap,
-                 [sim.now + entry[2] * 8.0 / self.bandwidth, sim._seq,
-                  self._on_tx_done, entry, False])
+        when = sim.now + entry[2] * 8.0 / self.bandwidth
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            bucket = sim._buckets[when] = []
+            heappush(sim._times, when)
+        bucket.append([when, sim._seq, self._on_tx_done, entry, False])
 
     def _on_tx_done(self, pkt: Packet, in_port: int, size: int) -> None:
         stats = self.stats
@@ -222,9 +229,12 @@ class Port:
             # instance (black-holed switches, lossy wrappers).
             pkt.hops += 1
             sim._seq += 1
-            heappush(sim._heap,
-                     [sim.now + self.propagation, sim._seq,
-                      peer.receive, (pkt, self.peer_port), False])
+            when = sim.now + self.propagation
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                bucket = sim._buckets[when] = []
+                heappush(sim._times, when)
+            bucket.append([when, sim._seq, peer.receive, (pkt, self.peer_port), False])
         # Inline drain: same delivery-then-next-transmission seq order as
         # the _try_drain call this replaces; _busy stays True across
         # back-to-back transmissions.
@@ -233,9 +243,12 @@ class Port:
             entry = queue.popleft()
             self._queued_bytes -= entry[2]
             sim._seq += 1
-            heappush(sim._heap,
-                     [sim.now + entry[2] * 8.0 / self.bandwidth, sim._seq,
-                      self._on_tx_done, entry, False])
+            when = sim.now + entry[2] * 8.0 / self.bandwidth
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                bucket = sim._buckets[when] = []
+                heappush(sim._times, when)
+            bucket.append([when, sim._seq, self._on_tx_done, entry, False])
         else:
             self._busy = False
 
@@ -250,9 +263,13 @@ class Port:
         stats.tx_bytes += pkt.wire_size
         sim = self.sim
         sim._seq += 1
-        heappush(sim._heap,
-                 [sim.now + self.propagation, sim._seq,
-                  self.peer_device.receive, (pkt, self.peer_port), False])
+        when = sim.now + self.propagation
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            bucket = sim._buckets[when] = []
+            heappush(sim._times, when)
+        bucket.append([when, sim._seq, self.peer_device.receive,
+                       (pkt, self.peer_port), False])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dev = getattr(self.device, "name", self.device)

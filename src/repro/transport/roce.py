@@ -42,6 +42,7 @@ _DATA = PacketType.DATA
 _ACK = PacketType.ACK
 _NACK = PacketType.NACK
 _CNP = PacketType.CNP
+_WRITE = RdmaOp.WRITE
 _RTS = QpStateName.RTS
 
 
@@ -335,8 +336,9 @@ class RoceQP:
     def _arm_rto(self) -> None:
         ev = self._rto_event
         if ev is not None:
-            # Re-arm in place: tombstone the old heap entry, push a
-            # fresh one — no handle churn on the hottest timer path.
+            # Re-arm in place: the queued entry stays the timer's one
+            # resident and its parked successor is re-keyed — no handle
+            # churn, and no queue growth, on the hottest timer path.
             self.sim.reschedule(ev, self.cfg.rto)
         else:
             self._rto_event = self.sim.schedule(self.cfg.rto, self._on_rto)
@@ -429,7 +431,7 @@ class RoceQP:
             rs.cur_msg_id = pkt.msg_id
             rs.cur_bytes = 0
             rs.cur_write_valid = True
-            if pkt.op == RdmaOp.WRITE and self.mr_table is not None:
+            if pkt.op == _WRITE and self.mr_table is not None:
                 rs.cur_write_valid = self.mr_table.validate_write(
                     pkt.rkey, pkt.vaddr, pkt.payload)
         rs.cur_bytes += pkt.payload
