@@ -61,7 +61,7 @@ class Port:
         "bandwidth", "propagation", "queue_capacity",
         "ecn_kmin", "ecn_kmax", "ecn_pmax",
         "_queue", "_queued_bytes", "_busy", "_paused",
-        "stats", "_rng", "ingress_of",
+        "stats", "_rng", "_seed", "ingress_of",
     )
 
     def __init__(
@@ -96,7 +96,9 @@ class Port:
         self._busy = False
         self._paused = False
         self.stats = PortStats()
-        self._rng = random.Random(seed)
+        # The ECN RNG is built on its first draw, from this seed.
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self.ingress_of = None  # optional PFC bookkeeping hook (switch sets it)
 
     # -- wiring -------------------------------------------------------------
@@ -188,7 +190,10 @@ class Port:
             pkt.ecn = True
         else:
             p = self.ecn_pmax * (q - self.ecn_kmin) / (self.ecn_kmax - self.ecn_kmin)
-            if self._rng.random() < p:
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            if rng.random() < p:
                 pkt.ecn = True
         if pkt.ecn:
             self.stats.ecn_marks += 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import constants
 from repro.errors import RoutingError
@@ -35,6 +35,7 @@ from repro.net.simulator import Simulator
 __all__ = ["Switch", "SwitchConfig"]
 
 _PAUSE_RESUME = (PacketType.PAUSE, PacketType.RESUME)
+_DATA = PacketType.DATA
 
 
 @dataclass
@@ -89,12 +90,16 @@ class Switch:
         )
         for p in self.ports:
             p.ingress_of = self.pfc.on_dequeue
-        # FIB: dst_ip -> ECMP group (list of candidate egress ports).
-        self.fib: Dict[int, List[int]] = {}
+        # FIB: dst_ip -> ECMP group (tuple of candidate egress ports).
+        # Entries are immutable and may be shared: the topology installs
+        # one tuple for every host behind the same edge switch.
+        self.fib: Dict[int, Tuple[int, ...]] = {}
         # "host" or "switch" per port; topology fills this in.
         self.port_kind: List[Optional[str]] = [None] * n_ports
         self.accelerator = None  # set by CepheusFabric.attach()
-        self._rng = random.Random(zlib.crc32(f"{cfg.seed}:{name}:loss".encode()))
+        # The loss RNG is built on its first draw, from this seed.
+        self._loss_seed = zlib.crc32(f"{cfg.seed}:{name}:loss".encode())
+        self._rng: Optional[random.Random] = None
         self.random_drops = 0
         self.taildrops = 0
         self.forwarded = 0
@@ -104,11 +109,11 @@ class Switch:
     # -- FIB management -------------------------------------------------------
 
     def add_route(self, dst_ip: int, ports: Sequence[int]) -> None:
-        """Install (or extend) the ECMP group for ``dst_ip``."""
-        group = self.fib.setdefault(dst_ip, [])
-        for p in ports:
-            if p not in group:
-                group.append(p)
+        """Install (or extend) the ECMP group for ``dst_ip``, replacing
+        the entry rather than mutating it: entries may be shared."""
+        group = self.fib.get(dst_ip, ())
+        self.fib[dst_ip] = group + tuple(
+            p for p in dict.fromkeys(ports) if p not in group)
 
     def route_lookup(self, pkt: Packet) -> int:
         """Pick the egress port for a unicast packet (flow-hash ECMP)."""
@@ -159,10 +164,12 @@ class Switch:
         rate = self.config.loss_rate
         if rate <= 0.0:
             return False
-        if pkt.ptype == PacketType.DATA:
-            return self._rng.random() < rate
-        if pkt.is_feedback and self.config.loss_applies_to_feedback:
-            return self._rng.random() < rate
+        if pkt.ptype == _DATA or (
+                pkt.is_feedback and self.config.loss_applies_to_feedback):
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._loss_seed)
+            return rng.random() < rate
         return False
 
     # -- transmit path ----------------------------------------------------------

@@ -9,10 +9,12 @@ Three shapes cover every experiment in the paper:
 * :func:`dumbbell` — two switches and a shared bottleneck link, used by
   congestion-control unit tests.
 
-Routing is computed generically: a per-host BFS over the switch graph
-produces *all* equal-cost next hops, which become the FIB's ECMP groups.
-This matches structured fat-tree routing exactly while staying correct
-for arbitrary shapes.
+Routing is computed generically: a BFS over the switch graph from each
+edge switch produces *all* equal-cost next hops, which become the FIB's
+ECMP groups.  A host enters the switch graph at its edge switch, so the
+hosts behind one share next hops everywhere else and the BFS runs once
+per edge switch, not per host.  This matches structured fat-tree routing
+exactly while staying correct for arbitrary shapes.
 """
 
 from __future__ import annotations
@@ -133,21 +135,30 @@ class Topology:
     # -- routing --------------------------------------------------------------
 
     def build_routes(self) -> None:
-        """Fill every switch FIB with equal-cost next hops per host."""
+        """Fill every switch FIB with equal-cost next hops per host.
+
+        One tuple per (edge switch, switch) pair is shared by every host
+        behind that edge switch; hosts install in ``self.nics`` order, so
+        each FIB keeps a per-host build's order."""
+        by_leaf: Dict[Switch, List[Tuple[Switch, Tuple[int, ...]]]] = {}
         for ip in self.nics:
             att = self._attachments.get(ip)
             if att is None:
                 raise TopologyError(f"host {ip} was never attached")
-            dist = self._bfs_from(att.switch)
-            att.switch.add_route(ip, [att.port])
-            for sw, d in dist.items():
-                if sw is att.switch:
-                    continue
-                ports = [p for p, nb in self._adj[sw] if dist.get(nb, 1 << 30) == d - 1]
-                if not ports:
+            leaf = att.switch
+            routes = by_leaf.get(leaf)
+            if routes is None:
+                dist = self._bfs_from(leaf)
+                if len(dist) != len(self.switches):
+                    lost = next(s for s in self.switches if s not in dist)
                     raise TopologyError(
-                        f"{sw.name} cannot reach host {ip} (disconnected)")
-                sw.add_route(ip, ports)
+                        f"{lost.name} cannot reach host {ip} (disconnected)")
+                routes = by_leaf[leaf] = [
+                    (sw, tuple([p for p, nb in self._adj[sw] if dist[nb] == d - 1]))
+                    for sw, d in dist.items() if sw is not leaf]
+            leaf.fib[ip] = (att.port,)
+            for sw, ports in routes:
+                sw.fib[ip] = ports
 
     def _bfs_from(self, root: Switch) -> Dict[Switch, int]:
         dist = {root: 0}

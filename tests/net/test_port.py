@@ -1,5 +1,7 @@
 """Port behaviour: serialization, queueing, ECN, tail-drop, pause."""
 
+import random
+
 import pytest
 
 from repro.net.packet import Packet, PacketType
@@ -106,6 +108,25 @@ class TestEcn:
         marked = [p.ecn for p, _, _ in dst.received]
         assert any(marked)
         assert all(marked[6:])  # deep-queue arrivals all marked
+
+    def test_red_marks_draw_the_seeded_stream(self, sim):
+        # The generator is built on the first draw; the marks must be
+        # the ones random.Random(seed) predicts from the queue depths.
+        kmin, kmax, pmax = 10_000, 400_000, 0.8
+        _, _, port = _wire(sim, queue_capacity=10_000_000, ecn_kmin=kmin,
+                           ecn_kmax=kmax, ecn_pmax=pmax, seed=1234)
+        port.set_paused(True)   # every packet queues: depth = i * size
+        pkts = [_data(psn=i) for i in range(80)]
+        for p in pkts:
+            port.enqueue(p)
+        rng = random.Random(1234)
+        want = []
+        for i, p in enumerate(pkts):
+            q = i * p.wire_size
+            want.append(q > kmin and (
+                q >= kmax or rng.random() < pmax * (q - kmin) / (kmax - kmin)))
+        assert [p.ecn for p in pkts] == want
+        assert 0 < sum(want) < len(want)
 
     def test_feedback_never_marked(self, sim):
         _, dst, port = _wire(sim, queue_capacity=10_000_000,

@@ -1,10 +1,18 @@
 """Topology builders: shapes, routing reachability, loss targeting."""
 
+import random
+import types
+import zlib
+from collections import deque
+
 import pytest
 
+import repro.net.port as port_mod
+import repro.net.switch as switch_mod
 from repro.errors import TopologyError
 from repro.net.packet import Packet, PacketType
 from repro.net.simulator import Simulator
+from repro.net.switch import SwitchConfig
 from repro.net.topology import Topology, dumbbell, fat_tree, star
 
 
@@ -136,3 +144,156 @@ class TestWiring:
         topo.add_host(1)
         with pytest.raises(TopologyError):
             topo.build_routes()
+
+    def test_disconnected_switch_fails_routing(self, sim):
+        # Without the check "b" would get no route to host 1 and fail
+        # with RoutingError on its first packet.
+        topo = Topology(sim)
+        a = topo.add_switch("a", 1)
+        b = topo.add_switch("b", 1)
+        topo.attach_host(topo.add_host(1), a, 0)
+        topo.attach_host(topo.add_host(2), b, 0)
+        with pytest.raises(TopologyError, match=r"^b cannot reach host 1 "):
+            topo.build_routes()
+
+
+# ---------------------------------------------------------------------------
+# Routes: one BFS per edge switch, FIBs equal to a per-host build
+# ---------------------------------------------------------------------------
+
+def _reference_fibs(topo):
+    """Every FIB as a per-host build fills it: one BFS per host, list
+    entries extended in place — the algorithm ``build_routes`` replaced."""
+    fibs = {sw.name: {} for sw in topo.switches}
+
+    def add(name, ip, ports):
+        group = fibs[name].setdefault(ip, [])
+        group.extend(p for p in ports if p not in group)
+
+    for ip in topo.nics:
+        leaf, port = topo.leaf_of(ip)
+        dist = {leaf: 0}
+        queue = deque([leaf])
+        while queue:
+            cur = queue.popleft()
+            for _, nb in topo._adj[cur]:
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    queue.append(nb)
+        add(leaf.name, ip, [port])
+        for sw, d in dist.items():
+            if sw is not leaf:
+                add(sw.name, ip, [p for p, nb in topo._adj[sw]
+                                  if dist.get(nb, 1 << 30) == d - 1])
+    return {name: list(fib.items()) for name, fib in fibs.items()}
+
+
+def _hand_built(sim):
+    """Two leaves with 1 and 3 uplinks to one spine, hosts interleaved
+    between them in ip order, and a second spine behind the wide leaf."""
+    topo = Topology(sim)
+    narrow = topo.add_switch("narrow", 4)
+    wide = topo.add_switch("wide", 8)
+    spine = topo.add_switch("spine", 4, layer="core")
+    far = topo.add_switch("far", 1, layer="core")
+    topo.wire_switches(narrow, 3, spine, 0)
+    for i in range(3):
+        topo.wire_switches(wide, 4 + i, spine, 1 + i)
+    topo.wire_switches(wide, 7, far, 0)
+    for ip in range(1, 7):
+        leaf, port = (narrow, ip // 2) if ip % 2 else (wide, ip // 2)
+        topo.attach_host(topo.add_host(ip), leaf, port)
+    topo.build_routes()
+    return topo
+
+
+FABRICS = {
+    "star6": lambda sim: star(sim, 6),
+    "dumbbell3x4": lambda sim: dumbbell(sim, 3, 4),
+    "fat_tree2": lambda sim: fat_tree(sim, 2),
+    "fat_tree4": lambda sim: fat_tree(sim, 4),
+    "fat_tree8": lambda sim: fat_tree(sim, 8),
+    "fat_tree8_limit20": lambda sim: fat_tree(sim, 8, hosts_limit=20),
+    "hand_built": _hand_built,
+    "fat_tree16": lambda sim: fat_tree(sim, 16),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("fabric", [
+        pytest.param(name, marks=pytest.mark.slow) if name == "fat_tree16"
+        else name for name in FABRICS])
+    def test_fibs_equal_a_per_host_build(self, sim, fabric):
+        topo = FABRICS[fabric](sim)
+        want = _reference_fibs(topo)
+        for sw in topo.switches:
+            assert [(ip, list(ports)) for ip, ports in sw.fib.items()] \
+                == want[sw.name], sw.name
+
+    def test_hand_built_widths(self, sim):
+        topo = _hand_built(sim)
+        narrow, wide, spine, far = topo.switches
+        assert spine.route_ports(1) == [0]          # toward the narrow leaf
+        assert spine.route_ports(2) == [1, 2, 3]    # toward the wide leaf
+        assert wide.route_ports(1) == [4, 5, 6]
+        assert far.route_ports(3) == [0]
+
+    @pytest.mark.parametrize("k, bfs_runs", [(8, 32), (16, 128)])
+    def test_one_bfs_per_edge_switch(self, monkeypatch, k, bfs_runs):
+        calls = []
+        real = Topology._bfs_from
+
+        def counting(self, root):
+            calls.append(root)
+            return real(self, root)
+
+        monkeypatch.setattr(Topology, "_bfs_from", counting)
+        topo = fat_tree(Simulator(), k)
+        assert len(calls) == bfs_runs == len(topo.switches_in_layer("edge"))
+
+    def test_leaf_siblings_share_one_immutable_entry(self, sim):
+        topo = fat_tree(sim, 4)
+        core = topo.switches_in_layer("core")[0]
+        leaf, _ = topo.leaf_of(1)
+        assert topo.leaf_of(2)[0] is leaf
+        assert core.fib[1] is core.fib[2]
+        shared = core.fib[2]
+        spare = next(p for p in range(core.n_ports) if p not in shared)
+        core.add_route(1, [spare])
+        assert core.fib[2] is shared and spare not in shared
+        assert core.route_ports(1) == [*shared, spare]
+        ports = core.route_ports(2)
+        ports.append(spare)
+        assert core.route_ports(2) == list(shared)
+
+
+# ---------------------------------------------------------------------------
+# Random generators: built on first draw, same streams
+# ---------------------------------------------------------------------------
+
+class TestGenerators:
+    def test_construction_builds_no_generator(self, monkeypatch):
+        made = []
+
+        def counting(seed):
+            made.append(seed)
+            return random.Random(seed)
+
+        for mod in (port_mod, switch_mod):
+            monkeypatch.setattr(mod, "random",
+                                types.SimpleNamespace(Random=counting))
+        fat_tree(Simulator(), 8)
+        assert made == []
+
+    def test_loss_set_after_construction_draws_the_seeded_stream(self, sim):
+        topo = star(sim, 2, switch_config=SwitchConfig(seed=5))
+        topo.set_loss_rate(0.5)
+        sw = topo.switches[0]
+        dropped = []
+        for i in range(200):
+            before = sw.random_drops
+            sw.receive(Packet(PacketType.DATA, 1, 2, psn=i, payload=64), 0)
+            if sw.random_drops > before:
+                dropped.append(i)
+        rng = random.Random(zlib.crc32(b"5:sw0:loss"))
+        assert dropped == [i for i in range(200) if rng.random() < 0.5]
