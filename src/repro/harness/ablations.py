@@ -24,7 +24,6 @@ from repro.collectives import CepheusBcast
 from repro.core.accelerator import AcceleratorConfig
 from repro.core.feedback import FeedbackConfig
 from repro.harness.report import ExperimentResult
-from repro.net.trace import ThroughputSampler
 
 __all__ = ["ablation_ack_trigger", "ablation_nack_rule",
            "ablation_cnp_filter", "ablation_retransmit_filter",

@@ -369,13 +369,11 @@ def fig14_fairness(quick: bool = True) -> ExperimentResult:
     sim = cl.sim
     algo = CepheusBcast(cl, cl.host_ips)
     algo.prepare()
-    s1 = ThroughputSampler(1e-3)
-    algo.qps[3].rx_sampler = s1          # f1 measured at f2's bottleneck host
-    s2, s3 = ThroughputSampler(1e-3), ThroughputSampler(1e-3)
+    s1 = ThroughputSampler(1e-3).attach(algo.qps[3])  # at f2's bottleneck
     q2 = cl.qp_to(2, 3)
-    cl.qp_to(3, 2).rx_sampler = s2
+    s2 = ThroughputSampler(1e-3).attach(cl.qp_to(3, 2))
     q4 = cl.qp_to(4, 5)
-    cl.qp_to(5, 4).rx_sampler = s3
+    s3 = ThroughputSampler(1e-3).attach(cl.qp_to(5, 4))
     algo.post(f1_bytes)
     sim.schedule(t_f2, lambda: q2.post_send(f2_bytes))
     sim.schedule(t_f3, lambda: q4.post_send(f3_bytes))

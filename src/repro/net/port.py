@@ -90,8 +90,9 @@ class Port:
         self.ecn_pmax = ecn_pmax
         # Each queue entry remembers the ingress port the packet arrived on
         # (for PFC per-ingress accounting on dequeue) and the wire size,
-        # so the drain loop never recomputes it.
-        self._queue: Deque[Tuple[Packet, int, int]] = deque()
+        # so the drain loop never recomputes it.  The FIFO is built by the
+        # first backlog: a port the idle fast path always serves has none.
+        self._queue: Optional[Deque[Tuple[Packet, int, int]]] = None
         self._queued_bytes = 0
         self._busy = False
         self._paused = False
@@ -120,7 +121,7 @@ class Port:
 
     @property
     def queued_packets(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue else 0
 
     @property
     def paused(self) -> bool:
@@ -175,6 +176,8 @@ class Port:
             return True
         if pkt.ptype == _DATA:
             self._maybe_mark_ecn(pkt)
+        if self._queue is None:
+            self._queue = deque()
         self._queue.append((pkt, in_port, size))
         self._queued_bytes += size
         if not self._busy:

@@ -24,6 +24,17 @@ class ThroughputSampler:
         self.bucket_s = bucket_s
         self._buckets: Dict[int, int] = {}
 
+    def attach(self, qp) -> "ThroughputSampler":
+        """Count ``qp``'s deliveries off the bus ``deliver`` channel."""
+        sim = qp.sim
+
+        def on_deliver(q, pkt) -> None:
+            if q is qp:
+                self.record(sim.now, pkt.payload)
+
+        qp.bus.subscribe("deliver", on_deliver)
+        return self
+
     def record(self, now: float, nbytes: int) -> None:
         self._buckets[int(now / self.bucket_s)] = (
             self._buckets.get(int(now / self.bucket_s), 0) + nbytes

@@ -29,7 +29,7 @@ from repro.net.simulator import Event, Simulator
 __all__ = ["DcqcnConfig", "DcqcnRateController"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcqcnConfig:
     """Reaction-point parameters (defaults from the DCQCN paper / CX-5)."""
 
@@ -44,14 +44,22 @@ class DcqcnConfig:
     enabled: bool = True
 
 
+#: Shared by every controller built without a config (safe: frozen).
+_DEFAULT_CONFIG = DcqcnConfig()
+
+
 class DcqcnRateController:
     """Per-QP DCQCN reaction point."""
+
+    __slots__ = ("sim", "line_rate", "cfg", "rate", "target", "alpha",
+                 "_timer_events", "_byte_events", "_bytes_since_event",
+                 "_active", "_alpha_ev", "_rate_ev", "cnp_count")
 
     def __init__(self, sim: Simulator, line_rate: float,
                  config: Optional[DcqcnConfig] = None) -> None:
         self.sim = sim
         self.line_rate = line_rate
-        self.cfg = config or DcqcnConfig()
+        self.cfg = config or _DEFAULT_CONFIG
         self.rate = line_rate          # R_C
         self.target = line_rate        # R_T
         self.alpha = 1.0
@@ -114,12 +122,12 @@ class DcqcnRateController:
             self._byte_events += 1
             self._increase()
 
-    # -- timers -----------------------------------------------------------------
+    # -- timers: re-armed in place (reschedule: one seq, no tombstone) ----------
 
     def _arm_alpha_timer(self) -> None:
-        if self._alpha_ev is not None:
-            self._alpha_ev.cancel()
-        self._alpha_ev = self.sim.schedule(self.cfg.alpha_timer, self._alpha_tick)
+        ev, delay = self._alpha_ev, self.cfg.alpha_timer
+        self._alpha_ev = (self.sim.schedule(delay, self._alpha_tick) if ev is None
+                          else self.sim.reschedule(ev, delay))
 
     def _alpha_tick(self) -> None:
         if not self._active:
@@ -128,9 +136,9 @@ class DcqcnRateController:
         self._arm_alpha_timer()
 
     def _arm_rate_timer(self) -> None:
-        if self._rate_ev is not None:
-            self._rate_ev.cancel()
-        self._rate_ev = self.sim.schedule(self.cfg.rate_timer, self._rate_tick)
+        ev, delay = self._rate_ev, self.cfg.rate_timer
+        self._rate_ev = (self.sim.schedule(delay, self._rate_tick) if ev is None
+                         else self.sim.reschedule(ev, delay))
 
     def _rate_tick(self) -> None:
         if not self._active:

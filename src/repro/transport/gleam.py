@@ -27,7 +27,7 @@ from repro.net.simulator import Event, Simulator
 __all__ = ["GleamConfig", "GleamRateController"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GleamConfig:
     """AIMD parameters.
 
@@ -43,14 +43,21 @@ class GleamConfig:
     enabled: bool = True
 
 
+#: Shared by every controller built without a config (safe: frozen).
+_DEFAULT_CONFIG = GleamConfig()
+
+
 class GleamRateController:
     """Per-QP Gleam reaction point (drop-in for DCQCN)."""
+
+    __slots__ = ("sim", "line_rate", "cfg", "rate", "_active", "_rate_ev",
+                 "cnp_count")
 
     def __init__(self, sim: Simulator, line_rate: float,
                  config: Optional[GleamConfig] = None) -> None:
         self.sim = sim
         self.line_rate = line_rate
-        self.cfg = config or GleamConfig()
+        self.cfg = config or _DEFAULT_CONFIG
         self.rate = line_rate
         self._active = False
         self._rate_ev: Optional[Event] = None
@@ -91,9 +98,10 @@ class GleamRateController:
     # -- timer ------------------------------------------------------------------
 
     def _arm_rate_timer(self) -> None:
-        if self._rate_ev is not None:
-            self._rate_ev.cancel()
-        self._rate_ev = self.sim.schedule(self.cfg.rate_timer, self._rate_tick)
+        # Re-armed in place, as DcqcnRateController's timers are.
+        ev, delay = self._rate_ev, self.cfg.rate_timer
+        self._rate_ev = (self.sim.schedule(delay, self._rate_tick) if ev is None
+                         else self.sim.reschedule(ev, delay))
 
     def _rate_tick(self) -> None:
         if not self._active:

@@ -17,7 +17,7 @@ would pass :data:`repro.constants.PSN_SPACE`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.net.packet import RdmaOp
@@ -42,7 +42,7 @@ class QpStateName(enum.Enum):
     ERROR = "error"
 
 
-@dataclass
+@dataclass(slots=True)
 class SendMessage:
     """One posted work request occupying PSNs [first_psn, last_psn]."""
 
@@ -53,18 +53,13 @@ class SendMessage:
     last_psn: int
     vaddr: int = 0
     rkey: int = 0
-    posted_at: float = 0.0
     on_complete: Optional[Callable[[int, float], None]] = None
     on_sent: Optional[Callable[[int, float], None]] = None
     meta: Any = None
     sent_notified: bool = False
 
-    @property
-    def packet_count(self) -> int:
-        return self.last_psn - self.first_psn + 1
 
-
-@dataclass
+@dataclass(slots=True)
 class RecvState:
     """Receive-side reassembly of the in-order byte stream."""
 

@@ -25,7 +25,6 @@ from repro.errors import PsnSpaceExhausted, QPStateError, TransportError
 from repro.net.nic import Nic
 from repro.net.packet import Packet, PacketType, RdmaOp
 from repro.net.simulator import Event, Simulator
-from repro.net.trace import ThroughputSampler
 from repro.transport.dcqcn import DcqcnConfig, DcqcnRateController
 from repro.transport.gleam import GleamConfig, GleamRateController
 from repro.transport.memory import MrTable
@@ -82,7 +81,20 @@ class RoceConfig:
 
 
 class RoceQP:
-    """One RC queue pair: send engine + receive/responder engine."""
+    """One RC queue pair: send engine + receive/responder engine.
+
+    A group member is one QP, so it is slotted, and its send and IRN
+    retransmit queues stay ``None`` until first used (docs/ARCHITECTURE.md).
+    """
+
+    __slots__ = (
+        "sim", "nic", "cfg", "mr_table", "qpn", "state", "dst_ip", "dst_qp",
+        "sq_psn", "snd_una", "snd_nxt", "_send_msgs", "_tx_event", "cc",
+        "_next_allowed_tx", "_max_sent", "_rto_event", "rq_psn", "recv",
+        "_inorder_since_ack", "_nack_pending", "_last_cnp_time", "_ooo_buffer",
+        "_retx_queue", "_retx_last", "on_message", "_pkt_pool", "bus",
+        "tx_data_packets", "retransmitted_packets", "acks_sent", "nacks_sent",
+        "cnps_sent", "acks_received", "nacks_received", "timeouts")
 
     def __init__(
         self,
@@ -106,7 +118,7 @@ class RoceQP:
         self.sq_psn = 0            # next PSN to assign to a new WQE
         self.snd_una = 0           # oldest unacknowledged PSN
         self.snd_nxt = 0           # next PSN to put on the wire
-        self._send_msgs: Deque[SendMessage] = deque()
+        self._send_msgs: Optional[Deque[SendMessage]] = None
         self._tx_event: Optional[Event] = None
         self._next_allowed_tx = 0.0
         self._max_sent = 0         # high-water mark: PSNs ever transmitted
@@ -127,7 +139,7 @@ class RoceQP:
         # IRN state: receiver-side out-of-order buffer, sender-side
         # selective-retransmit queue + per-PSN pacing guard.
         self._ooo_buffer: Dict[int, Packet] = {}
-        self._retx_queue: Deque[int] = deque()
+        self._retx_queue: Optional[Deque[int]] = None
         self._retx_last: Dict[int, float] = {}
         self.on_message: Optional[Callable[[int, int, float, Any], None]] = None
         self._pkt_pool = sim.pools.pkt
@@ -146,7 +158,6 @@ class RoceQP:
         self.acks_received = 0
         self.nacks_received = 0
         self.timeouts = 0
-        self.rx_sampler: Optional[ThroughputSampler] = None
 
     # ------------------------------------------------------------------
     # connection management (the verbs modify_qp path)
@@ -196,10 +207,12 @@ class RoceQP:
         msg = SendMessage(
             msg_id=next(_msg_ids), size=size, op=op,
             first_psn=self.sq_psn, last_psn=self.sq_psn + npkts - 1,
-            vaddr=vaddr, rkey=rkey, posted_at=self.sim.now,
+            vaddr=vaddr, rkey=rkey,
             on_complete=on_complete, on_sent=on_sent, meta=meta,
         )
         self.sq_psn += npkts
+        if self._send_msgs is None:
+            self._send_msgs = deque()
         self._send_msgs.append(msg)
         self.cc.start()
         self._pump()
@@ -219,19 +232,9 @@ class RoceQP:
 
     # -- transmit pump -----------------------------------------------------
 
-    def _can_send(self) -> bool:
-        if self._retx_queue:
-            return self.state == QpStateName.RTS and bool(self._send_msgs)
-        return (
-            self.state == QpStateName.RTS
-            and self.snd_nxt < self.sq_psn
-            and self.outstanding < self.cfg.max_outstanding
-            and bool(self._send_msgs)
-        )
-
     def _pump(self) -> None:
-        # _can_send() inlined: this runs after every transmission and
-        # every ACK, so the call overhead shows up in every benchmark.
+        # Straight-line, no helper call: this runs after every
+        # transmission and every ACK, so it shows up in every benchmark.
         if (self._tx_event is not None
                 or not self._send_msgs or self.state is not _RTS):
             return
@@ -276,7 +279,7 @@ class RoceQP:
         psn = self.snd_nxt
         if (psn >= self.sq_psn
                 or psn - self.snd_una >= self.cfg.max_outstanding):
-            return  # _can_send()'s window checks, inlined
+            return  # _pump's window checks, re-made at fire time
         pkt = self._packet_for(psn)
         bus = self.bus
         if bus.qp_send:
@@ -355,8 +358,7 @@ class RoceQP:
         self.timeouts += 1
         if self.cfg.retransmit_mode == "irn":
             # Selective backstop: re-probe the oldest unacknowledged PSN.
-            if self.snd_una not in self._retx_queue:
-                self._retx_queue.append(self.snd_una)
+            self._queue_retx(self.snd_una)
             self._retx_last[self.snd_una] = self.sim.now
         else:
             # Go-back-N from the oldest unacknowledged PSN.
@@ -435,8 +437,6 @@ class RoceQP:
                 rs.cur_write_valid = self.mr_table.validate_write(
                     pkt.rkey, pkt.vaddr, pkt.payload)
         rs.cur_bytes += pkt.payload
-        if self.rx_sampler is not None:
-            self.rx_sampler.record(self.sim.now, pkt.payload)
         if pkt.last:
             rs.messages_delivered += 1
             rs.bytes_delivered += rs.cur_bytes
@@ -505,8 +505,7 @@ class RoceQP:
                 last = self._retx_last.get(epsn, -1e9)
                 if self.sim.now - last >= self.cfg.irn_retx_guard:
                     self._retx_last[epsn] = self.sim.now
-                    if epsn not in self._retx_queue:
-                        self._retx_queue.append(epsn)
+                    self._queue_retx(epsn)
             self._arm_rto()
             self._pump()
             return
@@ -519,6 +518,15 @@ class RoceQP:
             self._next_allowed_tx = self.sim.now
         self._arm_rto()
         self._pump()
+
+    def _queue_retx(self, psn: int) -> None:
+        """IRN: queue one selective retransmit (deduped); the first one
+        builds the queue."""
+        queue = self._retx_queue
+        if queue is None:
+            queue = self._retx_queue = deque()
+        if psn not in queue:
+            queue.append(psn)
 
     def _complete_acked(self) -> None:
         while self._send_msgs and self._send_msgs[0].last_psn < self.snd_una:
@@ -560,9 +568,8 @@ class RoceQP:
         position jumps to the end of the aborted WQEs so no stale
         retransmission timer keeps the simulation alive.
         """
-        self._send_msgs.clear()
+        self._send_msgs = self._retx_queue = None
         self.snd_una = self.snd_nxt = self.sq_psn
-        self._retx_queue.clear()
         self._retx_last.clear()
         self._cancel_rto()
         if self._tx_event is not None:

@@ -7,6 +7,7 @@ from repro.apps import Cluster
 from repro.collectives import CepheusBcast
 from repro.core.accelerator import AcceleratorConfig
 from repro.net.packet import Packet, PacketType, RdmaOp
+from repro.transport import RoceQP
 
 
 def _registered_group(cluster, members=None, leader=None, mr_info=None):
@@ -80,7 +81,7 @@ class TestMdtConstruction:
 
 
 class TestBridging:
-    def test_receiver_sees_own_connection(self, testbed):
+    def test_receiver_sees_own_connection(self, testbed, monkeypatch):
         """Connection bridging (Fig. 4): dstIP/dstQP rewritten per
         receiver, srcIP becomes the McstID."""
         group, qps = _registered_group(testbed)
@@ -88,14 +89,17 @@ class TestBridging:
         # recycles consumed packets, so retaining live Packet objects
         # across events would observe a later reincarnation.
         seen = {}
-        for ip in (2, 3, 4):
-            orig = qps[ip].handle_packet
+        spied = {qps[ip]: ip for ip in (2, 3, 4)}
+        orig = RoceQP.handle_packet
 
-            def spy(pkt, _ip=ip, _orig=orig):
-                seen.setdefault(_ip, (pkt.dst_ip, pkt.dst_qp, pkt.src_ip))
-                _orig(pkt)
+        def spy(qp, pkt):
+            ip = spied.get(qp)
+            if ip is not None:
+                seen.setdefault(ip, (pkt.dst_ip, pkt.dst_qp, pkt.src_ip))
+            orig(qp, pkt)
 
-            qps[ip].handle_packet = spy
+        # RoceQP is slotted: patch the class, filter on the instance.
+        monkeypatch.setattr(RoceQP, "handle_packet", spy)
         qps[1].post_send(100)
         testbed.run()
         for ip in (2, 3, 4):

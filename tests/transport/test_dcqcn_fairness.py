@@ -13,9 +13,7 @@ def _two_flows_share_bottleneck(duration=20e-3):
     cl = Cluster.testbed(4)
     samplers = {}
     for src in (2, 3):
-        s = ThroughputSampler(1e-3)
-        cl.qp_to(1, src).rx_sampler = s
-        samplers[src] = s
+        samplers[src] = ThroughputSampler(1e-3).attach(cl.qp_to(1, src))
         cl.qp_to(src, 1).post_send(256 << 20)
     cl.run(until=duration)
     return cl, samplers
@@ -40,9 +38,8 @@ class TestPairwiseFairness:
 class TestLateJoiner:
     def test_new_flow_carves_out_share(self):
         cl = Cluster.testbed(4)
-        s2, s3 = ThroughputSampler(1e-3), ThroughputSampler(1e-3)
-        cl.qp_to(1, 2).rx_sampler = s2
-        cl.qp_to(1, 3).rx_sampler = s3
+        s2 = ThroughputSampler(1e-3).attach(cl.qp_to(1, 2))
+        s3 = ThroughputSampler(1e-3).attach(cl.qp_to(1, 3))
         cl.qp_to(2, 1).post_send(256 << 20)
         cl.sim.schedule(5e-3, lambda: cl.qp_to(3, 1).post_send(64 << 20))
         cl.run(until=20e-3)
@@ -53,8 +50,7 @@ class TestLateJoiner:
 
     def test_flow_reclaims_after_competitor_ends(self):
         cl = Cluster.testbed(4)
-        s2 = ThroughputSampler(1e-3)
-        cl.qp_to(1, 2).rx_sampler = s2
+        s2 = ThroughputSampler(1e-3).attach(cl.qp_to(1, 2))
         cl.qp_to(2, 1).post_send(512 << 20)
         cl.sim.schedule(3e-3, lambda: cl.qp_to(3, 1).post_send(32 << 20))
         cl.run(until=35e-3)

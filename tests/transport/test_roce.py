@@ -191,17 +191,19 @@ class TestLossRecovery:
 
 
 class TestWindow:
-    def test_outstanding_bounded(self):
+    def test_outstanding_bounded(self, monkeypatch):
         cfg = RoceConfig(max_outstanding=16)
         sim, qa, qb, _ = make_pair(config=cfg)
         peak = {"v": 0}
-        orig = qa._tx_one
+        orig = RoceQP._tx_one
 
-        def spy():
-            orig()
-            peak["v"] = max(peak["v"], qa.outstanding)
+        def spy(qp):
+            orig(qp)
+            if qp is qa:
+                peak["v"] = max(peak["v"], qa.outstanding)
 
-        qa._tx_one = spy
+        # RoceQP is slotted: patch the class, filter on the instance.
+        monkeypatch.setattr(RoceQP, "_tx_one", spy)
         qa.post_send(constants.MTU_BYTES * 200)
         sim.run()
         assert peak["v"] <= 16

@@ -6,7 +6,7 @@ from repro import constants
 from repro.errors import PsnSpaceExhausted, TransportError
 from repro.net import Simulator, SwitchConfig, star
 from repro.net.packet import Packet, PacketType
-from repro.transport import RoceConfig, VerbsContext
+from repro.transport import RoceConfig, RoceQP, VerbsContext
 
 
 def make_pair(loss=0.0, seed=0, config=None, n=2):
@@ -54,19 +54,20 @@ class TestInterleavedMessages:
 
 
 class TestWriteEdges:
-    def test_multi_packet_write_offsets(self):
+    def test_multi_packet_write_offsets(self, monkeypatch):
         """Every packet's RETH address advances by MTU from the base."""
         sim, qa, qb, ctxs = make_pair()
         mr = ctxs[1].reg_mr(1 << 20)
         seen = []
-        orig = qb.handle_packet
+        orig = RoceQP.handle_packet
 
-        def spy(pkt):
-            if pkt.ptype == PacketType.DATA:
+        def spy(qp, pkt):
+            if qp is qb and pkt.ptype == PacketType.DATA:
                 seen.append(pkt.vaddr)
-            orig(pkt)
+            orig(qp, pkt)
 
-        qb.handle_packet = spy
+        # RoceQP is slotted: patch the class, filter on the instance.
+        monkeypatch.setattr(RoceQP, "handle_packet", spy)
         qa.post_write(3 * constants.MTU_BYTES, vaddr=mr.addr, rkey=mr.rkey)
         sim.run()
         assert seen == [mr.addr, mr.addr + constants.MTU_BYTES,
