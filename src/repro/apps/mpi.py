@@ -13,27 +13,16 @@ re-registration — exactly the HPL usage pattern.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.cluster import Cluster
-from repro.collectives import (BinomialTreeBcast, BroadcastAlgorithm,
-                               BroadcastResult, CepheusBcast, ChainBcast,
-                               IncreasingRingBcast, LongBcast,
-                               MultiUnicastBcast, RdmcBcast)
+from repro.collectives import (ALGORITHMS, Allgather, AllReduce, Alltoall,
+                               Barrier, BinomialReduce, BroadcastAlgorithm,
+                               BroadcastResult, CepheusBcast, Gather,
+                               InNetworkReduce, Scatter)
 from repro.errors import ConfigurationError
 
 __all__ = ["ALGORITHMS", "Communicator"]
-
-#: Engine registry: name -> factory(cluster, members, root) -> algorithm.
-ALGORITHMS: Dict[str, Callable[..., BroadcastAlgorithm]] = {
-    "cepheus": CepheusBcast,
-    "binomial": BinomialTreeBcast,
-    "chain": ChainBcast,
-    "increasing-ring": IncreasingRingBcast,
-    "long": LongBcast,
-    "rdmc": RdmcBcast,
-    "multi-unicast": MultiUnicastBcast,
-}
 
 
 class Communicator:
@@ -96,13 +85,10 @@ class Communicator:
         """MPI_Reduce: combine ``size`` bytes from every rank at ``root``.
 
         ``in_network=True`` uses the experimental reduce-mode MDT
-        (:mod:`repro.ext.inreduce`); the default follows the
-        communicator's engine (in-network iff it is ``cepheus``).
-        Returns the reduction result object.
+        (:class:`~repro.collectives.reduce.InNetworkReduce`); the default
+        follows the communicator's engine (in-network iff it is
+        ``cepheus``).  Returns the reduction result object.
         """
-        from repro.collectives.reduce import BinomialReduce
-        from repro.ext.inreduce import InNetworkReduce
-
         if not 0 <= root < self.size:
             raise ConfigurationError(f"root rank {root} out of range")
         use_fabric = (self.algorithm == "cepheus") if in_network is None \
@@ -119,8 +105,6 @@ class Communicator:
     def allreduce(self, size: int, strategy: Optional[str] = None):
         """AllReduce over the communicator; default strategy pairs the
         communicator's broadcast engine with a binomial reduce."""
-        from repro.collectives.allreduce import AllReduce
-
         strat = strategy or (
             "ring" if self.algorithm in ("chain", "long")
             else f"ps-{self.algorithm}")
@@ -132,33 +116,28 @@ class Communicator:
 
     def scatter(self, shard_size: int, root: int = 0):
         """MPI_Scatter: rank ``root`` distributes distinct shards."""
-        from repro.collectives.mpi_ops import Scatter
         return self._cached_op("scatter", Scatter,
                                root=self.ranks[root]).run(shard_size)
 
     def gather(self, shard_size: int, root: int = 0):
         """MPI_Gather: every rank ships its shard to ``root``."""
-        from repro.collectives.mpi_ops import Gather
         return self._cached_op("gather", Gather,
                                root=self.ranks[root]).run(shard_size)
 
     def allgather(self, shard_size: int):
         """MPI_Allgather; in-network (rotating-source multicast rounds)
         when the communicator's engine is cepheus, ring otherwise."""
-        from repro.collectives.mpi_ops import Allgather
         engine = "cepheus" if self.algorithm == "cepheus" else "ring"
         return self._cached_op("allgather", Allgather,
                                engine=engine).run(shard_size)
 
     def alltoall(self, shard_size: int):
         """MPI_Alltoall: personalized pairwise exchange."""
-        from repro.collectives.mpi_ops import Alltoall
         return self._cached_op("alltoall", Alltoall).run(shard_size)
 
     def barrier(self):
         """Synchronize all ranks; in-network reduce+bcast when the
         engine is cepheus, dissemination otherwise."""
-        from repro.collectives.mpi_ops import Barrier
         engine = ("cepheus" if self.algorithm == "cepheus"
                   else "dissemination")
         return self._cached_op("barrier", Barrier, engine=engine).run()

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro import constants
 from repro.apps.cluster import Cluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StallError
 from repro.transport.memory import MemoryRegion
 from repro.transport.roce import RoceQP
 
@@ -186,7 +186,7 @@ class ReplicatedStore:
         try_submit()
         sim.run()
         if state["completed"] != n_ios:
-            raise ConfigurationError(
+            raise StallError(
                 f"storage run stalled at {state['completed']}/{n_ios} IOs")
         return IopsResult(self.scheme, io_size, n_ios,
                           state["t_end"] - state["t0"])

@@ -19,30 +19,11 @@ which is exactly the gain the paper projects for PS/INA architectures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.apps.cluster import Cluster
-from repro.collectives.binomial import BinomialTreeBcast
-from repro.collectives.cepheus_bcast import CepheusBcast
-from repro.collectives.chain import ChainBcast, IncreasingRingBcast
-from repro.collectives.long_algo import LongBcast
-from repro.collectives.rdmc import RdmcBcast
-from repro.collectives.reduce import (BinomialReduce, ReduceResult,
-                                      RingReduceScatter)
-from repro.collectives.unicast import MultiUnicastBcast
+from repro.collectives.reduce import BinomialReduce, RingReduceScatter
 from repro.errors import ConfigurationError
-
-#: Broadcast engines usable as the distribution half (local registry —
-#: :data:`repro.apps.mpi.ALGORITHMS` builds on top of these classes).
-_BCAST_ENGINES = {
-    "cepheus": CepheusBcast,
-    "binomial": BinomialTreeBcast,
-    "chain": ChainBcast,
-    "increasing-ring": IncreasingRingBcast,
-    "long": LongBcast,
-    "rdmc": RdmcBcast,
-    "multi-unicast": MultiUnicastBcast,
-}
 
 __all__ = ["AllReduceResult", "AllReduce"]
 
@@ -70,8 +51,10 @@ class AllReduce:
 
     def __init__(self, cluster: Cluster, members: List[int],
                  strategy: str = "ps-cepheus") -> None:
-        if len(members) < 2:
-            raise ConfigurationError("allreduce needs at least 2 members")
+        # The package registry; imported here because the package
+        # imports this module before defining it.
+        from repro.collectives import ALGORITHMS
+
         self.cluster = cluster
         self.members = list(members)
         self.strategy = strategy
@@ -82,19 +65,19 @@ class AllReduce:
             self._reduce = RingReduceScatter(cluster, self.members)
             # The allgather half is the 'long' roll without the scatter;
             # the chain engine at slices=N models it within a few percent.
-            self._allgather = _BCAST_ENGINES["long"](cluster, self.members)
+            self._allgather = ALGORITHMS["long"](cluster, self.members)
         elif strategy.startswith("ps-"):
             engine = strategy[3:]
-            if engine not in _BCAST_ENGINES:
+            if engine not in ALGORITHMS:
                 raise ConfigurationError(f"unknown bcast engine {engine!r}")
             self._reduce = BinomialReduce(cluster, self.members)
-            self._bcast = _BCAST_ENGINES[engine](cluster, self.members)
+            self._bcast = ALGORITHMS[engine](cluster, self.members)
         else:
             raise ConfigurationError(
                 f"unknown strategy {strategy!r}; use 'ring' or 'ps-<bcast>'")
 
     def run(self, size: int) -> AllReduceResult:
-        r: ReduceResult = self._reduce.run(size)
+        r = self._reduce.run(size)
         if self._bcast is not None:
             d = self._bcast.run(size).jct
         else:

@@ -1,15 +1,22 @@
-"""Broadcast algorithm framework.
+"""The collective skeleton, and the broadcast framework on top of it.
 
-Every multicast/broadcast scheme in the paper — the AMcast baselines
-(Binomial Tree, Chain, increasing-ring, long, RDMC, multi-unicast) and
-Cepheus itself — implements :class:`BroadcastAlgorithm`:
+Every collective — the broadcasts the paper evaluates (the AMcast
+baselines Binomial Tree, Chain, increasing-ring, long, RDMC and
+multi-unicast, and Cepheus itself), the §VIII reductions and the MPI
+operations — runs through :class:`Collective`:
 
-* :meth:`prepare` performs the *untimed* setup (QP pair creation, MFT
-  registration) and may advance the simulator; the paper likewise
-  excludes connection establishment and registration from JCT.
-* :meth:`run` launches one broadcast of ``size`` bytes at the current
-  virtual time, drains the simulator, and returns a
-  :class:`BroadcastResult` with per-receiver delivery times.
+* the constructor validates the member list, once for all of them;
+* :meth:`~Collective.prepare` performs the *untimed* setup (QP pair
+  creation, MFT registration) and may advance the simulator; the paper
+  likewise excludes connection establishment and registration from JCT.
+* :meth:`~Collective.run` launches one operation of ``size`` bytes at
+  the current virtual time, drains the simulator, and returns its
+  result; :meth:`~Collective._finish` is the one place a drain that
+  ended incomplete raises :class:`~repro.errors.StallError`.
+
+A broadcast (:class:`BroadcastAlgorithm`) returns a
+:class:`BroadcastResult` with per-receiver delivery times; every other
+collective completes once and returns a :class:`CollectiveResult`.
 
 JCT (the paper's MPI-Bcast metric) is the time from the root's post to
 the moment the *last* receiver's application has the data, including
@@ -18,16 +25,35 @@ the end-host stack costs on both sides.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.apps.cluster import Cluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StallError
 
-__all__ = ["BroadcastResult", "BroadcastAlgorithm"]
+__all__ = ["Collective", "CollectiveResult", "BroadcastResult",
+           "BroadcastAlgorithm"]
 
-_run_tokens = itertools.count(1)
+
+@dataclass
+class CollectiveResult:
+    """Outcome of one single-completion collective (a reduction or an
+    MPI operation): it finished at ``done``."""
+
+    algorithm: str
+    root: int
+    size: int            # per-rank payload bytes
+    start: float
+    engine: str = "host"
+    done: Optional[float] = None
+    rounds: int = 0
+    combines: int = 0
+    members_completed: int = 0
+    events: int = 0
+
+    @property
+    def duration(self) -> float:
+        return self.done - self.start
 
 
 @dataclass
@@ -61,16 +87,17 @@ class BroadcastResult:
         return self.recv_times[ip] - self.start
 
 
-class BroadcastAlgorithm:
-    """Base class: subclasses override ``_setup`` and ``_launch`` (and
-    may extend ``_finish``)."""
+class Collective:
+    """Base class: subclasses override ``_launch`` (and ``_setup`` when
+    they have untimed setup), and may extend ``_finish``."""
 
     name = "abstract"
+    engine = "host"
 
     def __init__(self, cluster: Cluster, members: List[int],
                  root: Optional[int] = None) -> None:
         if len(members) < 2:
-            raise ConfigurationError("broadcast needs at least 2 members")
+            raise ConfigurationError(f"{self.name} needs at least 2 members")
         self.cluster = cluster
         self.root = members[0] if root is None else root
         if self.root not in members:
@@ -87,13 +114,11 @@ class BroadcastAlgorithm:
             self._setup()
             self._prepared = True
 
-    def run(self, size: int) -> BroadcastResult:
-        """Broadcast ``size`` bytes from the root; returns timings."""
+    def run(self, size: int):
+        """Run the collective on ``size`` bytes; returns timings."""
         self.prepare()
         sim = self.cluster.sim
-        result = BroadcastResult(
-            algorithm=self.name, root=self.root, size=size, start=sim.now,
-        )
+        result = self._new_result(size, sim.now)
         ev0 = sim.events_run
         self._launch(size, result)
         sim.run()
@@ -101,7 +126,40 @@ class BroadcastAlgorithm:
         self._finish(result)
         return result
 
-    # -- helpers for subclasses ------------------------------------------------------
+    @property
+    def n(self) -> int:
+        return len(self.ranks)
+
+    # -- to override -----------------------------------------------------------------
+
+    def _new_result(self, size: int, start: float):
+        return CollectiveResult(self.name, self.root, size, start, self.engine)
+
+    def _setup(self) -> None:
+        pass
+
+    def _launch(self, size: int, result) -> None:
+        raise NotImplementedError
+
+    def _missing(self, result, excused):
+        """What a drained run still owes; falsy once it is complete."""
+        return "run" if result.done is None else None
+
+    def _finish(self, result, excused=()) -> None:
+        """After the drain: everything owed (bar ``excused``) must have
+        completed.  Subclasses extend this to post-process the result
+        first."""
+        missing = self._missing(result, excused)
+        if missing:
+            raise StallError(f"{self.name}: {missing} never completed")
+
+
+class BroadcastAlgorithm(Collective):
+    """A broadcast: every receiver is owed the root's message, and each
+    delivery is timed."""
+
+    def _new_result(self, size: int, start: float) -> BroadcastResult:
+        return BroadcastResult(self.name, self.root, size, start)
 
     def _record_delivery(self, result: BroadcastResult, ip: int, now: float) -> None:
         """Receiver-side: add the app-level receive stack cost."""
@@ -110,24 +168,7 @@ class BroadcastAlgorithm:
         if prev is None or done > prev:
             result.recv_times[ip] = done
 
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
-
-    # -- to override -----------------------------------------------------------------
-
-    def _setup(self) -> None:
-        raise NotImplementedError
-
-    def _launch(self, size: int, result: BroadcastResult) -> None:
-        raise NotImplementedError
-
-    def _finish(self, result: BroadcastResult, excused=()) -> None:
-        """After the drain: every receiver owed the message (all but
-        ``excused``) must have it.  Subclasses extend this to
-        post-process the result first."""
+    def _missing(self, result: BroadcastResult, excused):
         missing = [ip for ip in self.ranks if ip != self.root
                    and ip not in result.recv_times and ip not in excused]
-        if missing:
-            raise ConfigurationError(
-                f"{self.name}: receivers never completed: {missing}")
+        return missing and f"receivers {missing}"

@@ -17,68 +17,40 @@ shaped:
 * :class:`Barrier` — dissemination barrier, or ``engine="cepheus"``:
   an in-network 1-byte reduce to the root followed by a 1-byte
   multicast (two wire-times end-to-end).
+
+Each completes once: its result's ``done`` is set when the last piece
+lands, and ``size`` is the per-rank payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.apps.cluster import Cluster
+from repro.collectives.base import Collective, CollectiveResult
+from repro.collectives.cepheus_bcast import CepheusBcast
+from repro.collectives.reduce import InNetworkReduce
 from repro.errors import ConfigurationError
 
-__all__ = ["CollectiveResult", "Scatter", "Gather", "Allgather",
-           "Alltoall", "Barrier"]
+__all__ = ["Scatter", "Gather", "Allgather", "Alltoall", "Barrier"]
 
 
-@dataclass
-class CollectiveResult:
-    """Timing of one collective operation."""
-
-    operation: str
-    engine: str
-    size: int            # per-rank payload bytes
-    duration: float
-    rounds: int = 0
-
-
-class _CollectiveBase:
-    """Shared member/rank bookkeeping."""
-
-    name = "abstract"
-
-    def __init__(self, cluster: Cluster, members: List[int],
-                 root: Optional[int] = None) -> None:
-        if len(members) < 2:
-            raise ConfigurationError(f"{self.name} needs at least 2 members")
-        self.cluster = cluster
-        self.root = members[0] if root is None else root
-        if self.root not in members:
-            raise ConfigurationError(f"root {self.root} not in members")
-        self.ranks = [self.root] + [m for m in members if m != self.root]
-
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
-
-    def _drain(self) -> None:
-        self.cluster.sim.run()
-
-
-class Scatter(_CollectiveBase):
+class Scatter(Collective):
     """Root distributes shard *i* to rank *i* (MPI_Scatter)."""
 
     name = "scatter"
 
-    def run(self, shard_size: int) -> CollectiveResult:
+    def _launch(self, shard_size: int, result: CollectiveResult) -> None:
         sim = self.cluster.sim
         stack = self.cluster.stack
-        t0 = sim.now
-        done = {"n": self.n - 1, "t": t0}
+        result.rounds = self.n - 1
+        done = {"n": self.n - 1, "t": result.start}
 
         def landed(mid: int, sz: int, now: float, meta) -> None:
             done["n"] -= 1
             done["t"] = max(done["t"], now + stack.recv)
+            if done["n"] == 0:
+                result.done = done["t"]
 
         def post(idx: int) -> None:
             if idx >= self.n:
@@ -89,27 +61,24 @@ class Scatter(_CollectiveBase):
                 shard_size, on_sent=lambda mid, now: post(idx + 1))
 
         sim.schedule(stack.send, post, 1)
-        self._drain()
-        if done["n"] != 0:
-            raise ConfigurationError("scatter stalled")
-        return CollectiveResult(self.name, "host", shard_size,
-                                done["t"] - t0, rounds=self.n - 1)
 
 
-class Gather(_CollectiveBase):
+class Gather(Collective):
     """Everyone ships its shard to the root (MPI_Gather)."""
 
     name = "gather"
 
-    def run(self, shard_size: int) -> CollectiveResult:
+    def _launch(self, shard_size: int, result: CollectiveResult) -> None:
         sim = self.cluster.sim
         stack = self.cluster.stack
-        t0 = sim.now
-        done = {"n": self.n - 1, "t": t0}
+        result.rounds = 1
+        done = {"n": self.n - 1, "t": result.start}
 
         def landed(mid: int, sz: int, now: float, meta) -> None:
             done["n"] -= 1
             done["t"] = max(done["t"], now + stack.recv)
+            if done["n"] == 0:
+                result.done = done["t"]
 
         def start() -> None:
             for ip in self.ranks[1:]:
@@ -117,14 +86,9 @@ class Gather(_CollectiveBase):
                 self.cluster.qp_to(ip, self.root).post_send(shard_size)
 
         sim.schedule(stack.send, start)
-        self._drain()
-        if done["n"] != 0:
-            raise ConfigurationError("gather stalled")
-        return CollectiveResult(self.name, "host", shard_size,
-                                done["t"] - t0, rounds=1)
 
 
-class Allgather(_CollectiveBase):
+class Allgather(Collective):
     """Every rank ends with every shard (MPI_Allgather).
 
     ``engine="ring"``: the classic N-1 step ring.
@@ -143,30 +107,24 @@ class Allgather(_CollectiveBase):
         self.engine = engine
         self._bcast = None
         if engine == "cepheus":
-            from repro.collectives.cepheus_bcast import CepheusBcast
             self._bcast = CepheusBcast(cluster, self.ranks, self.root)
             self._bcast.prepare()
 
-    def run(self, shard_size: int) -> CollectiveResult:
-        if self.engine == "cepheus":
-            return self._run_cepheus(shard_size)
-        return self._run_ring(shard_size)
-
-    def _run_cepheus(self, shard_size: int) -> CollectiveResult:
-        sim = self.cluster.sim
-        t0 = sim.now
-        for ip in self.ranks:
-            self._bcast.set_source(ip)
-            self._bcast.run(shard_size)
-        return CollectiveResult(self.name, "cepheus", shard_size,
-                                sim.now - t0, rounds=self.n)
-
-    def _run_ring(self, shard_size: int) -> CollectiveResult:
+    def _launch(self, shard_size: int, result: CollectiveResult) -> None:
+        if self._bcast is not None:
+            # Each round is a whole broadcast run, drained here; the
+            # outer drain then finds nothing left to do.
+            for ip in self.ranks:
+                self._bcast.set_source(ip)
+                self._bcast.run(shard_size)
+            result.rounds = self.n
+            result.done = self.cluster.sim.now
+            return
         sim = self.cluster.sim
         stack = self.cluster.stack
         n = self.n
-        t0 = sim.now
-        remaining = {"n": n * (n - 1), "t": t0}
+        result.rounds = n - 1
+        remaining = {"n": n * (n - 1), "t": result.start}
 
         def forward(rank: int, shard: int, hops: int) -> None:
             nxt = (rank + 1) % n
@@ -178,6 +136,8 @@ class Allgather(_CollectiveBase):
                 shard, hops = meta
                 remaining["n"] -= 1
                 remaining["t"] = max(remaining["t"], now + stack.recv)
+                if remaining["n"] == 0:
+                    result.done = remaining["t"]
                 if hops < n - 1:
                     sim.schedule(stack.relay, forward, rank, shard, hops)
             return handler
@@ -192,14 +152,9 @@ class Allgather(_CollectiveBase):
                 forward(rank, rank, 0)
 
         sim.schedule(stack.send, start)
-        self._drain()
-        if remaining["n"] != 0:
-            raise ConfigurationError("allgather stalled")
-        return CollectiveResult(self.name, "ring", shard_size,
-                                remaining["t"] - t0, rounds=n - 1)
 
 
-class Alltoall(_CollectiveBase):
+class Alltoall(Collective):
     """Personalized exchange: rank i sends a distinct shard to every j.
 
     XOR pairwise schedule (n rounds for power-of-two groups, n rounds
@@ -209,20 +164,21 @@ class Alltoall(_CollectiveBase):
 
     name = "alltoall"
 
-    def run(self, shard_size: int) -> CollectiveResult:
+    def _launch(self, shard_size: int, result: CollectiveResult) -> None:
         sim = self.cluster.sim
         stack = self.cluster.stack
         n = self.n
-        t0 = sim.now
         # round-robin over XOR partners; total messages n*(n-1)
         rounds = 1
         while rounds < n:
             rounds <<= 1  # next power of two
-        state = {"pending": 0, "round": 0, "t": t0}
+        result.rounds = rounds - 1
+        state = {"pending": 0, "round": 0, "t": result.start}
 
         def run_round() -> None:
             r = state["round"]
             if r >= rounds:
+                result.done = state["t"]
                 return
             state["round"] += 1
             pairs = []
@@ -247,14 +203,9 @@ class Alltoall(_CollectiveBase):
                 self.cluster.qp_to(src, dst).post_send(shard_size)
 
         sim.schedule(stack.send, run_round)
-        self._drain()
-        if state["round"] < rounds or state["pending"] != 0:
-            raise ConfigurationError("alltoall stalled")
-        return CollectiveResult(self.name, "host", shard_size,
-                                state["t"] - t0, rounds=rounds - 1)
 
 
-class Barrier(_CollectiveBase):
+class Barrier(Collective):
     """Synchronize all members.
 
     ``engine="dissemination"``: ceil(log2 n) rounds of 1-byte exchanges.
@@ -273,35 +224,34 @@ class Barrier(_CollectiveBase):
         self._reduce = None
         self._bcast = None
         if engine == "cepheus":
-            from repro.collectives.cepheus_bcast import CepheusBcast
-            from repro.ext.inreduce import InNetworkReduce
             self._reduce = InNetworkReduce(cluster, self.ranks, self.root)
             self._reduce.prepare()
             self._bcast = CepheusBcast(cluster, self.ranks, self.root)
             self._bcast.prepare()
 
     def run(self) -> CollectiveResult:
-        if self.engine == "cepheus":
-            sim = self.cluster.sim
-            t0 = sim.now
+        """A barrier's tokens are 1 byte."""
+        return super().run(1)
+
+    def _launch(self, size: int, result: CollectiveResult) -> None:
+        if self._reduce is not None:
+            # Both phases drain here; the outer drain is then empty.
             self._reduce.run(1)   # everyone checked in
             self._bcast.run(1)    # everyone released
-            return CollectiveResult(self.name, "cepheus", 1,
-                                    sim.now - t0, rounds=2)
-        return self._run_dissemination()
-
-    def _run_dissemination(self) -> CollectiveResult:
+            result.rounds = 2
+            result.done = self.cluster.sim.now
+            return
         sim = self.cluster.sim
         stack = self.cluster.stack
         n = self.n
-        t0 = sim.now
         rounds = max(1, (n - 1).bit_length())
-        got: Dict[int, int] = {r: 0 for r in range(n)}
-        state = {"round": 0, "pending": 0, "t": t0}
+        result.rounds = rounds
+        state = {"round": 0, "pending": 0, "t": result.start}
 
         def run_round() -> None:
             r = state["round"]
             if r >= rounds:
+                result.done = state["t"]
                 return
             state["round"] += 1
             dist = 1 << r
@@ -310,7 +260,7 @@ class Barrier(_CollectiveBase):
                 j = (i + dist) % n
                 src, dst = self.ranks[i], self.ranks[j]
 
-                def landed(mid, sz, now, meta, _j=j) -> None:
+                def landed(mid, sz, now, meta) -> None:
                     state["pending"] -= 1
                     state["t"] = max(state["t"], now + stack.recv)
                     if state["pending"] == 0:
@@ -320,8 +270,3 @@ class Barrier(_CollectiveBase):
                 self.cluster.qp_to(src, dst).post_send(1)
 
         sim.schedule(stack.send, run_round)
-        self._drain()
-        if state["round"] < rounds or state["pending"] != 0:
-            raise ConfigurationError("barrier stalled")
-        return CollectiveResult(self.name, "dissemination", 1,
-                                state["t"] - t0, rounds=rounds)

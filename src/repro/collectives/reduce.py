@@ -2,8 +2,8 @@
 
 The paper closes with: "we plan to extend Cepheus for more collective
 communication primitives, such as many-to-one (e.g., MPI-Reduce)".
-This module provides the host-side reduction half that composes with
-the Cepheus broadcast:
+This module provides the reductions that compose with the Cepheus
+broadcast:
 
 * :class:`BinomialReduce` — the mirror image of the binomial broadcast:
   partial sums combine pairwise up a binomial tree in ceil(log2 N)
@@ -13,6 +13,8 @@ the Cepheus broadcast:
 * :class:`RingReduceScatter` — each rank ends with the fully-reduced
   1/N-th shard of the vector after N-1 pipelined steps; the classic
   bandwidth-optimal first half of ring allreduce.
+* :class:`InNetworkReduce` — the experimental in-network version:
+  contributions combine in the switches over a reduce-mode MDT.
 
 :class:`repro.collectives.allreduce.AllReduce` composes these with a
 broadcast/allgather phase; the Cepheus-accelerated composition is the
@@ -22,14 +24,16 @@ aggregate toward the PS, the update is *multicast* back out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.apps.cluster import Cluster
+from repro.collectives.base import Collective, CollectiveResult
 from repro.collectives.binomial import binomial_children
+from repro.core.group import MulticastGroup
 from repro.errors import ConfigurationError
+from repro.transport.roce import RoceQP
 
-__all__ = ["ReduceResult", "BinomialReduce", "RingReduceScatter",
+__all__ = ["BinomialReduce", "RingReduceScatter", "InNetworkReduce",
            "REDUCE_COMPUTE_BPS"]
 
 #: Combining rate for the elementwise reduction (memory-bound vector
@@ -37,66 +41,11 @@ __all__ = ["ReduceResult", "BinomialReduce", "RingReduceScatter",
 REDUCE_COMPUTE_BPS: float = 50e9 * 8
 
 
-@dataclass
-class ReduceResult:
-    """Outcome of one reduction."""
-
-    algorithm: str
-    root: int
-    size: int
-    start: float
-    done: Optional[float] = None
-    combines: int = 0
-
-    @property
-    def duration(self) -> float:
-        if self.done is None:
-            raise ConfigurationError("reduction never completed")
-        return self.done - self.start
+def _combine_delay(nbytes: int) -> float:
+    return nbytes * 8.0 / REDUCE_COMPUTE_BPS
 
 
-class _ReduceBase:
-    """Common plumbing for host-level reductions."""
-
-    name = "abstract-reduce"
-
-    def __init__(self, cluster: Cluster, members: List[int],
-                 root: Optional[int] = None) -> None:
-        if len(members) < 2:
-            raise ConfigurationError("reduce needs at least 2 members")
-        self.cluster = cluster
-        self.root = members[0] if root is None else root
-        if self.root not in members:
-            raise ConfigurationError(f"root {self.root} not in members")
-        self.ranks = [self.root] + [m for m in members if m != self.root]
-        self._prepared = False
-
-    def prepare(self) -> None:
-        if not self._prepared:
-            self._setup()
-            self._prepared = True
-
-    def run(self, size: int) -> ReduceResult:
-        self.prepare()
-        sim = self.cluster.sim
-        result = ReduceResult(self.name, self.root, size, start=sim.now)
-        self._launch(size, result)
-        sim.run()
-        if result.done is None:
-            raise ConfigurationError(f"{self.name}: reduction stalled")
-        return result
-
-    def _combine_delay(self, nbytes: int) -> float:
-        return nbytes * 8.0 / REDUCE_COMPUTE_BPS
-
-    def _setup(self) -> None:
-        raise NotImplementedError
-
-    def _launch(self, size: int, result: ReduceResult) -> None:
-        raise NotImplementedError
-
-
-class BinomialReduce(_ReduceBase):
+class BinomialReduce(Collective):
     """Pairwise combining up the binomial tree (MPI_Reduce default)."""
 
     name = "binomial-reduce"
@@ -106,7 +55,7 @@ class BinomialReduce(_ReduceBase):
             for child in binomial_children(rank, len(self.ranks)):
                 self.cluster.qp_pair(ip, self.ranks[child])
 
-    def _launch(self, size: int, result: ReduceResult) -> None:
+    def _launch(self, size: int, result: CollectiveResult) -> None:
         sim = self.cluster.sim
         stack = self.cluster.stack
         n = len(self.ranks)
@@ -128,7 +77,7 @@ class BinomialReduce(_ReduceBase):
         def on_partial(rank: int):
             def handler(mid: int, sz: int, now: float, meta) -> None:
                 result.combines += 1
-                delay = stack.recv + self._combine_delay(sz)
+                delay = stack.recv + _combine_delay(sz)
 
                 def combined() -> None:
                     pending[rank] -= 1
@@ -147,7 +96,7 @@ class BinomialReduce(_ReduceBase):
                 send_up(rank)
 
 
-class RingReduceScatter(_ReduceBase):
+class RingReduceScatter(Collective):
     """Pipelined ring reduce-scatter: after N-1 steps, rank i holds the
     fully-reduced shard i.  Completion = every shard reduced."""
 
@@ -163,7 +112,7 @@ class RingReduceScatter(_ReduceBase):
         base, rem = divmod(size, n)
         return [base + (1 if i < rem else 0) for i in range(n)]
 
-    def _launch(self, size: int, result: ReduceResult) -> None:
+    def _launch(self, size: int, result: CollectiveResult) -> None:
         sim = self.cluster.sim
         stack = self.cluster.stack
         n = len(self.ranks)
@@ -180,12 +129,11 @@ class RingReduceScatter(_ReduceBase):
             def handler(mid: int, sz: int, now: float, meta) -> None:
                 shard, hops = meta
                 result.combines += 1
-                delay = stack.recv + self._combine_delay(sz) + stack.send
+                delay = stack.recv + _combine_delay(sz) + stack.send
                 if hops >= n - 1:
                     remaining["n"] -= 1
                     if remaining["n"] == 0:
-                        result.done = now + stack.recv + \
-                            self._combine_delay(sz)
+                        result.done = now + stack.recv + _combine_delay(sz)
                     return
                 sim.schedule(delay, forward, rank, shard, hops)
             return handler
@@ -204,3 +152,83 @@ class RingReduceScatter(_ReduceBase):
                 forward(rank, shard, 0)
 
         sim.schedule(stack.send, start)
+
+
+class InNetworkReduce(Collective):
+    """Many-to-one combining over the Cepheus MDT (experimental).
+
+    This prototypes the §VIII extension on the same design principles
+    as the broadcast primitive:
+
+    * members keep their single RC connection to the virtual remote;
+    * the registered MDT is reused with its *mode* flipped to
+      ``reduce``: member contributions combine per-PSN on the way up,
+      the root's feedback replicates (with connection bridging) on the
+      way down;
+    * the RNICs stay unmodified: each member's QP sees a perfectly
+      normal unicast-looking ACK/NACK/CNP stream, and the root's QP
+      sees one in-order data stream carrying the fully-combined vector.
+
+    Contrast with SHARP (§VI): no switch buffering of payloads for
+    retransmission — a root NACK rewinds *all* members together
+    (collective order makes their PSNs line up), and the combining slots
+    refill coherently.  The cost is that one member's retransmission
+    makes every member retransmit, the same trade the broadcast side
+    makes for loss (§V-C), which is why this too wants a PFC-lossless
+    fabric.
+
+    Limitations (why the paper defers this): requires collective posting
+    discipline (every member posts equal sizes in the same order) and a
+    fixed root per mode-switch; combining slots assume bounded
+    reordering (the RC window).
+    """
+
+    name = "in-network-reduce"
+    engine = "cepheus"
+
+    def __init__(self, cluster: Cluster, members: List[int],
+                 root: Optional[int] = None) -> None:
+        super().__init__(cluster, members, root)
+        if cluster.fabric is None:
+            raise ConfigurationError("in-network reduce needs a Cepheus fabric")
+        # The caller's order, not the root-first ranks: the group is
+        # created, and contributions posted, in this order.
+        self.members = list(members)
+        self.group: Optional[MulticastGroup] = None
+        self.qps: Dict[int, RoceQP] = {}
+
+    def _setup(self) -> None:
+        """Register the group (broadcast-style MDT), then flip it to
+        reduce mode — a pure control-plane operation."""
+        fabric = self.cluster.fabric
+        self.qps = {ip: self.cluster.ctx(ip).create_qp()
+                    for ip in self.members}
+        # The root is the leader: the MDT's AckOutPort then points at it
+        # from registration, which in reduce mode is the combining sink.
+        self.group = fabric.create_group(self.qps, leader_ip=self.root)
+        fabric.register_sync(self.group)
+        fabric.set_group_mode(self.group.mcst_id, "reduce")
+
+    def _launch(self, size: int, result: CollectiveResult) -> None:
+        """Every non-root member contributes ``size`` bytes; done when
+        the root has the combined vector, and the drain also sees every
+        member's send acknowledged."""
+        sim = self.cluster.sim
+        stack = self.cluster.stack
+
+        def root_got(mid: int, sz: int, now: float, meta) -> None:
+            if sz == size and result.done is None:
+                result.done = now + stack.recv
+
+        self.qps[self.root].on_message = root_got
+
+        def member_done(mid: int, now: float) -> None:
+            result.members_completed += 1
+
+        def post_all() -> None:
+            for ip in self.members:
+                if ip == self.root:
+                    continue
+                self.qps[ip].post_send(size, on_complete=member_done)
+
+        sim.schedule(stack.send, post_all)

@@ -11,6 +11,13 @@ class ConfigurationError(ReproError):
     """An experiment or component was configured inconsistently."""
 
 
+class StallError(ConfigurationError):
+    """A run drained its event queue with its operation still incomplete
+    — a liveness failure, not a misconfiguration.  It subclasses
+    :class:`ConfigurationError` only so that callers which count stalls
+    by catching that keep working until they catch this instead."""
+
+
 class TopologyError(ReproError):
     """A topology was malformed (unknown host, disconnected node...)."""
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from repro.apps import Cluster
 from repro.collectives import (AllReduce, BinomialReduce, BinomialTreeBcast,
-                               CepheusBcast, ChainBcast)
-from repro.ext import InNetworkReduce
+                               CepheusBcast, ChainBcast, InNetworkReduce)
 from repro.harness.report import ExperimentResult, fmt_size
 from repro.harness.workloads import MIXED, MulticastWorkload, PoissonArrivals
 from repro.net.telemetry import LatencyStats

@@ -34,9 +34,8 @@ import pytest
 
 from repro import constants
 from repro.apps import Cluster
-from repro.collectives import CepheusBcast
+from repro.collectives import CepheusBcast, InNetworkReduce
 from repro.core.accelerator import DEPLOYMENTS, AcceleratorConfig
-from repro.ext import InNetworkReduce
 from repro.net.packet import Packet, PacketType
 from repro.net.pool import DebugPacketPool, PacketPool
 from repro.net.switch import SwitchConfig

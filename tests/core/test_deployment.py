@@ -72,7 +72,7 @@ class TestLookasideAllPaths:
         assert r.sender_done is not None  # aggregated ACKs made it back
 
     def test_reduce_mode_through_lookaside(self):
-        from repro.ext import InNetworkReduce
+        from repro.collectives import InNetworkReduce
 
         cfg = AcceleratorConfig(deployment="lookaside")
         cl = Cluster.testbed(8, accel_config=cfg)

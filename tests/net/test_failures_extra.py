@@ -3,8 +3,7 @@
 import pytest
 
 from repro.apps import Cluster
-from repro.collectives import CepheusBcast
-from repro.ext import InNetworkReduce
+from repro.collectives import CepheusBcast, InNetworkReduce
 from repro.net import FailureInjector
 
 

@@ -28,14 +28,12 @@ class TestPackageSurface:
         import repro.apps
         import repro.collectives
         import repro.core
-        import repro.ext
         import repro.harness
         import repro.net
         import repro.transport
 
         for mod in (repro.analytic, repro.apps, repro.collectives,
-                    repro.core, repro.ext, repro.harness, repro.net,
-                    repro.transport):
+                    repro.core, repro.harness, repro.net, repro.transport):
             for name in mod.__all__:
                 assert getattr(mod, name, None) is not None, \
                     f"{mod.__name__}.{name}"
@@ -50,6 +48,20 @@ class TestPackageSurface:
             if not (mod.__doc__ or "").strip():
                 missing.append(info.name)
         assert missing == []
+
+
+class TestOneCollectiveSkeleton:
+    def test_every_runnable_collective_is_a_collective(self):
+        """Validation, the drain and the stall check live once, in
+        ``Collective``; a class that runs without it is a new skeleton.
+        ``AllReduce`` only composes two collectives that do."""
+        import repro.collectives as pkg
+
+        strays = [name for name in pkg.__all__
+                  if isinstance(getattr(pkg, name), type)
+                  and hasattr(getattr(pkg, name), "run")
+                  and not issubclass(getattr(pkg, name), pkg.Collective)]
+        assert strays == ["AllReduce"]
 
 
 class TestCiWorkflow:
