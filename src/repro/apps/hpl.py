@@ -21,7 +21,7 @@ simulator through the same broadcast engines as everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.cluster import Cluster

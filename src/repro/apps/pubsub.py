@@ -19,7 +19,7 @@ zero — the same argument the paper makes for storage replication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.cluster import Cluster

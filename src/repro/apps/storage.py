@@ -19,7 +19,7 @@ is the same machinery with queue depth 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import constants

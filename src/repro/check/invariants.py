@@ -50,12 +50,12 @@ The monitor is *online*: it subscribes to the simulation's single
 :class:`~repro.net.pipeline.ObserverBus` — the ``feedback``,
 ``replicate``, ``qp_send``, ``deliver`` and ``membership_epoch``
 channels the datapath publishes on, and optionally the per-event
-``event`` channel for sampled structural sweeps.  Subscriptions use
-``propagate=True`` so strict-mode violations abort the run instead of
-being isolated like ordinary observers.  In the default (non-strict)
-mode violations are recorded and the run continues — the chaos harness
-needs the full trace to shrink a reproducer; ``strict=True`` raises
-:class:`InvariantViolationError` at the first offence.
+``event`` channel for sampled structural sweeps.  In the default
+(non-strict) mode violations are recorded and the run continues — the
+chaos harness needs the full trace to shrink a reproducer;
+``strict=True`` raises :class:`InvariantViolationError` at the first
+offence, and like any subscriber's exception it escapes the bus and
+aborts the run.
 
 Ablation configurations are respected: when a feature switch
 (``trigger_condition``, ``nack_aggregation``, ``cnp_filter``,
@@ -215,12 +215,10 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
 
     def _subscribe(self, bus, channel: str, fn) -> None:
-        """Idempotent tracked subscription; ``propagate=True`` so the
-        strict-mode :class:`InvariantViolationError` escapes the bus's
-        observer isolation and aborts the run."""
+        """Idempotent tracked subscription."""
         if bus.is_subscribed(channel, fn):
             return
-        bus.subscribe(channel, fn, propagate=True)
+        bus.subscribe(channel, fn)
         self._subscriptions.append((bus, channel, fn))
 
     def attach_engine(self, engine) -> None:
@@ -235,7 +233,6 @@ class InvariantMonitor:
         self._subscribe(qp.bus, "qp_send", self.on_qp_send)
         self._subscribe(qp.bus, "deliver", self.on_qp_deliver)
         self._subscribe(qp.bus, "membership_epoch", self.on_membership_epoch)
-        self._qp_names[qp] = f"{qp.nic.name}:qp{qp.qpn:#x}"
 
     def attach_fabric(self, fabric) -> None:
         for accel in fabric.accelerators.values():
@@ -243,17 +240,16 @@ class InvariantMonitor:
         self._fabrics.append(fabric)
 
     def attach_cluster(self, cluster, trace: bool = True) -> None:
-        """Tap every layer of a :class:`~repro.apps.cluster.Cluster`
-        through its simulator's bus: accelerators, feedback engines, all
-        QPs — including QPs created later, because the bus lives on the
-        simulator, not the components — and, when ``trace``, the
-        per-event channel for sampled structural sweeps."""
+        """Monitor a whole :class:`~repro.apps.cluster.Cluster` through
+        its simulator's bus, which every accelerator, feedback engine and
+        QP publishes to — including QPs created later — and, when
+        ``trace``, the per-event channel for sampled structural sweeps.
+        A fabric is also registered for those sweeps."""
         bus = cluster.sim.bus
         if cluster.fabric is not None:
-            self.attach_fabric(cluster.fabric)
-        for ctx in cluster.ctxs.values():
-            for qp in ctx.qps:
-                self.attach_qp(qp)
+            self._subscribe(bus, "replicate", self.on_replicate)
+            self._subscribe(bus, "feedback", self.on_feedback)
+            self._fabrics.append(cluster.fabric)
         self._subscribe(bus, "qp_send", self.on_qp_send)
         self._subscribe(bus, "deliver", self.on_qp_deliver)
         self._subscribe(bus, "membership_epoch", self.on_membership_epoch)

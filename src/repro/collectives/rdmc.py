@@ -20,7 +20,7 @@ is also what RDMC does.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.apps.cluster import Cluster
 from repro.collectives.base import BroadcastAlgorithm, BroadcastResult

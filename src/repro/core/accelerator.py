@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import constants
 from repro.core.feedback import FeedbackConfig, FeedbackEngine
@@ -38,7 +38,7 @@ from repro.core.mft import Mft, MftTable, PathEntry
 from repro.core.mrp import MrpError, MrpPayload
 from repro.core.source_routing import SourceRoutingConfig
 from repro.errors import RegistrationError
-from repro.net.packet import Packet, PacketType, is_multicast_ip
+from repro.net.packet import Packet, PacketType
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 

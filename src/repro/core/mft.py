@@ -21,10 +21,9 @@ alongside the MFT in the accelerator's BRAM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, ItemsView, Iterator, List, Optional, Set
 
-from repro import constants
 from repro.errors import GroupError, RegistrationError
 
 __all__ = ["PathEntry", "Mft", "MftTable"]

@@ -19,7 +19,7 @@ RNIC feature beyond plain RC.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.group import MulticastGroup
 from repro.errors import GroupError

@@ -16,9 +16,8 @@ symptom the paper predicts:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro import constants
 from repro.apps import Cluster
 from repro.collectives import CepheusBcast
 from repro.core.accelerator import AcceleratorConfig

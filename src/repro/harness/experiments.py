@@ -9,8 +9,7 @@ docstring and in the result's ``notes``.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.analytic import NetModel, binomial_jct, cepheus_jct, chain_jct
@@ -19,8 +18,7 @@ from repro.collectives import (BinomialTreeBcast, CepheusBcast, ChainBcast,
                                RdmcBcast)
 from repro.core.mft import Mft
 from repro.harness.report import ExperimentResult, fmt_size
-from repro.net import SwitchConfig
-from repro.net.trace import ThroughputSampler, collect_run_stats
+from repro.net.trace import ThroughputSampler
 
 __all__ = [
     "fig8_bcast_small", "fig9_bcast_large", "rdmc_comparison",

@@ -12,7 +12,8 @@ from repro.apps import Cluster
 from repro.collectives import (AllReduce, BinomialReduce, BinomialTreeBcast,
                                CepheusBcast, ChainBcast, InNetworkReduce)
 from repro.harness.report import ExperimentResult, fmt_size
-from repro.harness.workloads import MIXED, MulticastWorkload, PoissonArrivals
+from repro.harness.workloads import (MIXED, MulticastWorkload, PoissonArrivals,
+                                     nearest_rank)
 from repro.net.telemetry import LatencyStats
 from repro.transport import RoceConfig
 
@@ -221,19 +222,11 @@ def ext_workload(quick: bool = True) -> ExperimentResult:
         cl = Cluster.testbed(4)
         result = workload.run(cl, cl.host_ips, cls, **kw)
         small, large = result.small_large_split(64 << 10)
-
-        def pct(values, p):
-            if not values:
-                return 0.0
-            ordered = sorted(values)
-            return ordered[min(len(ordered) - 1,
-                               int(p / 100 * len(ordered)))]
-
         res.rows.append({
             "engine": result.engine,
-            "small_p50_us": pct(small, 50) * 1e6,
-            "small_p99_us": pct(small, 99) * 1e6,
-            "large_p50_ms": pct(large, 50) * 1e3,
-            "large_p99_ms": pct(large, 99) * 1e3,
+            "small_p50_us": nearest_rank(small, 50) * 1e6,
+            "small_p99_us": nearest_rank(small, 99) * 1e6,
+            "large_p50_ms": nearest_rank(large, 50) * 1e3,
+            "large_p99_ms": nearest_rank(large, 99) * 1e3,
         })
     return res

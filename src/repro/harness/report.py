@@ -8,7 +8,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 __all__ = ["ExperimentResult", "format_table", "fmt_size", "fmt_time",
            "ratio", "ascii_chart"]

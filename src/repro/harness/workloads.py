@@ -20,11 +20,12 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 __all__ = ["SizeDistribution", "PoissonArrivals", "MulticastWorkload",
+           "nearest_rank",
            "QUERY", "STORAGE_REPLICATION", "DNN_UPDATES", "MIXED"]
 
 
@@ -107,6 +108,14 @@ class PoissonArrivals:
         return out
 
 
+def nearest_rank(values: Sequence[float], p: float) -> float:
+    """Nearest-rank ``p``-th percentile of ``values`` (0.0 when empty)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(p / 100 * len(ordered)))]
+
+
 @dataclass
 class WorkloadResult:
     """Per-message FCTs for one replayed workload."""
@@ -115,11 +124,7 @@ class WorkloadResult:
     fcts: List[Tuple[int, float]]  # (size, fct)
 
     def percentile(self, p: float) -> float:
-        ordered = sorted(f for _, f in self.fcts)
-        if not ordered:
-            return 0.0
-        idx = min(len(ordered) - 1, int(p / 100 * len(ordered)))
-        return ordered[idx]
+        return nearest_rank([f for _, f in self.fcts], p)
 
     def small_large_split(self, threshold: int = 64 << 10):
         small = [f for s, f in self.fcts if s < threshold]

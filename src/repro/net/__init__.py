@@ -13,8 +13,7 @@ from repro.net.pipeline import ObserverBus
 from repro.net.port import Port
 from repro.net.simulator import Event, Simulator
 from repro.net.switch import Switch, SwitchConfig
-from repro.net.telemetry import (DeliveryTap, LatencyStats, PacketLog,
-                                 QueueDepthProbe)
+from repro.net.telemetry import LatencyStats
 from repro.net.topology import Topology, dumbbell, fat_tree, star
 from repro.net.trace import RunStats, ThroughputSampler, collect_run_stats
 
@@ -29,5 +28,5 @@ __all__ = [
     "Topology", "star", "fat_tree", "dumbbell",
     "ThroughputSampler", "RunStats", "collect_run_stats",
     "FailureInjector",
-    "LatencyStats", "DeliveryTap", "QueueDepthProbe", "PacketLog",
+    "LatencyStats",
 ]

@@ -15,7 +15,7 @@ also exercise recovery behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.net.switch import Switch

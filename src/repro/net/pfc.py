@@ -22,7 +22,7 @@ count and throttles the whole group at the source's rate.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro import constants
 from repro.net.packet import Packet, PacketType

@@ -7,10 +7,14 @@ retransmission filtering) → connection bridging → feedback aggregation.
 :meth:`repro.core.accelerator.CepheusAccelerator.process` run that
 sequence as straight-line code and publish each decision here: every
 cross-cutting consumer — the :class:`~repro.check.InvariantMonitor`,
-telemetry taps, the fuzzer's coverage map, the chaos and churn
+the throughput sampler, the fuzzer's coverage map, the chaos and churn
 harnesses — subscribes to one :class:`ObserverBus` per
 :class:`~repro.net.simulator.Simulator` instead of monkey-patching
-component methods.
+component methods.  That is the whole observation contract: to observe
+a run, subscribe to ``sim.bus``; an exception a subscriber raises
+escapes :meth:`ObserverBus.publish` and therefore ``sim.run()``, so a
+buggy observer fails the run that carries it instead of failing
+silently.
 
 The bus is deliberately branch-cheap when nobody listens: channels are
 plain tuples stored as attributes, so the datapath guards every
@@ -23,7 +27,7 @@ names the file and imports the class from it.)
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Tuple
 
 __all__ = ["ObserverBus"]
 
@@ -69,12 +73,6 @@ class ObserverBus:
     Subscriber lists are immutable tuples: subscribing or unsubscribing
     replaces the tuple, so in-flight publications iterate a stable
     snapshot and the empty-channel check is a single truthiness branch.
-
-    Observers are *isolated* by default: an exception raised by one
-    subscriber is recorded on :attr:`errors` and the remaining
-    subscribers (and the datapath) proceed untouched.  A subscriber
-    that *wants* to abort the run — the strict-mode invariant monitor —
-    passes ``propagate=True`` and its exceptions escape to the caller.
     """
 
     CHANNELS: Tuple[str, ...] = (
@@ -83,18 +81,11 @@ class ObserverBus:
         "lane_spray", "lane_complete",
     )
 
-    #: Bound on the retained error log (oldest entries are discarded).
-    MAX_ERRORS = 100
-
-    __slots__ = CHANNELS + ("_propagate", "errors", "dropped_errors",
-                            "active_subscribers")
+    __slots__ = CHANNELS + ("active_subscribers",)
 
     def __init__(self) -> None:
         for channel in self.CHANNELS:
             setattr(self, channel, ())
-        self._propagate: set = set()
-        self.errors: List[Dict[str, Any]] = []
-        self.dropped_errors = 0
         # Maintained count of subscriptions across all channels: the
         # packet pool's O(1) "is anyone watching?" gate.
         self.active_subscribers = 0
@@ -107,23 +98,18 @@ class ObserverBus:
                 f"unknown bus channel {channel!r}; "
                 f"known: {', '.join(self.CHANNELS)}")
 
-    def subscribe(self, channel: str, fn: Callable[..., None], *,
-                  propagate: bool = False) -> Callable[..., None]:
+    def subscribe(self, channel: str,
+                  fn: Callable[..., None]) -> Callable[..., None]:
         """Register ``fn`` on ``channel``; returns ``fn`` for symmetry.
 
-        Subscribing the same callable twice is a no-op (cluster-level
-        attachment walks overlapping component sets).  Observers fire in
-        subscription order.  ``propagate=True`` lets exceptions raised
-        by ``fn`` escape to the publishing datapath instead of being
-        isolated.
+        Subscribing the same callable twice is a no-op (attachment walks
+        may overlap).  Observers fire in subscription order.
         """
         self._check_channel(channel)
         subs = getattr(self, channel)
         if fn not in subs:
             setattr(self, channel, subs + (fn,))
             self.active_subscribers += 1
-        if propagate:
-            self._propagate.add(fn)
         return fn
 
     def unsubscribe(self, channel: str, fn: Callable[..., None]) -> None:
@@ -133,22 +119,10 @@ class ObserverBus:
         if fn in subs:
             setattr(self, channel, tuple(f for f in subs if f != fn))
             self.active_subscribers -= 1
-        self._propagate.discard(fn)
 
     def is_subscribed(self, channel: str, fn: Callable[..., None]) -> bool:
         self._check_channel(channel)
         return fn in getattr(self, channel)
-
-    def subscriber_count(self) -> int:
-        """Total subscriptions across every channel."""
-        return sum(len(getattr(self, c)) for c in self.CHANNELS)
-
-    def clear(self) -> None:
-        """Drop every subscription (test teardown convenience)."""
-        for channel in self.CHANNELS:
-            setattr(self, channel, ())
-        self._propagate.clear()
-        self.active_subscribers = 0
 
     # -- publication -------------------------------------------------------
 
@@ -156,7 +130,9 @@ class ObserverBus:
         """Deliver ``args`` to every subscriber of ``channel``.
 
         Hot datapath sites guard the call with ``if bus.<channel>:`` so
-        this body only runs when someone is listening.
+        this body only runs when someone is listening.  A subscriber's
+        exception propagates to the publisher; later subscribers of the
+        same publication do not run.
         """
         try:
             subs = getattr(self, channel)
@@ -164,23 +140,7 @@ class ObserverBus:
             self._check_channel(channel)  # raises the uniform ValueError
             raise  # pragma: no cover - _check_channel always raises here
         for fn in subs:
-            try:
-                fn(*args)
-            except Exception as exc:
-                if fn in self._propagate:
-                    raise
-                self._record_error(channel, fn, exc)
-
-    def _record_error(self, channel: str, fn: Callable[..., None],
-                      exc: Exception) -> None:
-        if len(self.errors) >= self.MAX_ERRORS:
-            del self.errors[0]
-            self.dropped_errors += 1
-        self.errors.append({
-            "channel": channel,
-            "observer": repr(fn),
-            "error": f"{type(exc).__name__}: {exc}",
-        })
+            fn(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         active = {c: len(getattr(self, c)) for c in self.CHANNELS

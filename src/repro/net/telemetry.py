@@ -1,38 +1,24 @@
-"""Telemetry: latency distributions, packet taps, queue-depth probes.
+"""Telemetry: a streaming latency distribution.
 
-The harness mostly reports completion times; for debugging and for the
-finer-grained studies (per-packet one-way delay under load, bottleneck
-queue dynamics) this module provides:
+The harness mostly reports completion times; for the finer-grained
+studies (per-message latency under load, the broker's publish-to-deliver
+delay) :class:`LatencyStats` accumulates samples into exact percentiles
+over a seeded reservoir.
 
-* :class:`LatencyStats` — streaming percentile accumulator over a
-  seeded reservoir sample;
-* :class:`DeliveryTap` — subscribes to the bus ``deliver`` channel to
-  record per-packet one-way delay at one QP (packets carry their
-  creation timestamp);
-* :class:`QueueDepthProbe` — periodic sampler of a port's backlog with
-  a bounded lifetime (so a drained simulation still terminates);
-* :class:`PacketLog` — per-device forwarding log with a ring bound,
-  fed by the bus ``emit`` channel, for post-mortem debugging of
-  multicast trees.
-
-The taps subscribe to the simulation-wide
-:class:`~repro.net.pipeline.ObserverBus` rather than wrapping component
-methods, so several taps (and the invariant monitor) coexist without
-ordering hazards.
+Per-packet views of a run — one-way delay at a QP, a queue's depth over
+time, a switch's forwarding fan-out — are not classes here: subscribe a
+function to the simulation's :class:`~repro.net.pipeline.ObserverBus`
+(``sim.bus.subscribe("deliver", ...)``) and sample with
+``sim.schedule``.  ``examples/inside_the_fabric.py`` does all three.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List
 
-from repro.net.packet import Packet, PacketType
-from repro.net.port import Port
-from repro.net.simulator import Event, Simulator
-
-__all__ = ["LatencyStats", "DeliveryTap", "QueueDepthProbe", "PacketLog"]
+__all__ = ["LatencyStats"]
 
 
 def _percentile_of(ordered: List[float], p: float) -> float:
@@ -103,88 +89,3 @@ class LatencyStats:
             "p999": _percentile_of(ordered, 99.9),
             "max": self.max_value,
         }
-
-
-class DeliveryTap:
-    """Records one-way delay of DATA packets delivered in-order at a QP.
-
-    Subscribes to the bus ``deliver`` channel and filters for its QP;
-    duplicates a go-back-N overshoot re-sends are not re-delivered and
-    therefore not re-counted.
-    """
-
-    def __init__(self, qp) -> None:
-        self.qp = qp
-        self.stats = LatencyStats(seed=qp.qpn)
-        qp.bus.subscribe("deliver", self._on_deliver)
-
-    def _on_deliver(self, qp, pkt: Packet) -> None:
-        if qp is self.qp and pkt.ptype == PacketType.DATA:
-            self.stats.record(self.qp.sim.now - pkt.created_at)
-
-    def detach(self) -> None:
-        self.qp.bus.unsubscribe("deliver", self._on_deliver)
-
-
-class QueueDepthProbe:
-    """Samples a port's queued bytes every ``interval`` for ``duration``."""
-
-    def __init__(self, sim: Simulator, port: Port, *,
-                 interval: float = 10e-6, duration: float = 10e-3) -> None:
-        self.sim = sim
-        self.port = port
-        self.interval = interval
-        self.deadline = sim.now + duration
-        self.series: List[Tuple[float, int]] = []
-        self._ev: Optional[Event] = None
-        self._tick()
-
-    def _tick(self) -> None:
-        self.series.append((self.sim.now, self.port.queued_bytes))
-        if self.sim.now + self.interval <= self.deadline:
-            self._ev = self.sim.schedule(self.interval, self._tick)
-        else:
-            self._ev = None
-
-    def stop(self) -> None:
-        if self._ev is not None:
-            self._ev.cancel()
-            self._ev = None
-
-    @property
-    def peak_bytes(self) -> int:
-        return max((b for _, b in self.series), default=0)
-
-    def mean_bytes(self) -> float:
-        if not self.series:
-            return 0.0
-        return sum(b for _, b in self.series) / len(self.series)
-
-
-class PacketLog:
-    """Bounded log of packets a switch queued for egress.
-
-    Subscribes to the bus ``emit`` channel (published before the
-    enqueue, so tail-dropped packets are logged too) and filters for
-    its switch.
-    """
-
-    def __init__(self, switch, max_entries: int = 10_000) -> None:
-        self.switch = switch
-        self.entries: Deque[Tuple[float, str, int, int, int]] = deque(
-            maxlen=max_entries)
-        switch.bus.subscribe("emit", self._on_emit)
-
-    def _on_emit(self, switch, pkt: Packet, out_port: int, in_port: int) -> None:
-        if switch is self.switch:
-            self.entries.append(
-                (switch.sim.now, pkt.ptype.name, pkt.psn, in_port, out_port))
-
-    def detach(self) -> None:
-        self.switch.bus.unsubscribe("emit", self._on_emit)
-
-    def of_type(self, type_name: str) -> List[Tuple[float, str, int, int, int]]:
-        return [e for e in self.entries if e[1] == type_name]
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -20,7 +20,7 @@ exactly while staying correct for arbitrary shapes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import constants

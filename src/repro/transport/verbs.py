@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.net.nic import Nic
 from repro.net.simulator import Simulator

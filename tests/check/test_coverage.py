@@ -109,11 +109,11 @@ class TestCoverageCollector:
 
     def test_detach_removes_every_subscription(self):
         bus = ObserverBus()
-        before = bus.subscriber_count()
+        before = bus.active_subscribers
         collector = CoverageCollector(bus, "inline", CoverageMap())
-        assert bus.subscriber_count() == before + len(TRANSITION_CHANNELS)
+        assert bus.active_subscribers == before + len(TRANSITION_CHANNELS)
         collector.detach()
-        assert bus.subscriber_count() == before
+        assert bus.active_subscribers == before
         # publications after detach no longer accumulate coverage
         bus.publish("classify", "sw", "pkt")
         assert len(collector.coverage) == 0

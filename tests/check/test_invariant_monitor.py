@@ -43,7 +43,7 @@ def test_clean_broadcast_produces_no_violations(testbed):
 
 def test_detach_removes_every_bus_subscription(testbed):
     bus = testbed.sim.bus
-    before = bus.subscriber_count()
+    before = bus.active_subscribers
     monitor = InvariantMonitor()
     monitor.attach_cluster(testbed)
     assert bus.is_subscribed("qp_send", monitor.on_qp_send)
@@ -52,13 +52,13 @@ def test_detach_removes_every_bus_subscription(testbed):
     assert bus.is_subscribed("replicate", monitor.on_replicate)
     assert bus.is_subscribed("membership_epoch", monitor.on_membership_epoch)
     assert bus.is_subscribed("event", monitor.on_event)
-    # attach is idempotent: a second walk over overlapping components
-    # (fabric + per-QP + cluster-wide) must not duplicate subscriptions
-    n = bus.subscriber_count()
+    # attach is idempotent: a second attach must not duplicate
+    # subscriptions
+    n = bus.active_subscribers
     monitor.attach_cluster(testbed)
-    assert bus.subscriber_count() == n
+    assert bus.active_subscribers == n
     monitor.detach()
-    assert bus.subscriber_count() == before
+    assert bus.active_subscribers == before
 
 
 def test_summary_shape(testbed):

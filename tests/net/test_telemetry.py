@@ -1,10 +1,8 @@
-"""Telemetry helpers: latency stats, taps, probes, packet log."""
+"""Telemetry: the LatencyStats percentile accumulator."""
 
 import pytest
 
-from repro.apps import Cluster
-from repro.net.telemetry import (DeliveryTap, LatencyStats, PacketLog,
-                                 QueueDepthProbe)
+from repro.net.telemetry import LatencyStats
 
 
 class TestLatencyStats:
@@ -110,97 +108,3 @@ class TestLatencyStats:
         out = LatencyStats().summary()
         assert out["p50"] == 0.0 and out["p99"] == 0.0
         assert out["p999"] == 0.0
-
-
-class TestDeliveryTap:
-    def test_records_one_way_delay(self):
-        cl = Cluster.testbed(2)
-        tap = DeliveryTap(cl.qp_to(2, 1))
-        cl.qp_to(1, 2).post_send(40960)
-        cl.run()
-        assert tap.stats.count == 10
-        assert 0 < tap.stats.mean < 100e-6
-
-    def test_detach_restores(self):
-        cl = Cluster.testbed(2)
-        qp = cl.qp_to(2, 1)
-        tap = DeliveryTap(qp)
-        tap.detach()
-        cl.qp_to(1, 2).post_send(4096)
-        cl.run()
-        assert tap.stats.count == 0
-        assert qp.recv.bytes_delivered == 4096
-
-    def test_feedback_not_counted(self):
-        cl = Cluster.testbed(2)
-        tap = DeliveryTap(cl.qp_to(1, 2))  # sender side sees only ACKs
-        cl.qp_to(1, 2).post_send(40960)
-        cl.run()
-        assert tap.stats.count == 0
-
-
-class TestQueueDepthProbe:
-    def test_samples_and_terminates(self):
-        cl = Cluster.testbed(4)
-        port = cl.topo.switches[0].ports[0]
-        probe = QueueDepthProbe(cl.sim, port, interval=5e-6, duration=200e-6)
-        for src in (2, 3, 4):
-            cl.qp_to(src, 1).post_send(1 << 20)
-        cl.run()
-        assert probe.peak_bytes > 0
-        assert probe.series[-1][0] <= probe.deadline
-        assert cl.sim.peek_next_time() is None  # probe did not leak events
-
-    def test_stop_early(self):
-        cl = Cluster.testbed(2)
-        probe = QueueDepthProbe(cl.sim, cl.topo.switches[0].ports[0],
-                                interval=1e-6, duration=1.0)
-        probe.stop()
-        cl.run()
-        assert len(probe.series) == 1
-
-    def test_mean(self):
-        cl = Cluster.testbed(2)
-        probe = QueueDepthProbe(cl.sim, cl.topo.switches[0].ports[0],
-                                interval=10e-6, duration=50e-6)
-        cl.run()
-        assert probe.mean_bytes() == 0.0
-
-
-class TestPacketLog:
-    def test_logs_forwarded_packets(self):
-        cl = Cluster.testbed(2)
-        log = PacketLog(cl.topo.switches[0])
-        cl.qp_to(1, 2).post_send(40960)
-        cl.run()
-        assert len(log.of_type("DATA")) == 10
-        assert len(log.of_type("ACK")) >= 1
-
-    def test_ring_bound(self):
-        cl = Cluster.testbed(2)
-        log = PacketLog(cl.topo.switches[0], max_entries=5)
-        cl.qp_to(1, 2).post_send(40960)
-        cl.run()
-        assert len(log) == 5
-
-    def test_detach(self):
-        cl = Cluster.testbed(2)
-        log = PacketLog(cl.topo.switches[0])
-        log.detach()
-        cl.qp_to(1, 2).post_send(4096)
-        cl.run()
-        assert len(log) == 0
-
-    def test_multicast_tree_visible(self):
-        """The log exposes the replication fan-out of one packet."""
-        from repro.collectives import CepheusBcast
-
-        cl = Cluster.testbed(4)
-        algo = CepheusBcast(cl, cl.host_ips)
-        algo.prepare()
-        log = PacketLog(cl.topo.switches[0])
-        algo.qps[1].post_send(100)
-        cl.run()
-        data = log.of_type("DATA")
-        assert len(data) == 3  # one ingress packet -> three replicas
-        assert {e[4] for e in data} == {1, 2, 3}  # distinct egress ports

@@ -174,3 +174,52 @@ class TestOneEventQueue:
                    if ast.unparse(c.func) == "sim._buckets.get"]
         assert pushes == ["heappush(sim._times, when)"] * 5
         assert len(lookups) == 5
+
+
+class TestNoUnusedImports:
+    """Every name a module under ``src/repro`` imports is used in it.
+    Package ``__init__`` files are exempt: they import to re-export.  A
+    name counts as used when the module reads it, lists it in
+    ``__all__``, or names it in a quoted annotation."""
+
+    @staticmethod
+    def _unused(tree):
+        import ast
+
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(e.value for e in ast.walk(node.value)
+                            if isinstance(e, ast.Constant))
+            annotation = getattr(node, "annotation", None) or getattr(
+                node, "returns", None)
+            for sub in ast.walk(annotation) if annotation else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(sub.value))
+                                if isinstance(n, ast.Name))
+        return sorted((line, name) for name, line in imported.items()
+                      if name not in used)
+
+    def test_every_imported_name_is_used(self):
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).parent
+        unused = [(path.relative_to(root).as_posix(), line, name)
+                  for path in sorted(root.rglob("*.py"))
+                  if path.name != "__init__.py"
+                  for line, name in self._unused(ast.parse(path.read_text()))]
+        assert unused == []
