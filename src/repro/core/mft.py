@@ -51,9 +51,9 @@ class PathEntry:
 class Mft:
     """Per-group forwarding + feedback state on one switch.
 
-    Slotted: the group-scaling experiments materialize one per group
-    per switch (10^6 of them in srmc_scaling) and the feedback engine
-    reads its fields on every ACK."""
+    Slotted: the feedback engine reads its fields on every ACK, and a
+    fabric holds one per group per switch on the group's tree (about
+    1,400 in perfbench's pubsub_churn)."""
 
     __slots__ = (
         "mcst_id", "n_ports", "path_index", "path_table",

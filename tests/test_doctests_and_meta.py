@@ -28,12 +28,11 @@ class TestPackageSurface:
         import repro.apps
         import repro.collectives
         import repro.core
-        import repro.harness
         import repro.net
         import repro.transport
 
         for mod in (repro.analytic, repro.apps, repro.collectives,
-                    repro.core, repro.harness, repro.net, repro.transport):
+                    repro.core, repro.net, repro.transport):
             for name in mod.__all__:
                 assert getattr(mod, name, None) is not None, \
                     f"{mod.__name__}.{name}"
@@ -48,6 +47,41 @@ class TestPackageSurface:
             if not (mod.__doc__ or "").strip():
                 missing.append(info.name)
         assert missing == []
+
+
+class TestHarnessImportBoundary:
+    """``repro.harness`` exports nothing, so importing one harness module
+    loads that module and what it imports — not the experiment registry,
+    the engine's process pool or the campaigns.  A fresh interpreter
+    imports what a perfbench child imports and must not have loaded any
+    of ``UNUSED``."""
+
+    IMPORTS = ("repro.harness.cache", "repro.apps.brokerfabric",
+               "repro.apps.cluster", "repro.collectives", "repro.analytic",
+               "repro.net.switch", "repro.net.pool", "repro.core.feedback",
+               "repro.core.mft", "repro.core.source_routing")
+    UNUSED = tuple(f"repro.harness.{name}" for name in (
+        "ablations", "bench", "chaos", "churn", "engine", "experiments",
+        "extensions", "fuzz", "report", "runner", "sweeps",
+        "workloads")) + ("multiprocessing", "concurrent.futures")
+
+    def test_a_benchmark_process_loads_no_experiment_harness(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = "\n".join(
+            [f"import {name}" for name in self.IMPORTS]
+            + ["import json, sys",
+               f"print(json.dumps(sorted(set({self.UNUSED!r}) & "
+               "set(sys.modules))))"])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == []
 
 
 class TestOneCollectiveSkeleton:
