@@ -331,20 +331,16 @@ def _cmd_bench_compare(args) -> int:
     try:
         current = bench.load_document(args.current)
         baseline = bench.load_document(args.baseline)
-        tolerances = (bench.load_tolerances(args.tolerances)
-                      if args.tolerances else None)
     except (OSError, ValueError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    comp = bench.compare(current, baseline, tolerances,
-                         check_events=args.check_events)
-    print(comp.format(verbose=args.verbose))
+    comp = bench.compare(current, baseline)
+    print(comp.format())
     if comp.ok:
-        print("bench: no regressions", file=sys.stderr)
+        print("bench: behaviour identical to the baseline", file=sys.stderr)
         return 0
-    print(f"bench: {len(comp.regressions)} metric regression(s), "
-          f"{len(comp.missing_experiments)} missing experiment(s)",
-          file=sys.stderr)
+    print(f"bench: {len(comp.failing)} experiment(s) differ from the "
+          f"baseline", file=sys.stderr)
     return 1
 
 
@@ -470,16 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.set_defaults(fn=_cmd_bench_emit)
 
     p_cmp = bench_sub.add_parser(
-        "compare", help="diff two BENCH documents against tolerances")
+        "compare", help="check a BENCH document against the baseline "
+                        "(results and event counts must be identical)")
     p_cmp.add_argument("current", help="BENCH JSON from the run under test")
     p_cmp.add_argument("baseline", help="committed baseline BENCH JSON")
-    p_cmp.add_argument("--tolerances", default="",
-                       help="tolerance JSON (default: built-in 8% rel)")
-    p_cmp.add_argument("--check-events", action="store_true",
-                       help="require per-experiment simulator event "
-                            "counts to match the baseline exactly")
-    p_cmp.add_argument("--verbose", action="store_true",
-                       help="print passing metrics too")
     p_cmp.set_defaults(fn=_cmd_bench_compare)
 
     p_info = sub.add_parser("info", help="print the model constants")

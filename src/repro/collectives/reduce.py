@@ -180,7 +180,9 @@ class InNetworkReduce(Collective):
     Limitations (why the paper defers this): requires collective posting
     discipline (every member posts equal sizes in the same order) and a
     fixed root per mode-switch; combining slots assume bounded
-    reordering (the RC window).
+    reordering (the RC window).  Under the ``source_routed`` deployment
+    :meth:`prepare` raises :class:`~repro.errors.ConfigurationError`:
+    its headers encode only the downstream tree.
     """
 
     name = "in-network-reduce"

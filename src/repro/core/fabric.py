@@ -201,10 +201,16 @@ class CepheusFabric:
         many-to-one reduce mode (§VIII) on every MDT switch.
 
         Control-plane operation, performed out-of-band like MFT
-        registration itself.
+        registration itself.  Reduce is refused under ``source_routed``:
+        a source-routed header carries only the downstream tree, so the
+        upstream combining path does not exist there.
         """
         if mode not in ("bcast", "reduce"):
             raise GroupError(f"unknown group mode {mode!r}")
+        if mode == "reduce" and self.source_routing is not None:
+            raise ConfigurationError(
+                "in-network reduce needs an MFT deployment, not "
+                "source_routed")
         touched = 0
         for accel in self.accelerators.values():
             mft = accel.mft_of(mcst_id)

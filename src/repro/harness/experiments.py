@@ -24,8 +24,8 @@ __all__ = [
     "fig8_bcast_small", "fig9_bcast_large", "rdmc_comparison",
     "tab1_storage_iops", "fig10_storage_latency", "fig11_hpl",
     "fig12_large_scale", "fig13_loss", "fig14_fairness", "fig7b_memory",
-    "churn_membership", "srmc_scaling", "deployment_golden",
-    "brokerfabric_slo", "mrc_fanin", "mrc_loss",
+    "churn_membership", "srmc_scaling", "brokerfabric_slo", "mrc_fanin",
+    "mrc_loss",
 ]
 
 KB = 1 << 10
@@ -735,44 +735,5 @@ def mrc_loss(quick: bool = True) -> ExperimentResult:
             "resprays": algo.sprayer.resprays,
             "survivor_retx": survivor_retx,
             "delivered": len(r.recv_times),
-        })
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Byte-identity probes (tier-1 golden fixtures, one per deployment)
-# ---------------------------------------------------------------------------
-
-def deployment_golden(deployment: str) -> ExperimentResult:
-    """One small fixed broadcast per deployment, pinned byte-for-byte.
-
-    Unlike the tolerance-gated headline goldens, this probe's canonical
-    :meth:`ExperimentResult.to_json` is compared *byte-identically*
-    against a committed fixture (``tests/harness/golden_bytes/``): any
-    perf refactor that perturbs virtual-time results or event counts —
-    even inside tolerance — fails in seconds instead of surfacing in
-    the CI bench job.  The ``events`` column pins the cumulative
-    simulator event count after each transfer, so a change in *how
-    much work* the event core schedules is caught, not just a change
-    in the timings it produces.
-    """
-    from repro.core.accelerator import AcceleratorConfig
-
-    res = ExperimentResult(
-        exp_id=f"golden-{deployment}",
-        title=f"Byte-identity probe ({deployment} deployment)",
-        headers=["size", "jct_us", "events"],
-        notes="tier-1 golden fixture: compared byte-for-byte, no tolerances",
-        mode="quick",
-    )
-    cl = Cluster.testbed(
-        4, accel_config=AcceleratorConfig(deployment=deployment))
-    algo = CepheusBcast(cl, cl.host_ips)
-    for size in (64, 16 * KB, 1 * MB):
-        r = algo.run(size)
-        res.rows.append({
-            "size": fmt_size(size),
-            "jct_us": r.jct * 1e6,
-            "events": cl.sim.events_run,
         })
     return res

@@ -16,8 +16,8 @@ A second, observer-free run under the debug pools (where packets really
 are recycled) must end in the same state, so a wrong release fails
 fast.  The last test attaches and detaches an observer mid-flight.
 
-Regenerating after an *intentional* datapath change (same switch as the
-byte goldens; say in the commit why the transcripts moved):
+Regenerating after an *intentional* datapath change (say in the commit
+why the transcripts moved):
 
     GOLDEN_BYTES_REGEN=1 PYTHONPATH=src python -m pytest \
         tests/core/test_datapath_transcripts.py
@@ -36,6 +36,7 @@ from repro import constants
 from repro.apps import Cluster
 from repro.collectives import CepheusBcast, InNetworkReduce
 from repro.core.accelerator import DEPLOYMENTS, AcceleratorConfig
+from repro.errors import ConfigurationError
 from repro.net.packet import Packet, PacketType
 from repro.net.pool import DebugPacketPool, PacketPool
 from repro.net.switch import SwitchConfig
@@ -43,6 +44,8 @@ from repro.net.switch import SwitchConfig
 RECORDS = (Path(__file__).parents[1] / "harness" / "golden_bytes"
            / "datapath_transcripts.json")
 REGEN = os.environ.get("GOLDEN_BYTES_REGEN") == "1"
+#: The one scenario x deployment pair the fabric refuses at set-up.
+REFUSED = ("reduce", "source_routed")
 
 KB = 1 << 10
 MEMBERS = [1, 2, 3, 5, 6, 9, 13]   # same edge, same pod, three other pods
@@ -224,8 +227,8 @@ def scenario_churn(cluster: Cluster):
 
 def scenario_reduce(cluster: Cluster):
     """Many-to-one mode: contributions combine up, feedback fans down.
-    (``source_routed`` has no reduce datapath and stalls in go-back-N
-    until the horizon; the record pins that too.)"""
+    (``source_routed`` has no reduce datapath: ``prepare`` refuses it,
+    so that pair has no record.)"""
     red = InNetworkReduce(cluster, [1, 2, 3, 5, 9])
     red.prepare()
     done = []
@@ -313,6 +316,12 @@ def _record(outcome: dict) -> dict:
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_matches_recorded_transcript(name, deployment, monkeypatch):
     scenario = SCENARIOS[name]
+    if (name, deployment) == REFUSED:
+        cluster = Cluster.fat_tree_cluster(
+            4, accel_config=AcceleratorConfig(deployment=deployment))
+        with pytest.raises(ConfigurationError, match="source_routed"):
+            scenario(cluster)
+        return
     seen = _run(scenario, deployment, monkeypatch, observed=True)
     bare = _run(scenario, deployment, monkeypatch, observed=False)
 
@@ -336,7 +345,7 @@ def test_matches_recorded_transcript(name, deployment, monkeypatch):
         assert any(ip == 10 for ip, _n, _t in seen["deliveries"])  # 10 is in
     elif name == "write":
         assert all(hits == 1 for _ip, hits in seen["deliveries"])
-    elif name == "reduce" and deployment != "source_routed":
+    elif name == "reduce":
         assert seen["deliveries"][-1] == (1, 64 * KB)
         assert len(seen["deliveries"]) == 5   # every contributor acked
 
@@ -349,6 +358,16 @@ def test_matches_recorded_transcript(name, deployment, monkeypatch):
     assert key in records, (
         f"no record for {key} in {RECORDS}; generate with GOLDEN_BYTES_REGEN=1")
     assert _record(seen) == records[key]
+
+
+def test_store_holds_only_the_transcripts():
+    """The golden store is this suite's alone — one record per scenario
+    x deployment the fabric accepts.  The quick-suite tables have their
+    one exact record in ``benchmarks/baselines/BENCH_quick.json``."""
+    assert [p.name for p in RECORDS.parent.iterdir()] == [RECORDS.name]
+    want = {f"{name}/{deployment}" for name in SCENARIOS
+            for deployment in DEPLOYMENTS} - {"/".join(REFUSED)}
+    assert set(json.loads(RECORDS.read_text())) == want
 
 
 # ---------------------------------------------------------------------------

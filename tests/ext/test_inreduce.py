@@ -5,6 +5,7 @@ import pytest
 from repro import constants
 from repro.apps import Cluster
 from repro.collectives import BinomialReduce, InNetworkReduce
+from repro.core.accelerator import AcceleratorConfig
 from repro.errors import ConfigurationError, GroupError
 
 
@@ -49,6 +50,14 @@ class TestBasics:
     def test_unregistered_group_mode_rejected(self, testbed):
         with pytest.raises(GroupError):
             testbed.fabric.set_group_mode(constants.MCSTID_BASE + 77, "reduce")
+
+    def test_source_routed_deployment_refused(self):
+        """Source-routed headers carry only the downstream tree: reduce
+        mode is refused at set-up instead of retransmitting forever."""
+        cl = Cluster.testbed(
+            4, accel_config=AcceleratorConfig(deployment="source_routed"))
+        with pytest.raises(ConfigurationError, match="source_routed"):
+            InNetworkReduce(cl, cl.host_ips).prepare()
 
 
 class TestPerformance:

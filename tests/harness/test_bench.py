@@ -1,163 +1,119 @@
-"""BENCH documents, headline metrics, and the compare gate."""
+"""BENCH documents and the exact compare gate."""
 
 import json
+import math
 
 import pytest
 
 from repro.harness import bench
 from repro.harness.report import ExperimentResult
 
-
-def _doc(metrics_by_exp):
-    return {
-        "schema": bench.SCHEMA,
-        "mode": "quick",
-        "jobs": 1,
-        "code_fingerprint": "f" * 64,
-        "total_wall_s": 1.0,
-        "experiments": {
-            exp: {"wall_s": 0.1, "events": 10, "cached": False,
-                  "rows": 1, "metrics": dict(metrics),
-                  "result": {"exp_id": exp, "title": exp, "paper_claim": "",
-                             "notes": "", "mode": "quick", "headers": [],
-                             "rows": []}}
-            for exp, metrics in metrics_by_exp.items()
-        },
-    }
+ROWS = ({"size": "64B", "jct_us": 1.5}, {"size": "1KB", "jct_us": 2.25})
 
 
-class TestHeadlineMetrics:
-    def test_numeric_columns_get_means(self):
-        res = ExperimentResult("e", "t", ["size", "jct", "speedup"])
-        res.rows.append({"size": "64B", "jct": 1.0, "speedup": 2.0})
-        res.rows.append({"size": "1MB", "jct": 3.0, "speedup": 4.0})
-        m = bench.headline_metrics(res)
-        assert m == {"rows": 2.0, "mean_jct": 2.0, "mean_speedup": 3.0}
+def _entry(rows=ROWS, events=1000, exp_id="fig8"):
+    res = ExperimentResult(exp_id, exp_id, ["size", "jct_us"], mode="quick")
+    res.rows.extend(dict(row) for row in rows)
+    return bench.make_entry(res, wall_s=0.1, events=events)
 
-    def test_non_numeric_and_bool_columns_skipped(self):
-        res = ExperimentResult("e", "t", ["name", "flag", "x"])
-        res.rows.append({"name": "a", "flag": True, "x": 1})
-        m = bench.headline_metrics(res)
-        assert set(m) == {"rows", "mean_x"}
 
-    def test_nonfinite_mean_dropped(self):
-        res = ExperimentResult("e", "t", ["x"])
-        res.rows.append({"x": float("nan")})
-        assert set(bench.headline_metrics(res)) == {"rows"}
-
-    def test_empty_table(self):
-        assert bench.headline_metrics(
-            ExperimentResult("e", "t", ["x"])) == {"rows": 0.0}
+def _doc(entries):
+    return {"schema": bench.SCHEMA, "experiments": dict(entries)}
 
 
 class TestCompare:
     def test_identical_documents_pass(self):
-        doc = _doc({"fig8": {"mean_speedup": 2.5, "rows": 4.0}})
+        doc = _doc({"fig8": _entry(), "fig13": _entry(exp_id="fig13")})
         comp = bench.compare(doc, doc)
-        assert comp.ok and not comp.regressions
+        assert comp.ok and comp.compared == 2
+        assert comp.format() == "compared 2 experiment(s): 0 failing, 0 new"
 
-    def test_within_tolerance_passes(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 2.55}})  # 2% drift, 8% default
+    def test_provenance_is_not_compared(self):
+        base = _doc({"fig8": _entry()})
+        cur = _doc({"fig8": _entry()})
+        cur["experiments"]["fig8"].update(wall_s=9.0, events_per_sec=1.0,
+                                          cached=True)
         assert bench.compare(cur, base).ok
 
-    def test_beyond_tolerance_fails(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 3.0}})  # 20% drift
+    def test_one_ulp_in_one_cell_fails_and_names_row_and_column(self):
+        base = _doc({"fig8": _entry()})
+        bumped = math.nextafter(2.25, math.inf)
+        cur = _doc({"fig8": _entry(rows=(ROWS[0], {"size": "1KB",
+                                                   "jct_us": bumped}))})
         comp = bench.compare(cur, base)
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.name == "fig8.mean_speedup"
-        assert delta.status == "regressed"
-        assert "FAIL fig8.mean_speedup" in comp.format()
+        assert not comp.ok and comp.failing == ["fig8"]
+        assert comp.failures == [
+            ("fig8", f"row 1 column 'jct_us': baseline 2.25 -> current "
+                     f"{bumped!r}")]
+        assert "FAIL fig8: row 1 column 'jct_us'" in comp.format()
 
-    def test_per_metric_tolerance_override(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 3.0}})
-        tol = {"default_rel_tol": 0.08, "default_abs_tol": 1e-9,
-               "metrics": {"fig8.*": 0.5}}
-        assert bench.compare(cur, base, tol).ok
-        tight = {"default_rel_tol": 0.5, "default_abs_tol": 1e-9,
-                 "metrics": {"fig8.mean_speedup": 0.01, "fig8.*": 0.9}}
-        # Longest (most specific) pattern wins over the glob.
-        assert not bench.compare(cur, base, tight).ok
+    def test_int_and_float_cells_differ(self):
+        base = _doc({"fig8": _entry(rows=({"size": "64B", "jct_us": 2},))})
+        cur = _doc({"fig8": _entry(rows=({"size": "64B", "jct_us": 2.0},))})
+        assert not bench.compare(cur, base).ok
+
+    def test_row_count_and_metadata_changes_fail(self):
+        base = _doc({"fig8": _entry()})
+        short = _doc({"fig8": _entry(rows=ROWS[:1])})
+        assert bench.compare(short, base).failures == [
+            ("fig8", "row 1 column 'size': baseline '1KB' -> current "
+                     "<absent>")]
+        renamed = _doc({"fig8": _entry()})
+        renamed["experiments"]["fig8"]["result"]["notes"] = "changed"
+        assert bench.compare(renamed, base).failures == [
+            ("fig8", "notes: baseline '' -> current 'changed'")]
+
+    @pytest.mark.parametrize("exp_id", ["fig8", "fig13", "fig14"])
+    def test_event_count_change_fails(self, exp_id):
+        """Exact for every id, fig13 and fig14 included."""
+        base = _doc({exp_id: _entry(exp_id=exp_id, events=1000)})
+        cur = _doc({exp_id: _entry(exp_id=exp_id, events=1001)})
+        comp = bench.compare(cur, base)
+        assert comp.failures == [
+            (exp_id, "events: baseline 1000 -> current 1001")]
 
     def test_missing_experiment_fails(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5},
-                     "fig9": {"mean_speedup": 2.0}})
-        cur = _doc({"fig8": {"mean_speedup": 2.5}})
-        comp = bench.compare(cur, base)
-        assert not comp.ok
-        assert comp.missing_experiments == ["fig9"]
-        assert "fig9: experiment missing" in comp.format()
+        base = _doc({"fig8": _entry(), "fig9": _entry(exp_id="fig9")})
+        comp = bench.compare(_doc({"fig8": _entry()}), base)
+        assert not comp.ok and comp.compared == 1
+        assert comp.failures == [
+            ("fig9", "experiment missing from current run")]
+        assert "FAIL fig9: experiment missing from current run" in \
+            comp.format()
 
-    def test_missing_metric_fails(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5, "mean_jct": 1.0}})
-        cur = _doc({"fig8": {"mean_speedup": 2.5}})
-        comp = bench.compare(cur, base)
-        assert not comp.ok
-        assert comp.regressions[0].status == "missing"
+    def test_new_experiment_is_a_note_not_a_failure(self):
+        cur = _doc({"fig8": _entry(), "fig99": _entry(exp_id="fig99")})
+        comp = bench.compare(cur, _doc({"fig8": _entry()}))
+        assert comp.ok and comp.added_experiments == ["fig99"]
+        assert "note fig99: new experiment (no baseline)" in comp.format()
 
-    def test_new_experiment_and_metric_are_notes_not_failures(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 2.5, "mean_new": 1.0},
-                    "fig99": {"mean_x": 1.0}})
-        comp = bench.compare(cur, base)
-        assert comp.ok
-        assert comp.added_experiments == ["fig99"]
+    def test_nonfinite_cells_compare_equal_through_the_encoding(self):
+        rows = ({"size": "a", "jct_us": math.nan},
+                {"size": "b", "jct_us": math.inf},
+                {"size": "c", "jct_us": -math.inf})
+        doc = _doc({"fig8": _entry(rows=rows)})
+        round_tripped = json.loads(json.dumps(doc, allow_nan=False))
+        assert bench.compare(_doc({"fig8": _entry(rows=rows)}), doc).ok
+        assert bench.compare(round_tripped, doc).ok
+        other = _doc({"fig8": _entry(
+            rows=({"size": "a", "jct_us": math.inf},) + rows[1:])})
+        assert bench.compare(other, doc).failures == [
+            ("fig8", "row 0 column 'jct_us': baseline "
+                     "{'__nonfinite__': 'nan'} -> current "
+                     "{'__nonfinite__': 'inf'}")]
 
-    def test_zero_baseline_uses_absolute_floor(self):
-        base = _doc({"fig8": {"mean_residual": 0.0}})
-        assert bench.compare(_doc({"fig8": {"mean_residual": 0.0}}),
-                             base).ok
-        assert not bench.compare(_doc({"fig8": {"mean_residual": 0.5}}),
-                                 base).ok
-
-    def test_events_not_compared_by_default(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur["experiments"]["fig8"]["events"] = 99999
-        assert bench.compare(cur, base).ok
-
-    def test_check_events_requires_exact_match(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        same = _doc({"fig8": {"mean_speedup": 2.5}})
-        assert bench.compare(same, base, check_events=True).ok
-        drift = _doc({"fig8": {"mean_speedup": 2.5}})
-        drift["experiments"]["fig8"]["events"] = 11  # baseline is 10
-        comp = bench.compare(drift, base, check_events=True)
-        assert not comp.ok
-        (delta,) = comp.regressions
-        assert delta.name == "fig8.events"
-
-    def test_check_events_honors_tolerance_pattern(self):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        drift = _doc({"fig8": {"mean_speedup": 2.5}})
-        drift["experiments"]["fig8"]["events"] = 11
-        tol = {"metrics": {"fig8.events": 0.2}}
-        assert bench.compare(drift, base, tol, check_events=True).ok
+    def test_v2_document_rejected_with_its_schema_named(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": "cepheus-bench/v2",
+                                    "experiments": {}}))
+        with pytest.raises(ValueError, match="'cepheus-bench/v2'"):
+            bench.load_document(str(path))
 
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": "other"}))
         with pytest.raises(ValueError):
             bench.load_document(str(path))
-
-    def test_v1_documents_still_load(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"schema": "cepheus-bench/v1",
-                                    "experiments": {}}))
-        assert bench.load_document(str(path))["schema"] == "cepheus-bench/v1"
-
-    def test_events_per_sec_is_informational(self, capsys):
-        base = _doc({"fig8": {"mean_speedup": 2.5}})
-        base["events_per_sec"] = 1000.0
-        cur = _doc({"fig8": {"mean_speedup": 2.5}})
-        cur["events_per_sec"] = 500.0  # 2x slower: still not a failure
-        comp = bench.compare(cur, base)
-        assert comp.ok
-        assert any("events_per_sec" in n for n in comp.throughput_notes)
-        assert "informational" in comp.format()
 
 
 class TestThroughputFields:
@@ -183,7 +139,7 @@ class TestThroughputFields:
         doc = bench.make_document({"a": live, "b": hot}, mode="quick",
                                   jobs=1, fingerprint="f" * 64,
                                   total_wall_s=2.0)
-        assert doc["schema"] == bench.SCHEMA == "cepheus-bench/v2"
+        assert doc["schema"] == bench.SCHEMA == "cepheus-bench/v3"
         assert doc["events_per_sec"] == 500.0
 
 
@@ -199,17 +155,19 @@ class TestBenchCli:
         out = self._emit(tmp_path)
         from repro.cli import main
         assert main(["bench", "compare", str(out), str(out)]) == 0
-        assert "no regressions" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "behaviour identical" in captured.err
+        assert "compared 2 experiment(s): 0 failing, 0 new" in captured.out
 
     def test_compare_detects_drift(self, tmp_path, capsys):
         out = self._emit(tmp_path)
         doc = json.loads(out.read_text())
-        doc["experiments"]["fig7b"]["metrics"]["mean_total_MB"] *= 2
+        doc["experiments"]["fig7b"]["result"]["rows"][0]["total_MB"] *= 2
         drifted = tmp_path / "B.json"
         drifted.write_text(json.dumps(doc))
         from repro.cli import main
         assert main(["bench", "compare", str(drifted), str(out)]) == 1
-        assert "FAIL fig7b.mean_total_MB" in capsys.readouterr().out
+        assert "FAIL fig7b: row 0 column 'total_MB'" in capsys.readouterr().out
 
     def test_compare_missing_file_errors(self, tmp_path, capsys):
         from repro.cli import main
@@ -236,15 +194,3 @@ class TestBenchCli:
         assert a["experiments"]["fig7b"]["result"] == \
             b["experiments"]["fig7b"]["result"]
         assert b["experiments"]["fig7b"]["cached"] is True
-
-    def test_tolerances_file_respected(self, tmp_path, capsys):
-        out = self._emit(tmp_path)
-        doc = json.loads(out.read_text())
-        doc["experiments"]["fig7b"]["metrics"]["mean_total_MB"] *= 1.2
-        drifted = tmp_path / "B.json"
-        drifted.write_text(json.dumps(doc))
-        lax = tmp_path / "tol.json"
-        lax.write_text(json.dumps({"default_rel_tol": 0.5}))
-        from repro.cli import main
-        assert main(["bench", "compare", str(drifted), str(out),
-                     "--tolerances", str(lax)]) == 0

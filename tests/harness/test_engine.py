@@ -47,12 +47,12 @@ class TestDeterminism:
     def test_document_shape(self):
         run = run_engine(["fig7b"], quick=True, jobs=1, stream=io.StringIO())
         doc = run.document()
-        assert doc["schema"] == "cepheus-bench/v2"
+        assert doc["schema"] == "cepheus-bench/v3"
         assert doc["mode"] == "quick"
         assert doc["code_fingerprint"] == code_fingerprint()
         entry = doc["experiments"]["fig7b"]
         assert set(entry) == {"wall_s", "events", "events_per_sec",
-                              "cached", "rows", "metrics", "result"}
+                              "cached", "result"}
         # fig7b is analytic (0 simulator events): no throughput figure
         assert entry["events_per_sec"] is None
         # The whole document must be strict JSON.

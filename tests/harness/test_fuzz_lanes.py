@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.check import CoverageMap
-from repro.harness.campaign import Incident, Trial
+from repro.harness.campaign import ChurnEvent, Incident, Trial
 from repro.harness.fuzz import (MUTATIONS, FuzzConfig, FuzzSchedule,
                                 _run_one_deployment, _sanitize, _Shape,
                                 generate_fuzz_schedule, mutate_schedule,
@@ -90,6 +90,22 @@ class TestLaneKillScheduling:
         assert not doc["failing"], doc["fail_reasons"]
         for dep in cfg.deployments:
             assert f"lanekill/{dep}/no-exclusive-uplink" in doc["coverage"]
+
+
+class TestLeaveVersusLaneKill:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2a: LEAVE vs lane kill")
+    def test_leave_during_a_lane_kill_settles(self):
+        """A LEAVE issued while one of two lanes is severed must still
+        settle its MRP delta.  Today every deployment reports
+        ``delta-failure``; the fix turns this into a pass."""
+        cfg = FuzzConfig(topo="fat_tree", k=4, hosts=16, initial_members=6,
+                         messages=3, paths=2)
+        schedule = FuzzSchedule(
+            trial_seed=1302723026, sources=(1,), offsets=(0.0,),
+            incidents=(), churn=(ChurnEvent("leave", 6, 0.017302655),),
+            lane_kills=((1, 0.012097144, 0.020823036),))
+        doc = run_fuzz_trial(cfg, schedule)
+        assert not doc["failing"], doc["fail_reasons"]
 
 
 class TestOverlappingFailureWindows:

@@ -62,11 +62,11 @@ class TestMainCli:
         assert main(["--only", "fig7b", "--no-cache",
                      "--emit", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "cepheus-bench/v2"
+        assert doc["schema"] == "cepheus-bench/v3"
         assert doc["mode"] == "quick"
         entry = doc["experiments"]["fig7b"]
         assert entry["events"] >= 0 and entry["wall_s"] >= 0
-        assert "mean_total_MB" in entry["metrics"]
+        assert entry["result"]["rows"][0]["total_MB"] > 0
 
     def test_cache_dir_option(self, tmp_path, capsys):
         cache = tmp_path / "c"

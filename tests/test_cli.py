@@ -32,12 +32,13 @@ class TestParser:
         assert "MFT memory" in capsys.readouterr().out
 
     def test_bench_compare_gate_flags(self):
+        """The compare is exact: there is nothing to loosen or tighten."""
         parser = build_parser()
-        args = parser.parse_args(["bench", "compare", "a.json", "b.json",
-                                  "--check-events"])
-        assert args.check_events is True
-        defaults = parser.parse_args(["bench", "compare", "a.json", "b.json"])
-        assert defaults.check_events is False
+        for flag in (["--tolerances", "t.json"], ["--check-events"],
+                     ["--verbose"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["bench", "compare", "a.json", "b.json"]
+                                  + flag)
 
 
 class TestCommands:

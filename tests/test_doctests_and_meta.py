@@ -102,7 +102,8 @@ class TestCiWorkflow:
     def test_workflow_parses_and_names_paths_that_exist(self):
         """The workflow is YAML a parser accepts, and every ``run:``
         step that names a repository path names one that exists (a
-        renamed suite must be renamed here too)."""
+        renamed suite must be renamed here too) — except a path a step
+        asserts absent with ``test ! -e``, which must not exist."""
         import re
         from pathlib import Path
 
@@ -116,8 +117,12 @@ class TestCiWorkflow:
                 for step in job["steps"] if "run" in step]
         named = {path for run in runs for path in re.findall(
             r"(?<![\w/.-])(?:tests|perfbench|benchmarks)/[\w/.-]+", run)}
+        absent = {path for run in runs
+                  for path in re.findall(r"test ! -e (\S+)", run)}
         assert any(p.startswith("tests/") for p in named)
-        assert [p for p in sorted(named) if not (root / p).exists()] == []
+        assert [p for p in sorted(named - absent)
+                if not (root / p).exists()] == []
+        assert [p for p in sorted(absent) if (root / p).exists()] == []
 
 
 class TestOracleIndependence:
