@@ -17,7 +17,7 @@ Installed as the ``cepheus-repro`` console script::
                   --corpus tests/harness/corpus  # coverage-guided fuzzing
     cepheus-repro fuzz replay tests/harness/corpus --jobs 4
     cepheus-repro fuzz corpus                    # list corpus inputs
-    cepheus-repro bench emit --jobs 4            # parallel run -> BENCH_quick.json
+    cepheus-repro bench emit --jobs 4            # tables silenced -> BENCH_quick.json
     cepheus-repro bench compare BENCH_quick.json benchmarks/baselines/BENCH_quick.json
     cepheus-repro info                           # model constants
 """
@@ -33,24 +33,16 @@ from repro import constants
 __all__ = ["main"]
 
 
-def _cmd_experiments(args, stream=None) -> int:
-    from repro.harness.runner import run_cli
-
-    try:
-        return run_cli(args, stream=stream)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-
 def _cmd_bench_emit(args) -> int:
     """``experiments`` with a document always written and the tables
     silenced."""
     import io
 
+    from repro.harness.runner import run_cli
+
     args.emit = args.emit or ("BENCH_full.json" if args.full
                               else "BENCH_quick.json")
-    return _cmd_experiments(args, None if args.verbose else io.StringIO())
+    return run_cli(args, stream=None if args.verbose else io.StringIO())
 
 
 def _cmd_demo(args) -> int:
@@ -402,7 +394,7 @@ def _add_campaign(sub, name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.harness.runner import add_arguments
+    from repro.harness.runner import add_arguments, run_cli
 
     parser = argparse.ArgumentParser(
         prog="cepheus-repro",
@@ -413,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiments",
                            help="reproduce the paper's tables/figures")
     add_arguments(p_exp)
-    p_exp.set_defaults(fn=_cmd_experiments)
+    p_exp.set_defaults(fn=run_cli)
 
     p_demo = sub.add_parser("demo", help="60-second broadcast comparison")
     p_demo.add_argument("--size", type=int, default=16 << 20,
@@ -457,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_emit = bench_sub.add_parser(
-        "emit", help="run the suite (parallel, cached) and write BENCH JSON",
+        "emit", help="run the suite and write BENCH JSON",
         description="Run the suite and write the BENCH document "
                     "(--out defaults to BENCH_<mode>.json).")
     add_arguments(p_emit, emit_flag="--out")

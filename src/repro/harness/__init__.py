@@ -1,6 +1,6 @@
 """Experiment harness: one registry entry per paper table/figure,
-ablation and extension study (`repro.harness.runner.ALL_EXPERIMENTS`),
-the parallel cached experiment engine (`repro.harness.engine`), the
+ablation and extension study, and the one way to run them
+(`repro.harness.runner`: `ALL_EXPERIMENTS`, `run_experiments`), the
 machine-readable bench documents + regression gate
 (`repro.harness.bench`), plus the campaign kernel
 (`repro.harness.campaign`: schedule -> `Trial` -> shrink -> reproducer,

@@ -9,13 +9,12 @@ run::
       "jobs": 4,
       "code_fingerprint": "sha256...",
       "total_wall_s": 37.2,
-      "events_per_sec": 812345.6,  # aggregate over uncached entries
+      "events_per_sec": 812345.6,  # aggregate over all entries
       "experiments": {
         "fig8": {
           "wall_s": 0.01,          # provenance, never compared
           "events": 123456,        # simulator events executed
-          "events_per_sec": 654321.0,  # provenance; null when cached
-          "cached": false,
+          "events_per_sec": 654321.0,  # provenance; null with no events
           "result": {...}          # canonical ExperimentResult payload
         }, ...
       }
@@ -44,39 +43,31 @@ SCHEMA = "cepheus-bench/v3"
 
 def make_entry(result: ExperimentResult, *, wall_s: float,
                events: int) -> Dict[str, Any]:
-    """One ``experiments`` entry: canonical payload + provenance.
-
-    ``events_per_sec`` is None for cached entries — a cache hit's wall
-    time measures the cache, not the simulator.
-    """
-    eps: Optional[float] = None
-    if not result.cached and wall_s > 0 and events:
-        eps = round(events / wall_s, 1)
+    """One ``experiments`` entry: canonical payload + provenance."""
     return {
         "wall_s": round(wall_s, 6),
         "events": events,
-        "events_per_sec": eps,
-        "cached": result.cached,
+        "events_per_sec": _rate(events, wall_s),
         "result": result.to_dict(),
     }
+
+
+def _rate(events: int, wall_s: float) -> Optional[float]:
+    return round(events / wall_s, 1) if wall_s > 0 and events else None
 
 
 def make_document(entries: Dict[str, Dict[str, Any]], *, mode: str,
                   jobs: int, fingerprint: str,
                   total_wall_s: float) -> Dict[str, Any]:
-    # Aggregate throughput over the *uncached* entries only (same
-    # reasoning as per-entry events_per_sec).
-    live = [(e.get("events", 0), e.get("wall_s", 0.0))
-            for e in entries.values() if not e.get("cached")]
-    events = sum(ev for ev, _ in live)
-    wall = math.fsum(w for _, w in live)
+    events = sum(e["events"] for e in entries.values())
+    wall = math.fsum(e["wall_s"] for e in entries.values())
     return {
         "schema": SCHEMA,
         "mode": mode,
         "jobs": jobs,
         "code_fingerprint": fingerprint,
         "total_wall_s": round(total_wall_s, 3),
-        "events_per_sec": round(events / wall, 1) if wall > 0 and events else None,
+        "events_per_sec": _rate(events, wall),
         "experiments": entries,
     }
 
@@ -163,7 +154,7 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> Comparison:
     simulations are deterministic, so any difference is a behaviour
     change (re-emit the baseline if it is intended).  An experiment
     only ``current`` has is a note, never a failure.  Wall time and
-    cache flags are provenance; host time is judged by
+    throughput are provenance; host time is judged by
     ``perfbench/check.py`` alone.
     """
     cur_exps = current.get("experiments", {})

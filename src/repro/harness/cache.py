@@ -1,50 +1,22 @@
-"""Content-addressed experiment-result cache.
+"""The code fingerprint: which source a document was produced by.
 
-An experiment run is a pure function of (experiment id, config,
-code).  The cache key is therefore the SHA-256 of the canonicalized
-config document plus a fingerprint of every source file in the
-``repro`` package: touch any file under ``src/repro`` and every key
-changes, so stale hits are impossible by construction (the FuzzBench
-"experiment = pure function of config" discipline).
-
-Entries are JSON files named ``<key>.json`` under the cache root, each
-holding the canonical :class:`~repro.harness.report.ExperimentResult`
-payload plus the provenance of the run that produced it.
+BENCH documents and perfbench results record it as provenance; touch
+any file under ``src/repro`` and it changes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
-import os
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
 
-__all__ = ["canonical_config", "config_hash", "code_fingerprint",
-           "ResultCache", "DEFAULT_CACHE_DIR"]
-
-DEFAULT_CACHE_DIR = ".bench_cache"
-
-_CODE_FINGERPRINT: Optional[str] = None
+__all__ = ["code_fingerprint"]
 
 
-def canonical_config(config: Dict[str, Any]) -> str:
-    """Deterministic, whitespace-free JSON encoding of a config dict."""
-    return json.dumps(config, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
-def config_hash(config: Dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_config(config).encode("utf-8")).hexdigest()
-
-
-def code_fingerprint(refresh: bool = False) -> str:
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
     """SHA-256 over every ``.py`` file of the installed ``repro``
     package (relative path + contents, sorted), memoized per process."""
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is not None and not refresh:
-        return _CODE_FINGERPRINT
     import repro
 
     pkg_root = pathlib.Path(repro.__file__).parent
@@ -55,51 +27,4 @@ def code_fingerprint(refresh: bool = False) -> str:
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    _CODE_FINGERPRINT = digest.hexdigest()
-    return _CODE_FINGERPRINT
-
-
-@dataclass
-class ResultCache:
-    """File-backed store of experiment payloads, keyed by content.
-
-    ``get``/``put`` operate on the *bench entry* dict (see
-    ``repro.harness.bench``): the canonical result document plus run
-    provenance.  A ``put`` is atomic (write + rename) so a crashed or
-    parallel run never leaves a half-written entry.
-    """
-
-    root: pathlib.Path
-    hits: int = 0
-    misses: int = 0
-    fingerprint: str = field(default_factory=code_fingerprint)
-
-    def __post_init__(self) -> None:
-        self.root = pathlib.Path(self.root)
-
-    def key(self, exp_id: str, config: Dict[str, Any]) -> str:
-        blob = f"{exp_id}\0{config_hash(config)}\0{self.fingerprint}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, entry: Dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+    return digest.hexdigest()

@@ -37,12 +37,11 @@ def _decode_cell(value: Any) -> Any:
 class ExperimentResult:
     """One reproduced table/figure: rows + provenance.
 
-    ``wall_time_s`` / ``mode`` / ``cached`` are *run provenance* set by
-    the harness runner, not part of the result's identity: two runs of
-    the same experiment differ only in these fields, so they are
-    excluded from :meth:`to_json` (which must be byte-stable for the
-    cache and the serial-vs-parallel determinism guarantee) and
-    reported separately in the BENCH_*.json documents.
+    ``wall_time_s`` is *run provenance* set by the harness runner, not
+    part of the result's identity: two runs of the same experiment
+    differ only in it, so it is excluded from :meth:`to_json` (which
+    must be byte-stable for the serial-vs-parallel determinism
+    guarantee) and reported separately in the BENCH_*.json documents.
     """
 
     exp_id: str
@@ -53,7 +52,6 @@ class ExperimentResult:
     notes: str = ""
     mode: str = ""              # "quick" | "full" | "" (unset)
     wall_time_s: float = 0.0    # volatile, excluded from to_json
-    cached: bool = False        # satisfied from the result cache
 
     def column(self, key: str) -> List[Any]:
         return [row.get(key) for row in self.rows]
@@ -111,7 +109,7 @@ class ExperimentResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":
-        """Inverse of :meth:`to_json` (wall time/cached are run-local
+        """Inverse of :meth:`to_json` (wall time is run-local
         provenance and intentionally reset)."""
         return cls.from_dict(json.loads(text))
 
@@ -212,13 +210,11 @@ def format_table(result: ExperimentResult) -> str:
         lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
     if result.notes:
         lines.append(f"note: {result.notes}")
-    if result.mode or result.wall_time_s or result.cached:
+    if result.mode or result.wall_time_s:
         prov = []
         if result.wall_time_s:
             prov.append(f"wall {result.wall_time_s:.1f}s")
         if result.mode:
             prov.append(f"({result.mode})")
-        if result.cached:
-            prov.append("[cached]")
         lines.append("run: " + " ".join(prov))
     return "\n".join(lines)

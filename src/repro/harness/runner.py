@@ -1,34 +1,39 @@
-"""Run the whole evaluation and emit paper-style text.
-
-``python -m repro.harness.runner``            quick mode (minutes)
-``python -m repro.harness.runner --full``     paper-scale parameters
-``python -m repro.harness.runner --only fig8,fig12``
-``python -m repro.harness.runner --jobs 4``   parallel fan-out
-``python -m repro.harness.runner --jobs 4 --emit BENCH_quick.json``
+"""The evaluation registry and the one way to run it.
 
 :data:`ALL_EXPERIMENTS` is the only way an evaluation table is
-produced; ``cepheus-repro experiments`` is this module's parser and
-``cepheus-repro bench emit`` the same :func:`run_cli` with the tables
-silenced.  Experiments are pure functions of (id, quick); ``--jobs``
-fans them out across a process pool and ``--cache-dir`` (default
-``.bench_cache``; ``--no-cache`` disables) memoizes results keyed by
-(id, config hash, code fingerprint) so unchanged experiments are
-skipped on re-runs.  ``--emit`` writes the consolidated machine-
-readable BENCH document (see ``repro.harness.bench``).
+produced.  Its entries are independent pure functions of ``(id,
+quick)``: every experiment builds its own cluster and simulator, and
+all randomness is seeded from the topology.  :func:`run_experiments`
+runs a selection serially or across ``jobs`` worker processes and
+prints each table in request order, so serial and parallel runs emit
+byte-identical ``ExperimentResult.to_json()`` payloads (tables can
+differ only in the wall-clock provenance line).
+
+``cepheus-repro experiments`` and ``cepheus-repro bench emit`` are the
+two front-ends of :func:`run_cli`; ``bench emit`` always writes the
+consolidated BENCH document (see ``repro.harness.bench``) and silences
+the tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List
 
-from repro.harness import ablations, experiments, extensions
-from repro.harness.report import ExperimentResult
+from repro.harness import ablations, bench, experiments, extensions
+from repro.harness.cache import code_fingerprint
+from repro.harness.report import ExperimentResult, format_table
+from repro.net.simulator import Simulator
 
-__all__ = ["ALL_EXPERIMENTS", "select", "run_experiments",
-           "add_arguments", "run_cli", "main"]
+__all__ = ["ALL_EXPERIMENTS", "select", "execute_one", "Run",
+           "run_experiments", "add_arguments", "run_cli"]
 
 ALL_EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
     "fig7b": experiments.fig7b_memory,
@@ -74,78 +79,96 @@ def select(only: str = "") -> List[str]:
     return names
 
 
-def run_experiments(names: List[str], quick: bool = True, stream=None,
-                    jobs: int = 1,
-                    cache_dir: Optional[str] = None) -> List[ExperimentResult]:
-    """Run the named experiments; prints each table as it completes.
+def execute_one(name: str, quick: bool) -> Dict[str, Any]:
+    """Run one registry experiment; returns its bench entry.
 
-    ``jobs > 1`` fans independent experiments across a process pool;
-    ``cache_dir`` enables the content-addressed result cache.  Both
-    paths return byte-identical results (``ExperimentResult.to_json``)
-    in request order.
+    Module-level (picklable) so it can serve as the process-pool
+    worker; the registry lookup happens inside the worker, so the
+    parent never ships the experiment callable itself.
     """
-    from repro.harness.cache import ResultCache
-    from repro.harness.engine import run_engine
+    events_before = Simulator.lifetime_events
+    t0 = time.perf_counter()
+    result = ALL_EXPERIMENTS[name](quick)
+    wall = time.perf_counter() - t0
+    result.mode = "quick" if quick else "full"
+    return bench.make_entry(result, wall_s=wall,
+                            events=Simulator.lifetime_events - events_before)
 
-    cache = ResultCache(cache_dir) if cache_dir else None
-    run = run_engine(names, quick=quick, jobs=jobs, cache=cache,
-                     stream=stream)
-    return run.results
+
+@dataclass
+class Run:
+    """What one :func:`run_experiments` call produced, in request order."""
+
+    mode: str
+    jobs: int
+    entries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    results: List[ExperimentResult] = field(default_factory=list)
+    total_wall_s: float = 0.0
+
+    def document(self) -> Dict[str, Any]:
+        """The consolidated BENCH document for this run."""
+        return bench.make_document(
+            self.entries, mode=self.mode, jobs=self.jobs,
+            fingerprint=code_fingerprint(), total_wall_s=self.total_wall_s)
+
+
+def run_experiments(names: List[str], *, quick: bool = True, jobs: int = 1,
+                    stream=None) -> Run:
+    """Run registry ids ``names`` on ``jobs`` worker processes (in this
+    process when 1); each table prints to ``stream`` (stdout by
+    default) once it and every table requested before it are done."""
+    out = stream if stream is not None else sys.stdout
+    run = Run(mode="quick" if quick else "full", jobs=jobs)
+    t_start = time.perf_counter()
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else nullcontext()) as pool:
+        entries = (pool.map if pool else map)(
+            execute_one, names, itertools.repeat(quick))
+        for name, entry in zip(names, entries):
+            result = ExperimentResult.from_dict(entry["result"])
+            result.wall_time_s = entry["wall_s"]
+            run.entries[name] = entry
+            run.results.append(result)
+            print(format_table(result), file=out)
+            print(file=out)
+    run.total_wall_s = time.perf_counter() - t_start
+    return run
 
 
 def add_arguments(parser: argparse.ArgumentParser,
                   emit_flag: str = "--emit") -> None:
-    """The flags every registry entry point takes (``bench emit``
-    spells the output flag ``--out``)."""
+    """The flags both registry front-ends take (``bench emit`` spells
+    the output flag ``--out``)."""
     parser.add_argument("--full", action="store_true",
                         help="paper-scale parameters (slow)")
     parser.add_argument("--only", default="",
                         help="comma-separated experiment ids")
     parser.add_argument("--jobs", type=int, default=1,
                         help="experiment worker processes (default 1)")
-    parser.add_argument("--cache-dir", default="",
-                        help="result-cache directory (default .bench_cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
     parser.add_argument(emit_flag, dest="emit", default="",
                         help="write the consolidated BENCH JSON here")
 
 
 def run_cli(args, *, stream=None) -> int:
-    """Select, run and optionally emit: the body of ``experiments``,
-    ``bench emit`` and ``python -m repro.harness.runner``.  Tables
-    print to ``stream``; raises ``ValueError`` on an unknown id or
-    ``--jobs < 1``."""
-    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
-    from repro.harness.engine import run_engine
-
-    names = select(args.only)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    run = run_engine(names, quick=not args.full, jobs=args.jobs,
-                     cache=cache, stream=stream)
+    """Select, run and optionally emit: the body of ``cepheus-repro
+    experiments`` and ``bench emit``.  Tables print to ``stream``.  An
+    unknown id or ``--jobs < 1`` is reported on stderr and returns 2
+    before any experiment runs; an experiment's own exception
+    propagates."""
+    try:
+        names = select(args.only)
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    run = run_experiments(names, quick=not args.full, jobs=args.jobs,
+                          stream=stream)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             json.dump(run.document(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"{len(names)} experiment(s) in {run.total_wall_s:.1f}s "
-          f"({run.executed} executed, {run.cache_hits} cached, "
-          f"jobs={args.jobs})" + (f" -> {args.emit}" if args.emit else ""),
+          f"(jobs={args.jobs})" + (f" -> {args.emit}" if args.emit else ""),
           file=sys.stderr)
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Cepheus evaluation harness")
-    add_arguments(parser)
-    try:
-        return run_cli(parser.parse_args(argv))
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -111,7 +111,7 @@ class Simulator:
     """
 
     #: Process-wide count of events executed by *all* simulator
-    #: instances.  The experiment engine snapshots it around each
+    #: instances.  The experiment runner snapshots it around each
     #: experiment to report per-experiment event counts without
     #: threading a handle into every cluster an experiment builds.
     lifetime_events: int = 0

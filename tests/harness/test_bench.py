@@ -31,8 +31,7 @@ class TestCompare:
     def test_provenance_is_not_compared(self):
         base = _doc({"fig8": _entry()})
         cur = _doc({"fig8": _entry()})
-        cur["experiments"]["fig8"].update(wall_s=9.0, events_per_sec=1.0,
-                                          cached=True)
+        cur["experiments"]["fig8"].update(wall_s=9.0, events_per_sec=1.0)
         assert bench.compare(cur, base).ok
 
     def test_one_ulp_in_one_cell_fails_and_names_row_and_column(self):
@@ -117,30 +116,26 @@ class TestCompare:
 
 
 class TestThroughputFields:
-    def _result(self, cached=False):
+    def _result(self):
         res = ExperimentResult("e", "t", ["x"])
         res.rows.append({"x": 1.0})
-        res.cached = cached
         return res
 
     def test_make_entry_computes_rate(self):
         entry = bench.make_entry(self._result(), wall_s=2.0, events=1000)
         assert entry["events_per_sec"] == 500.0
 
-    def test_cached_entry_has_no_rate(self):
-        entry = bench.make_entry(self._result(cached=True),
-                                 wall_s=0.001, events=1000)
-        assert entry["events_per_sec"] is None
-
-    def test_document_aggregates_uncached_only(self):
-        live = bench.make_entry(self._result(), wall_s=2.0, events=1000)
-        hot = bench.make_entry(self._result(cached=True),
-                               wall_s=0.001, events=9999)
-        doc = bench.make_document({"a": live, "b": hot}, mode="quick",
-                                  jobs=1, fingerprint="f" * 64,
-                                  total_wall_s=2.0)
+    def test_document_aggregates_all_entries(self):
+        a = bench.make_entry(self._result(), wall_s=2.0, events=1000)
+        b = bench.make_entry(self._result(), wall_s=0.5, events=4000)
+        analytic = bench.make_entry(self._result(), wall_s=1.5, events=0)
+        assert analytic["events_per_sec"] is None
+        doc = bench.make_document({"a": a, "b": b, "c": analytic},
+                                  mode="quick", jobs=1,
+                                  fingerprint="f" * 64, total_wall_s=4.0)
         assert doc["schema"] == bench.SCHEMA == "cepheus-bench/v3"
-        assert doc["events_per_sec"] == 500.0
+        # 5,000 events over 4 s of experiment wall time, analytic included
+        assert doc["events_per_sec"] == 1250.0
 
 
 class TestBenchCli:
@@ -148,7 +143,7 @@ class TestBenchCli:
         from repro.cli import main
         out = tmp_path / name
         assert main(["bench", "emit", "--only", "fig7b,abl-mem",
-                     "--no-cache", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         return out
 
     def test_emit_then_compare_self_passes(self, tmp_path, capsys):
@@ -178,19 +173,3 @@ class TestBenchCli:
         from repro.cli import main
         assert main(["bench", "emit", "--only", "fig99",
                      "--out", str(tmp_path / "x.json")]) == 2
-
-    def test_emit_uses_cache(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        from repro.cli import main
-        assert main(["bench", "emit", "--only", "fig7b",
-                     "--cache-dir", str(tmp_path / "c"),
-                     "--out", str(tmp_path / "a.json")]) == 0
-        assert main(["bench", "emit", "--only", "fig7b",
-                     "--cache-dir", str(tmp_path / "c"),
-                     "--out", str(tmp_path / "b.json")]) == 0
-        assert "1 cached" in capsys.readouterr().err
-        a = json.loads((tmp_path / "a.json").read_text())
-        b = json.loads((tmp_path / "b.json").read_text())
-        assert a["experiments"]["fig7b"]["result"] == \
-            b["experiments"]["fig7b"]["result"]
-        assert b["experiments"]["fig7b"]["cached"] is True

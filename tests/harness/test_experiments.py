@@ -11,7 +11,7 @@ import functools
 
 import pytest
 
-from repro.harness.engine import execute_one
+from repro.harness.runner import execute_one
 from repro.harness.report import ExperimentResult
 
 

@@ -13,7 +13,7 @@ first with the gate's own diff.
 To *intentionally* change behaviour (model change, new calibration),
 re-emit the baseline and commit the diff (docs/TESTING.md)::
 
-    PYTHONPATH=src python -m repro.cli bench emit --jobs 1 --no-cache \
+    PYTHONPATH=src python -m repro.cli bench emit --jobs 1 \
         --out benchmarks/baselines/BENCH_quick.json
 
 The cheap experiments run in tier 1; the rest carry the ``slow``

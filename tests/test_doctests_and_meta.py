@@ -52,7 +52,7 @@ class TestPackageSurface:
 class TestHarnessImportBoundary:
     """``repro.harness`` exports nothing, so importing one harness module
     loads that module and what it imports — not the experiment registry,
-    the engine's process pool or the campaigns.  A fresh interpreter
+    the runner's process pool or the campaigns.  A fresh interpreter
     imports what a perfbench child imports and must not have loaded any
     of ``UNUSED``."""
 
@@ -61,7 +61,7 @@ class TestHarnessImportBoundary:
                "repro.net.switch", "repro.net.pool", "repro.core.feedback",
                "repro.core.mft", "repro.core.source_routing")
     UNUSED = tuple(f"repro.harness.{name}" for name in (
-        "ablations", "bench", "chaos", "churn", "engine", "experiments",
+        "ablations", "bench", "chaos", "churn", "experiments",
         "extensions", "fuzz", "report", "runner", "sweeps",
         "workloads")) + ("multiprocessing", "concurrent.futures")
 
