@@ -4,10 +4,11 @@
 :class:`~repro.check.invariants.InvariantMonitor` subscribes to the
 simulation's :class:`~repro.net.pipeline.ObserverBus` channels and
 asserts the paper's reliability invariants (§III-D, §V) on every event.
-The chaos harness (:mod:`repro.harness.chaos`) and the property tests
-run everything under this monitor so a regression in the feedback
-aggregation or failure-repair paths surfaces as a named violation
-instead of a silently wrong benchmark number.
+The fuzz campaign (:mod:`repro.harness.fuzz`, chaos and churn presets
+included) and the property tests run everything under this monitor so
+a regression in the feedback aggregation or failure-repair paths
+surfaces as a named violation instead of a silently wrong benchmark
+number.
 """
 
 from repro.check.coverage import CoverageCollector, CoverageMap

@@ -7,10 +7,10 @@ Installed as the ``cepheus-repro`` console script::
     cepheus-repro demo                           # 60-second tour
     cepheus-repro sweep --sizes 64,1048576 --groups 4,8 \
                         --algorithms cepheus,chain
-    cepheus-repro chaos run --seed 7 --trials 5  # invariant-checked chaos
+    cepheus-repro chaos run --seed 7 --trials 5  # fuzz campaign, chaos preset
     cepheus-repro chaos replay repro.json        # re-run a reproducer
-    cepheus-repro churn run --seed 11 --trials 3 # membership-churn campaign
-    cepheus-repro churn replay repro.json        # re-run a churn reproducer
+    cepheus-repro churn run --seed 11 --trials 3 # fuzz campaign, churn preset
+    cepheus-repro churn replay repro.json        # re-run a reproducer
     cepheus-repro broker run --seed 11 --trials 3 --coalesce-window 5e-4
     cepheus-repro broker replay repro.json       # re-run a broker reproducer
     cepheus-repro fuzz run --budget-trials 50 \
@@ -82,12 +82,13 @@ def _cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# campaigns: {chaos, churn, broker, fuzz} x {run, replay}, from one table
+# campaigns: {chaos, churn, broker, fuzz} x {run, replay}, from one table;
+# chaos and churn are presets of the fuzz campaign
 # ---------------------------------------------------------------------------
 
 #: Every ``run`` flag that sets a config field, declared once:
 #: flag -> (config field, help).  The value type is the type of the
-#: default a campaign lists the flag with.
+#: flag's default (:data:`_TYPES` where that is not a command-line type).
 _CONFIG_FLAGS = {
     "--topo": ("topo", "cluster topology"),
     "--hosts": ("hosts", "star size / fat-tree host limit"),
@@ -95,13 +96,10 @@ _CONFIG_FLAGS = {
     "--members": ("initial_members", "initial group size"),
     "--messages": ("messages", "broadcasts per trial"),
     "--msg-packets": ("msg_packets", "packets per broadcast"),
-    "--incidents": ("incidents", "failure incidents per trial"),
     "--incidents-max": ("incidents_max", "cap on incidents per schedule"),
-    "--joins": ("joins", "JOIN events per trial"),
-    "--leaves": ("leaves", "voluntary LEAVE events per trial"),
-    "--crashes": ("crashes", "receiver crashes per trial"),
     "--joins-max": ("joins_max", "cap on JOIN ops per schedule"),
     "--leaves-max": ("leaves_max", "cap on LEAVE ops per schedule"),
+    "--crashes-max": ("crashes_max", "receiver crashes per schedule (cap)"),
     "--topics": ("topics", "topic count"),
     "--min-subs": ("min_subscribers",
                    "initial subscribers per topic, lower bound"),
@@ -122,62 +120,79 @@ _CONFIG_FLAGS = {
     "--loss-rate": ("loss_rate", "baseline random loss on every switch"),
     "--jct-slack": ("jct_slack", "throughput-oracle ceiling multiplier "
                                  "over the analytic JCT model"),
-    "--deployment": ("deployment",
-                     "accelerator deployment style under test"),
-    "--mutate": ("mutate", "arm a deliberate protocol mutation to "
-                           "self-test the campaign"),
+    "--deployment": ("deployments",
+                     "accelerator deployment style under test (inline, "
+                     "lookaside or source_routed)"),
 }
-_CHOICES = {"--topo": ("star", "fat_tree"),
-            "--deployment": ("inline", "lookaside", "source_routed")}
+_CHOICES = {"--topo": ("star", "fat_tree")}
+_DEPLOYMENTS = ("inline", "lookaside", "source_routed")
+
+
+def _deployment(name: str) -> Tuple[str, ...]:
+    """``--deployment NAME``: every trial runs that one deployment."""
+    if name not in _DEPLOYMENTS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r}")
+    return (name,)
+
+
+_TYPES = {"--deployment": _deployment}
+
 
 class CampaignCLI(NamedTuple):
     """One campaign's row: what its ``run`` subcommand looks like.
     ``--seed``, ``--no-shrink``, ``--out``, ``--repro-dir`` and
-    ``replay <file>`` are common to all and not listed."""
+    ``replay <file>`` are common to all and not listed.  A ``run``
+    starts from the row's base config — its ``preset``, else the config
+    class defaults — and each flag defaults to that config's field
+    unless ``defaults`` names a command-line default of its own."""
 
     module: str                 # holds the ``CAMPAIGN`` declaration
     help: str
     trials: Tuple[str, int]     # the trial-count flag and its default
-    flags: Dict[str, object]    # config flag -> this campaign's default
+    flags: Tuple[str, ...]      # the config flags ``run`` takes
+    defaults: Dict[str, object] = {}
+    preset: str = ""            # module attribute holding the base config
 
 
 CAMPAIGNS = {
     "chaos": CampaignCLI(
-        "repro.harness.chaos",
-        "deterministic invariant-checked chaos campaigns",
+        "repro.harness.fuzz",
+        "blind invariant-checked failure campaigns (the fuzz campaign's "
+        "chaos preset: incidents, one deployment, no churn)",
         ("--trials", 5),
-        {"--topo": "star", "--hosts": 6, "--k": 4, "--messages": 3,
-         "--msg-packets": 8, "--incidents": 2, "--horizon": 0.04,
-         "--loss-rate": 0.0, "--deployment": "inline", "--mutate": ""}),
+        ("--topo", "--hosts", "--k", "--members", "--messages",
+         "--msg-packets", "--incidents-max", "--horizon", "--loss-rate",
+         "--deployment"),
+        preset="CHAOS"),
     "churn": CampaignCLI(
-        "repro.harness.churn",
-        "deterministic membership-churn campaigns (incremental MRP "
-        "joins/leaves, failure pruning)",
+        "repro.harness.fuzz",
+        "blind membership-churn campaigns (the fuzz campaign's churn "
+        "preset: incremental MRP joins/leaves, a crash pruned by the "
+        "failure detector)",
         ("--trials", 5),
-        {"--topo": "star", "--hosts": 8, "--k": 4, "--members": 5,
-         "--messages": 4, "--msg-packets": 8, "--joins": 2, "--leaves": 1,
-         "--crashes": 1, "--horizon": 0.04, "--loss-rate": 0.0,
-         "--mutate": ""}),
+        ("--topo", "--hosts", "--k", "--members", "--messages",
+         "--msg-packets", "--joins-max", "--leaves-max", "--crashes-max",
+         "--horizon", "--loss-rate"),
+        preset="CHURN"),
     "broker": CampaignCLI(
         "repro.apps.brokerfabric",
         "open-loop broker-fabric pub/sub campaigns (SLO tails, delivery "
         "amplification, MRP delta coalescing)",
         ("--trials", 3),
-        {"--topo": "fat_tree", "--hosts": 16, "--k": 4, "--topics": 6,
-         "--min-subs": 3, "--max-subs": 8, "--msg-size": 65536,
-         "--publish-rate": 60000.0, "--zipf-alpha": 0.9,
-         "--churn-rate": 2000.0, "--cross-rate": 4000.0,
-         "--cross-size": 131072, "--horizon": 0.02,
-         "--coalesce-window": 0.0, "--loss-rate": 0.0}),
+        ("--topo", "--hosts", "--k", "--topics", "--min-subs", "--max-subs",
+         "--msg-size", "--publish-rate", "--zipf-alpha", "--churn-rate",
+         "--cross-rate", "--cross-size", "--horizon", "--coalesce-window",
+         "--loss-rate"),
+        {"--coalesce-window": 0.0}),
     "fuzz": CampaignCLI(
         "repro.harness.fuzz",
         "coverage-guided protocol fuzzing with differential deployment "
         "oracles (every trial runs all three deployments)",
         ("--budget-trials", 50),
-        {"--topo": "star", "--hosts": 8, "--k": 4, "--members": 6,
-         "--messages": 3, "--msg-packets": 6, "--incidents-max": 2,
-         "--joins-max": 1, "--leaves-max": 1, "--horizon": 0.03,
-         "--loss-rate": 0.0, "--jct-slack": 5.0}),
+        ("--topo", "--hosts", "--k", "--members", "--messages",
+         "--msg-packets", "--incidents-max", "--joins-max", "--leaves-max",
+         "--crashes-max", "--horizon", "--loss-rate", "--jct-slack"),
+        {"--msg-packets": 6, "--horizon": 0.03}),
 }
 
 
@@ -186,6 +201,17 @@ def load_campaign(name: str):
     import importlib
 
     return importlib.import_module(CAMPAIGNS[name].module).CAMPAIGN
+
+
+def base_config(name: str):
+    """The config a CLI noun's ``run`` starts from: its preset, else
+    the config class defaults."""
+    import importlib
+
+    row = CAMPAIGNS[name]
+    if row.preset:
+        return getattr(importlib.import_module(row.module), row.preset)
+    return load_campaign(name).config_cls()
 
 
 def _write_json(doc, path: str) -> None:
@@ -201,18 +227,19 @@ def _write_json(doc, path: str) -> None:
 
 def _cmd_campaign_run(args) -> int:
     import os
+    from dataclasses import replace
 
     name = args.campaign
     campaign = load_campaign(name)
-    cfg_fields = campaign.config_cls.__dataclass_fields__
+    base = base_config(name)
     values = {}
     for flag in CAMPAIGNS[name].flags:
         field = _CONFIG_FLAGS[flag][0]
         value = getattr(args, field)
         # "" / 0 on the command line mean "unset" for an optional field.
-        values[field] = (value or None
-                         if cfg_fields[field].default is None else value)
-    cfg = campaign.config_cls(**values)
+        values[field] = (value or None if getattr(base, field) is None
+                         else value)
+    cfg = replace(base, **values)
     if args.session:
         outcome = args.session(args, cfg)
         if outcome is None:          # unreadable input, already reported
@@ -364,7 +391,6 @@ def _add_campaign(sub, name: str):
     """Register ``<name> run`` and ``<name> replay`` from the table."""
     row = CAMPAIGNS[name]
     trials_flag, trials = row.trials
-    campaign = load_campaign(name)
     p_camp = sub.add_parser(name, help=row.help)
     camp_sub = p_camp.add_subparsers(dest=f"{name}_command", required=True)
 
@@ -372,12 +398,14 @@ def _add_campaign(sub, name: str):
         "run", help="run N seeded trials, shrink any failure")
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument(trials_flag, dest="trials", type=int, default=trials)
-    for flag, default in row.flags.items():
+    base = base_config(name)
+    for flag in row.flags:
         field, help_text = _CONFIG_FLAGS[flag]
-        choices = (campaign.mutations if flag == "--mutate"
-                   else _CHOICES.get(flag))
-        p_run.add_argument(flag, dest=field, type=type(default),
-                           default=default, choices=choices, help=help_text)
+        default = row.defaults.get(flag, getattr(base, field))
+        p_run.add_argument(flag, dest=field,
+                           type=_TYPES.get(flag, type(default)),
+                           default=default, choices=_CHOICES.get(flag),
+                           help=help_text)
     p_run.add_argument("--no-shrink", action="store_true",
                        help="skip reproducer minimization")
     p_run.add_argument("--out", default="",

@@ -188,7 +188,8 @@ class CepheusBcast(BroadcastAlgorithm):
 
         Creates the joiner's QPs (one per lane), wires its deliveries
         and returns the in-flight transaction; the joiner is owed every
-        message posted from now on.  Only the joiner's branch of the MDT
+        message posted from now on (with a coalescing window, from the
+        window's flush on).  Only the joiner's branch of the MDT
         is patched — no full re-registration.  Unavailable after an
         AMcast fallback (the AMcast algorithms have static membership).
         """

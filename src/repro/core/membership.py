@@ -133,6 +133,12 @@ class MembershipManager:
         unflushed coalescing batch (callers gate churn on this)."""
         return ip in self._inflight or ip in self._pending_ips
 
+    def is_batched(self, ip: int) -> bool:
+        """True while ``ip``'s op waits in an unflushed coalescing batch
+        (a joiner's stream is re-based at the flush, past every message
+        posted meanwhile)."""
+        return ip in self._pending_ips
+
     def _enqueue(self, op: str, record: MemberRecord,
                  on_done: Optional[Callable[[MrpTransaction], None]]
                  ) -> MrpTransaction:

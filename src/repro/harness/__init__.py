@@ -5,8 +5,8 @@ machine-readable bench documents + regression gate
 (`repro.harness.bench`), plus the campaign kernel
 (`repro.harness.campaign`: schedule -> `Trial` -> shrink -> reproducer,
 one JSON codec, the timed `Incident` / `ChurnEvent` vocabulary)
-and the harnesses declared against it — chaos (`repro.harness.chaos`),
-membership churn (`repro.harness.churn`), coverage-guided fuzzing
-(`repro.harness.fuzz`) and, in `repro.apps.brokerfabric`, the broker
+and the two campaigns declared against it — the fuzz campaign
+(`repro.harness.fuzz`, coverage-guided, with the blind-sampling `CHAOS`
+and `CHURN` presets) and, in `repro.apps.brokerfabric`, the broker
 fabric.  Each exposes a `CAMPAIGN` object: `CAMPAIGN.run(cfg, seed,
 trials)`, `.shrink`, `.load`, `.replay`."""

@@ -1,10 +1,12 @@
 """The campaign kernel: schedule -> trial -> shrink -> reproducer.
 
-Every randomized harness in this repo (chaos, churn, broker fabric,
-fuzz) guards the paper's reliability machinery the same way, and this
-module owns the decisions they share so each harness is only the
-*vocabulary* it schedules, the *hooks* it runs between the trial's
-phases, its *oracle* and its *record*:
+Both randomized campaigns in this repo — the broker fabric
+(:mod:`repro.apps.brokerfabric`) and the fuzz campaign
+(:mod:`repro.harness.fuzz`, whose ``chaos`` and ``churn`` presets
+sample blindly) — guard the paper's reliability machinery the same
+way, and this module owns the decisions they share so each campaign is
+only the *vocabulary* it schedules, the *hooks* it runs between the
+trial's phases, its *oracle* and its *record*:
 
 * **trial t of seed s** draws its schedule from one derived RNG
   (:func:`trial_rng`), so trials are independent and a campaign is a
@@ -31,12 +33,11 @@ phases, its *oracle* and its *record*:
   exit codes: 0 clean, 2 usage error or unreadable input, 3 a failing
   trial.
 
-A harness *declares* itself as a :class:`Campaign` (see
-``repro.harness.chaos.CAMPAIGN`` for the smallest one): config and
+A campaign *declares* itself as a :class:`Campaign`: config and
 schedule classes, ``generate(cfg, rng)``, ``run_trial(cfg, schedule,
 trial_index)`` returning a JSON-able record with a ``"failing"`` flag,
-the droppable fields, the trailing-trim rule, the record keys copied
-into a reproducer, and any self-test mutations.
+the droppable fields, the trailing-trim rule and the record keys copied
+into a reproducer.
 """
 
 from __future__ import annotations
@@ -234,9 +235,8 @@ def trial_rng(seed: int, t: int) -> random.Random:
 
 
 class Trial:
-    """One broadcast trial — the body chaos, churn and fuzz share — as
-    phases a campaign calls in order, hooking what is its own between
-    them::
+    """One broadcast trial as phases a campaign calls in order, hooking
+    what is its own between them::
 
         with Trial(cfg, schedule.trial_seed) as t:  # cluster, monitor, group
             t.install(incidents, churn, lane_kills)  # the timed vocabulary
@@ -278,8 +278,7 @@ class Trial:
         self.deliveries: Counter = Counter()
         #: ``post`` handle -> index of the message in the source plan.
         self.ordinal: Dict[int, int] = {}
-        #: Hosts whose ``join`` / ``crash`` event has fired so far.
-        self.joined: List[int] = []
+        #: Hosts whose ``crash`` event has fired so far.
         self.crashed: Set[int] = set()
         self._held: Counter = Counter()   # element -> open windows on it
 
@@ -304,7 +303,9 @@ class Trial:
         lane's *exclusive* uplink so the sprayer's failover path runs.
         Star topologies (and fat-trees narrower than the lane count)
         have no such link: the kills are skipped, and an armed coverage
-        map learns which of the two happened.
+        map learns which of the two happened.  A ``crash`` arms the
+        group's failure detector (the membership manager's defaults):
+        only it can prune a receiver that never answers again.
         """
         topo = self.cluster.topo
         by_name = {sw.name: sw for sw in topo.switches}
@@ -343,7 +344,7 @@ class Trial:
                     f"lanekill/{self.collector.deployment}/{outcome}")
         for ev in churn:
             if ev.kind == "join":
-                self._at(ev.at, self._join, ev.ip)
+                self._at(ev.at, self.algo.start_join, ev.ip)
             elif ev.kind == "leave":
                 self._at(ev.at, self._leave, ev.ip)
             elif ev.kind == "crash":
@@ -351,6 +352,9 @@ class Trial:
                           partial(self.crashed.add, ev.ip))
             else:
                 raise ValueError(f"unknown churn kind {ev.kind!r}")
+        if any(ev.kind == "crash" for ev in churn):
+            self.cluster.fabric.membership(
+                self.algo.group).start_failure_detector()
 
     def _at(self, at: float, fn: Callable, *args) -> None:
         self.sim.schedule(self.start + at - self.sim.now, fn, *args)
@@ -391,10 +395,6 @@ class Trial:
 
         self._window(key, at, until, cut,
                      partial(self.injector.repair_link, dev, port))
-
-    def _join(self, ip: int) -> None:
-        self.algo.start_join(ip)
-        self.joined.append(ip)
 
     def _leave(self, ip: int) -> None:
         group = self.algo.group
@@ -524,10 +524,6 @@ class Campaign:
     trailing: Tuple[str, ...]
     #: Record keys of the minimal schedule's run copied into a reproducer.
     extras: Tuple[str, ...]
-    #: Config field that must track the message count, if any.
-    count_field: Optional[str] = None
-    #: Accepted ``cfg.mutate`` values (deliberate self-test corruptions).
-    mutations: Tuple[str, ...] = ()
 
     @property
     def kind(self) -> str:
@@ -538,8 +534,7 @@ class Campaign:
         return bool(self.run_trial(cfg, schedule)["failing"])
 
     def shrink(self, cfg, schedule):
-        """Greedily minimize a failing schedule; returns the (possibly
-        message-count-adjusted) config with it."""
+        """Greedily minimize a failing schedule."""
         for path in self.droppable:
             _, schedule = greedy_drop(
                 _get(schedule, path),
@@ -547,21 +542,19 @@ class Campaign:
                 lambda cand: self.fails(cfg, cand))
         n = len(_get(schedule, self.trailing[0]))
         while n > 1:
-            cand, cand_cfg = schedule, cfg
+            cand = schedule
             for path in self.trailing:
                 cand = _with(cand, path, _get(cand, path)[:n - 1])
-            if self.count_field:
-                cand_cfg = replace(cfg, **{self.count_field: n - 1})
-            if not self.fails(cand_cfg, cand):
+            if not self.fails(cfg, cand):
                 break
-            cfg, schedule, n = cand_cfg, cand, n - 1
-        return cfg, schedule
+            schedule, n = cand, n - 1
+        return schedule
 
     def package(self, cfg, schedule, trial: int,
                 shrink: bool = True) -> Dict[str, object]:
         """Shrink a failing trial and build its reproducer document."""
         if shrink:
-            cfg, schedule = self.shrink(cfg, schedule)
+            schedule = self.shrink(cfg, schedule)
         final = self.run_trial(cfg, schedule, trial_index=trial)
         return {"kind": self.kind, "config": cfg.to_dict(),
                 "schedule": schedule.to_dict(), "trial": trial,

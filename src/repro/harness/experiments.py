@@ -433,7 +433,9 @@ def churn_membership(quick: bool = True) -> ExperimentResult:
     compared to the initial full registration, and that exactly-once
     delivery and the protocol invariants hold across epochs.
     """
-    from repro.harness.churn import CAMPAIGN, ChurnConfig
+    from dataclasses import replace
+
+    from repro.harness.fuzz import CAMPAIGN, CHURN
 
     trials = 2 if quick else 6
     res = ExperimentResult(
@@ -445,25 +447,27 @@ def churn_membership(quick: bool = True) -> ExperimentResult:
         paper_claim="single-member deltas patch one branch (strictly fewer "
                     "MRP records than re-registration); a crashed receiver "
                     "is pruned without stalling in-flight transfers",
-        notes=f"{trials} seeded trials per topology; deterministic",
+        notes=f"{trials} seeded trials per topology (the fuzz campaign's "
+              f"churn preset); deterministic",
     )
     for topo, hosts in (("star", 8), ("fat_tree", 8)):
-        cfg = ChurnConfig(topo=topo, hosts=hosts, k=4)
+        cfg = replace(CHURN, topo=topo, hosts=hosts, k=4)
         doc = CAMPAIGN.run(cfg, seed=11, trials=trials, shrink=False)
         recs = doc["records"]
-        joins = sum(1 for r in recs
-                    for e in r["schedule"]["events"] if e["kind"] == "join")
+        runs = [d for r in recs for d in r["deployments"]]
+        ops = [e for r in recs for e in r["schedule"]["churn"]]
+        joins = sum(1 for e in ops if e["kind"] == "join")
         res.rows.append({
             "topo": topo,
             "members": cfg.initial_members,
-            "churn_events": sum(len(r["schedule"]["events"]) for r in recs),
-            "msgs_done": sum(r["completed_messages"] for r in recs),
-            "full_records": recs[0]["full_records"],
+            "churn_events": len(ops),
+            "msgs_done": sum(d["completed"] for d in runs),
+            "full_records": runs[0]["full_records"],
             "delta_records_per_join":
-                sum(r["delta_records"] for r in recs) / max(1, joins),
-            "removed_records": sum(r["removed_records"] for r in recs),
-            "pruned": sum(len(r["pruned"]) for r in recs),
-            "violations": sum(len(r["violations"]) for r in recs),
+                sum(d["delta_records"] for d in runs) / max(1, joins),
+            "removed_records": sum(d["removed_records"] for d in runs),
+            "pruned": sum(len(d["pruned"]) for d in runs),
+            "violations": sum(len(d["violations"]) for d in runs),
             "failing_trials": len(doc["failing_trials"]),
         })
     return res

@@ -1,53 +1,40 @@
-"""Coverage-guided protocol fuzzing with differential deployment oracles.
+"""The one campaign: coverage-guided protocol fuzzing with differential
+deployment oracles, and its blind-sampling presets.
 
-The chaos (:mod:`repro.harness.chaos`) and churn
-(:mod:`repro.harness.churn`) campaigns sample failure schedules blindly
-from a seed; this module closes the loop the way fuzzbench-style
-fuzzers do — schedules that reach *new behavior* are kept in a corpus
-and mutated further, so the campaign spends its budget on the
-schedules that exercise the most protocol surface:
+Every randomized broadcast campaign in this repo is this module.  The
+``fuzz`` loop keeps schedules that reach *new behavior* in a corpus and
+mutates them further, the way fuzzbench-style fuzzers do; the
+:data:`CHAOS` and :data:`CHURN` presets (``cepheus-repro chaos|churn
+run``) sample blindly through :meth:`Campaign.run`, every trial loaded
+to its caps.
 
-* a **FuzzSchedule** is the union of both harnesses' inputs: a chaos
-  incident list (link cuts, switch black-holes, loss windows), a churn
-  op list (JOINs of outsiders, voluntary LEAVEs), a per-message source
-  plan (§III-E source switching) and message offsets — pure JSON-able
-  data;
-* a **trial** runs the *same* schedule once per accelerator deployment
-  (inline, look-aside, source-routed), each a kernel
-  :class:`~repro.harness.campaign.Trial` under the
-  :class:`~repro.check.InvariantMonitor` and a
-  :class:`~repro.check.CoverageCollector`; behavioral coverage is the
-  union of channel-transition, feedback-decision, drop and violation
-  keys across the deployments;
-* two **differential oracles** run per trial: (a) every *stable*
-  receiver (an initial member never targeted by churn) must see a
-  byte-identical ``(message, psn, payload)`` delivery sequence in all
-  deployments — replication state may live inline in the switch, on a
-  look-aside FPGA, or in Elmo-style source headers, but the wire
-  contract cannot change; (b) per-message completion times must stay
-  within tolerance of the analytic model — no faster than the wire
-  serialization bound, and (for quiescent schedules) no slower than
-  ``jct_slack`` times the §II JCT model, which catches silent
-  retransmission storms that deliver correct bytes late;
-* the **fuzz loop** replays the corpus first (deterministic coverage
-  baseline), then spends the remaining budget mutating corpus entries
-  (incident add/remove/retime/retarget, churn op splice/drop/burst,
-  offset jitter, Poisson arrival replan, source retarget, reseed)
-  and crossing pairs over
-  (seed-respecting: the child keeps one parent's ``trial_seed``).
-  Schedules reaching new coverage join the corpus; failing schedules
-  are greedily shrunk by the shared kernel
-  (:mod:`repro.harness.campaign`, through the :data:`CAMPAIGN`
-  declaration: incidents, then churn ops, then lane kills, then
-  trailing messages) into JSON reproducers that ``cepheus-repro fuzz
-  replay`` re-executes.
+* a **FuzzSchedule** is pure JSON-able data: incidents, churn ops
+  (JOINs, LEAVEs and, up to ``crashes_max``, receiver crashes that
+  only the failure detector can unstick), a per-message source plan
+  (§III-E source switching), message offsets and lane kills;
+* a **trial** runs the *same* schedule once per configured accelerator
+  deployment (inline, look-aside, source-routed), each a kernel
+  :class:`~repro.harness.campaign.Trial` under the invariant monitor
+  and a :class:`~repro.check.CoverageCollector`;
+* **the oracle** (:func:`run_fuzz_trial`) states each check once,
+  from invariants and liveness through exactly-once per epoch and per
+  stable receiver to byte-identical ``(message, psn, payload)``
+  sequences across deployments — replication state may live inline,
+  on a look-aside FPGA or in Elmo-style source headers, but the wire
+  contract cannot change;
+* the **fuzz loop** replays the corpus first, then mutates entries
+  (:data:`MUTATIONS`), crosses pairs over or draws fresh schedules;
+  failing schedules are shrunk by the shared kernel (through
+  :data:`CAMPAIGN`) into JSON reproducers.
 
-Everything is deterministic: trials are pure functions of
-(config, schedule), the corpus evolves identically for a given seed,
-and coverage signatures are order-independent SHA-256 digests — two
-``fuzz run`` invocations produce bit-for-bit identical documents, and
-``--jobs`` parallel corpus replay yields the same signature as the
-sequential one.
+Self-tests arm a deliberate bug through ``CEPHEUS_SEEDED_BUG``:
+``psn-skip`` (a PSN hole on the wire), ``no-failure-detector`` (a
+crashed receiver is never pruned) and ``sr-skip-leave-confirm`` (in
+:mod:`repro.core.accelerator`).  The variable is read when a trial
+runs, so a reproducer replayed without it shows the bug is the cause.
+
+Everything is deterministic: two ``fuzz run`` invocations write
+bit-for-bit identical documents, whatever the replay ``--jobs``.
 """
 
 from __future__ import annotations
@@ -55,22 +42,28 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.analytic.models import NetModel, cepheus_jct
 from repro.check import CoverageMap
 from repro.core.accelerator import DEPLOYMENTS
+from repro.core.membership import MembershipManager
 from repro.harness.campaign import (Campaign, CampaignConfig, ChurnEvent,
                                     Incident, JsonCodec, Trial, build_cluster,
                                     draw_incident, enumerate_targets,
                                     read_document, trial_rng)
+from repro.transport import qp as qp_state
 
 __all__ = [
-    "CAMPAIGN", "FuzzConfig", "FuzzSchedule", "generate_fuzz_schedule",
-    "mutate_schedule", "crossover_schedules", "run_fuzz_trial",
-    "run_fuzz", "load_corpus", "save_corpus", "replay_corpus",
+    "CAMPAIGN", "CHAOS", "CHURN", "FuzzConfig", "FuzzSchedule",
+    "generate_fuzz_schedule", "mutate_schedule", "crossover_schedules",
+    "run_fuzz_trial", "run_fuzz", "load_corpus", "save_corpus",
+    "replay_corpus",
 ]
 
 CORPUS_KIND = "cepheus-fuzz-input"
@@ -98,6 +91,7 @@ class FuzzConfig(CampaignConfig):
     incidents_max: int = 2        # cap on chaos incidents per schedule
     joins_max: int = 1            # cap on JOIN churn ops per schedule
     leaves_max: int = 1           # cap on LEAVE churn ops per schedule
+    crashes_max: int = 0          # receiver crashes per schedule (a cap)
     horizon: float = 0.04         # virtual seconds per trial
     loss_rate: float = 0.0        # baseline random loss on every switch
     rto: float = 200e-6
@@ -106,30 +100,41 @@ class FuzzConfig(CampaignConfig):
     jct_slack: float = 5.0        # throughput-oracle ceiling multiplier
     paths: int = 1                # MRC lanes per group (k-path spraying)
     lane_stall_timeout: float = 1e-3  # dead-lane declaration threshold
+    coalesce_window: Optional[float] = None  # batch MRP deltas per window (s)
+
+
+#: ``cepheus-repro chaos run``: failure incidents on one deployment,
+#: every host a member, no churn.
+CHAOS = FuzzConfig(hosts=6, initial_members=6, joins_max=0, leaves_max=0,
+                   deployments=("inline",))
+#: ``cepheus-repro churn run``: two joins, a leave and a crash per blind
+#: trial, on an incident-free fabric and one deployment.
+CHURN = FuzzConfig(initial_members=5, messages=4, incidents_max=0,
+                   joins_max=2, crashes_max=1, deployments=("inline",))
 
 
 @dataclass(frozen=True)
 class FuzzSchedule(JsonCodec):
-    """One fuzzing input: chaos incidents + churn ops + source plan.
+    """One fuzzing input: incidents + churn ops + source plan.
 
     The validity contract (enforced by :func:`_sanitize`, which every
     generator/mutator runs through):
 
     * sources are initial members; churn never targets a source or the
       leader (``hosts[0]``), so the §III-E rotation stays legal;
-    * joiners are outsiders (hosts beyond the initial membership), one
-      JOIN per ip; leavers are distinct non-source initial members;
-    * incident repairs land by ``0.75 * horizon`` so recovery has tail
-      room before the liveness check, and churn ops land by
-      ``0.6 * horizon`` so their MRP deltas settle;
-    * ``lane_kills`` (``(lane, at, repair_at)``; meaningful only when
-      ``cfg.paths > 1``) sever one lane's *exclusive* uplink so the
-      sprayer's failover re-spray path runs under fuzz; at most
-      ``paths - 1`` lanes are ever killed, one per lane, and with
-      k lanes all sources collapse onto the leader (§III-E source
-      switching is single-lane).  The field is omitted from the
-      canonical dict when empty, so every pre-lane corpus entry keeps
-      its content hash.
+    * joiners are distinct outsiders; leavers and the at most
+      ``crashes_max`` crash victims are distinct non-source initial
+      members, and at least 2 initial members neither leave nor crash;
+      a crash needs two messages, the last posted after it (a
+      missed-feedback detector cannot see a crash during silence);
+    * incident repairs land by ``0.75 * horizon`` and churn ops by
+      ``0.6 * horizon``, so recovery and MRP deltas settle in time;
+    * ``lane_kills`` (``(lane, at, repair_at)``, only when
+      ``cfg.paths > 1``) sever one lane's exclusive uplink so the
+      sprayer's failover runs: at most ``paths - 1`` lanes, one kill
+      each, and the leader sources every message (§III-E source
+      switching is single-lane).  Omitted from the canonical dict when
+      empty, so pre-lane corpus entries keep their content hashes.
     """
 
     trial_seed: int
@@ -165,7 +170,6 @@ class _Shape:
         if cfg.initial_members < 2 or cfg.initial_members > len(hosts):
             raise ValueError(f"initial_members={cfg.initial_members} out of "
                              f"range for {len(hosts)} hosts")
-        self.hosts = hosts
         self.initial = hosts[:cfg.initial_members]
         self.leader = self.initial[0]
         self.outsiders = hosts[cfg.initial_members:]
@@ -223,7 +227,7 @@ def _sanitize(cfg: FuzzConfig, shape: _Shape,
             lane_kills.append((lane, round(at, 9), round(repair_at, 9)))
         lane_kills.sort()
     protected = set(sources) | {shape.leader}
-    joined, left = set(), set()
+    joined, left, crashed = set(), set(), set()
     churn: List[ChurnEvent] = []
     for ev in schedule.churn:
         at = min(max(ev.at, 0.0), round(0.6 * h, 9))
@@ -236,8 +240,15 @@ def _sanitize(cfg: FuzzConfig, shape: _Shape,
                     and ev.ip not in left):
                 left.add(ev.ip)
                 churn.append(replace(ev, at=at))
-        # crashes need the failure detector; the fuzzer stays on the
-        # join/leave subset where liveness is unconditional.
+    for ev in schedule.churn:
+        if (ev.kind == "crash" and len(sources) > 1
+                and len(crashed) < cfg.crashes_max
+                and ev.ip in shape.initial and ev.ip not in protected
+                and ev.ip not in left | crashed
+                and len(shape.initial) - len(left) - len(crashed) > 2):
+            crashed.add(ev.ip)
+            churn.append(replace(ev, at=min(max(ev.at, 0.0),
+                                            round(0.6 * h, 9))))
     churn.sort(key=lambda e: (e.at, e.kind, e.ip))
     incidents = []
     targeted = set()
@@ -258,14 +269,26 @@ def _sanitize(cfg: FuzzConfig, shape: _Shape,
         round(min(max(o, 0.0), 0.6 * h), 9)
         for o in schedule.offsets[1:len(sources)]))
     offsets = offsets + (0.0,) * (len(sources) - len(offsets))
+    if crashed:
+        tail = round(max(e.at for e in churn if e.kind == "crash")
+                     + 0.05 * h, 9)
+        offsets = offsets[:-1] + (max(offsets[-1], tail),)
     return replace(schedule, sources=sources, offsets=offsets,
                    incidents=tuple(incidents), churn=tuple(churn),
                    lane_kills=tuple(lane_kills))
 
 
 def generate_fuzz_schedule(cfg: FuzzConfig, rng,
-                           shape: Optional[_Shape] = None) -> FuzzSchedule:
-    """Draw one randomized-but-reproducible fuzzing input."""
+                           shape: Optional[_Shape] = None, *,
+                           at_caps: bool = False) -> FuzzSchedule:
+    """Draw one randomized-but-reproducible fuzzing input.
+
+    The fuzz loop draws each count in ``0..cap``; blind sampling
+    (``at_caps``, :data:`CAMPAIGN`'s generator) draws it at the cap, as
+    far as there are hosts to take it, with incidents on distinct
+    devices.  Leavers (blind) and crash victims may be any non-leader
+    initial member: their messages are re-sourced at the leader.
+    """
     shape = shape or _Shape(cfg)
     trial_seed = rng.randrange(1 << 31)
     h = cfg.horizon
@@ -273,22 +296,41 @@ def generate_fuzz_schedule(cfg: FuzzConfig, rng,
     offsets = (0.0,) + tuple(sorted(
         round(rng.uniform(0.05, 0.55) * h, 9)
         for _ in range(cfg.messages - 1)))
-    incidents = tuple(shape.draw_incident(rng)
-                      for _ in range(rng.randint(0, cfg.incidents_max)))
+
+    def count(cap: int) -> int:
+        return cap if at_caps else rng.randint(0, cap)
+
+    if at_caps:
+        devices: Dict[Tuple, Tuple] = {}
+        for target in rng.sample(shape.targets, len(shape.targets)):
+            devices.setdefault(target[:2], target)
+        incidents = tuple(draw_incident(target, rng, h) for target
+                          in list(devices.values())[:cfg.incidents_max])
+    else:
+        incidents = tuple(shape.draw_incident(rng)
+                          for _ in range(count(cfg.incidents_max)))
     churn: List[ChurnEvent] = []
     for ip in rng.sample(shape.outsiders,
-                         min(rng.randint(0, cfg.joins_max),
-                             len(shape.outsiders))):
+                         min(count(cfg.joins_max), len(shape.outsiders))):
         churn.append(ChurnEvent("join", ip,
                                 _draw_churn_time(cfg, offsets, rng)))
-    candidates = [ip for ip in shape.initial[1:] if ip not in sources]
+    candidates = [ip for ip in shape.initial[1:]
+                  if at_caps or ip not in sources]
     for ip in rng.sample(candidates,
-                         min(rng.randint(0, cfg.leaves_max),
-                             len(candidates))):
+                         min(count(cfg.leaves_max), len(candidates))):
         churn.append(ChurnEvent("leave", ip,
                                 _draw_churn_time(cfg, offsets, rng)))
-    # Guarded so a paths=1 config consumes exactly the pre-lane rng
-    # draw sequence (the committed corpus depends on it).
+    # Guarded, like the lane kills below, so a crash-free paths=1 config
+    # draws the committed corpus's rng sequence exactly.
+    if cfg.crashes_max:
+        taken = {e.ip for e in churn}
+        victims = [ip for ip in shape.initial[1:] if ip not in taken]
+        for ip in rng.sample(victims, min(cfg.crashes_max, len(victims))):
+            # Early, so the detector sees post-crash traffic.
+            churn.append(ChurnEvent(
+                "crash", ip, round(rng.uniform(0.05, 0.3) * h, 9)))
+    moved = {e.ip for e in churn if e.kind != "join"}
+    sources = tuple(shape.leader if s in moved else s for s in sources)
     lane_kills: Tuple[Tuple[int, float, float], ...] = ()
     if cfg.paths > 1:
         lane_kills = tuple(_draw_lane_kill(cfg, rng)
@@ -327,7 +369,8 @@ def mutate_schedule(cfg: FuzzConfig, schedule: FuzzSchedule, rng,
         incidents[i] = replace(fresh, at=incidents[i].at,
                                repair_at=incidents[i].repair_at)
     elif op == "churn-splice":
-        kind = rng.choice(("join", "leave"))
+        kind = rng.choice(("join", "leave", "crash") if cfg.crashes_max
+                          else ("join", "leave"))
         pool = (shape.outsiders if kind == "join"
                 else [ip for ip in shape.initial[1:]
                       if ip not in schedule.sources])
@@ -350,10 +393,8 @@ def mutate_schedule(cfg: FuzzConfig, schedule: FuzzSchedule, rng,
         return _sanitize(cfg, shape, replace(
             schedule, trial_seed=rng.randrange(1 << 31)))
     elif op == "publish-poisson" and len(schedule.offsets) > 1:
-        # Open-loop arrival replan (the broker-fabric workload shape,
-        # :mod:`repro.harness.openloop`): the uniform message spread
-        # becomes exponential inter-arrivals, so mutated inputs explore
-        # Poisson bursts — back-to-back posts whose aggregates overlap.
+        # Open-loop arrival replan (:mod:`repro.harness.openloop`):
+        # exponential inter-arrivals, so aggregates overlap in bursts.
         mean_gap = (0.6 * h) / len(schedule.offsets)
         offs, t = [0.0], 0.0
         for _ in range(len(schedule.offsets) - 1):
@@ -361,9 +402,8 @@ def mutate_schedule(cfg: FuzzConfig, schedule: FuzzSchedule, rng,
             offs.append(round(t, 9))
         return _sanitize(cfg, shape, replace(schedule, offsets=tuple(offs)))
     elif op == "churn-burst":
-        # Hot-topic churn clustering: one join+leave pair inside a
-        # coalescing-window-scale gap, so the two MRP deltas race each
-        # other (and any delta batching) instead of landing settled.
+        # A join+leave pair a coalescing window apart: the two MRP
+        # deltas race each other (and any delta batching).
         taken = {e.ip for e in churn}
         joins = [ip for ip in shape.outsiders if ip not in taken]
         leaves = [ip for ip in shape.initial[1:]
@@ -407,24 +447,47 @@ def crossover_schedules(cfg: FuzzConfig, a: FuzzSchedule, b: FuzzSchedule,
 
 
 # ---------------------------------------------------------------------------
-# one trial: three deployments + differential oracles
+# one trial: every deployment, one oracle
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _psn_skip(cfg: FuzzConfig, armed: bool):
+    """Seeded bug ``psn-skip``: every PSN from the middle of message two
+    on is shifted up by one, leaving a hole no receiver can fill."""
+    saved = qp_state.psn_tx_hook
+    if armed:
+        skip_at = cfg.msg_packets + max(1, cfg.msg_packets // 2)
+        qp_state.psn_tx_hook = (
+            lambda qp, psn: psn + 1 if psn >= skip_at else psn)
+    try:
+        yield
+    finally:
+        qp_state.psn_tx_hook = saved
+
 
 def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
                         deployment: str,
                         coverage: CoverageMap) -> Dict[str, object]:
     """Execute the schedule under one deployment; feeds ``coverage``."""
-    with Trial(cfg, schedule.trial_seed, members=cfg.initial_members,
-               deployment=deployment, coverage=coverage, paths=cfg.paths,
-               lane_stall_timeout=cfg.lane_stall_timeout) as t:
-        mm = t.cluster.fabric.membership(t.algo.group)
+    bug = os.environ.get("CEPHEUS_SEEDED_BUG")
+    with _psn_skip(cfg, bug == "psn-skip"), \
+            Trial(cfg, schedule.trial_seed, members=cfg.initial_members,
+                  deployment=deployment, coverage=coverage, paths=cfg.paths,
+                  lane_stall_timeout=cfg.lane_stall_timeout) as t:
+        group = t.algo.group
+        accels = t.cluster.fabric.accelerators.values()
+        full_records = sum(a.mrp_records_installed for a in accels)
+        mm = t.cluster.fabric.membership(group,
+                                         coalesce_window=cfg.coalesce_window)
         t.install(schedule.incidents, schedule.churn, schedule.lane_kills)
+        if bug == "no-failure-detector":
+            # Seeded bug: nothing prunes a crashed receiver, so its AckPSN
+            # pins the aggregate for good.
+            mm.stop_failure_detector()
 
-        # Per-receiver delivery log for the payload oracle.  Message
-        # handles are process-global counters, so deployments see
-        # different raw ids for the same message — normalize to the
-        # schedule ordinal.  A sprayed packet names its message (and its
-        # lane, which keys the log: PSNs are per lane) in its meta.
+        # Per-receiver delivery log for the payload oracle, by schedule
+        # ordinal (message handles differ across deployments).  A sprayed
+        # packet names its message and lane (PSNs are per lane) in meta.
         seq: Dict[object, List[Tuple[int, int, int]]] = {}
 
         def on_deliver(qp, pkt) -> None:
@@ -436,16 +499,33 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             seq.setdefault(key, []).append(
                 (t.ordinal.get(handle, -1), pkt.psn, pkt.payload))
 
+        # Who is owed message i: every member at its post but its source,
+        # receivers known dead and joiners still in a coalescing batch
+        # (the flush re-bases them past it).  A joiner with its delta in
+        # flight is owed it (the JOIN PSN sync recovers from admission on)
+        # unless incidents may hold that delta until the message completed
+        # without it (a missed message, pinned as a strict xfail).
+        owed: Counter = Counter()
+        posts: List[float] = []
+
+        def snapshot(i: int) -> None:
+            posts.append(t.sim.now - t.start)
+            for ip in group.members:
+                if (ip != schedule.sources[i] and ip not in t.crashed
+                        and not mm.is_batched(ip)
+                        and not (schedule.incidents and mm.has_inflight(ip))):
+                    owed[ip] += 1
+
         t.sim.bus.subscribe("deliver", on_deliver)
-        done = t.drive(schedule.sources, schedule.offsets)
+        done = t.drive(schedule.sources, schedule.offsets,
+                       before_post=snapshot)
         t.run()
         t.sim.bus.unsubscribe("deliver", on_deliver)
 
-        # All incidents repair and all churn deltas land before the
-        # horizon: the sweep demands a structurally whole fabric again.
         violations = t.sweep()
         for op, _ip, _why in mm.delta_failures:
             coverage.add(f"mmdelta/{deployment}/{op}/failed")
+        exempt = {ip for _op, ip, _why in mm.delta_failures}
         return {
             "deployment": deployment,
             "completed": len(done),
@@ -453,9 +533,33 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             "seq": seq,
             "source_idle": t.algo.send_idle,
             "delta_failures": [list(f) for f in mm.delta_failures],
+            "mismatched": [(ip, t.deliveries[ip], owed[ip])
+                           for ip in sorted(group.members)
+                           if ip not in exempt
+                           and t.deliveries[ip] != owed[ip]],
+            # A missed-feedback detector needs a post after the crash.
+            "unpruned": sorted(ev.ip for ev in schedule.churn
+                               if ev.kind == "crash" and ev.ip in group.members
+                               and posts and posts[-1] > ev.at),
+            "pruned": sorted(mm.pruned),
+            "full_records": full_records,
+            "delta_records": sum(a.mrp_records_installed
+                                 for a in accels) - full_records,
+            "removed_records": sum(a.mrp_records_removed for a in accels),
             "violations": violations,
             "events": t.sim.events_run,
         }
+
+
+#: The keys of a deployment's run its trial record keeps.
+_SUMMARY = ("deployment", "completed", "source_idle", "pruned",
+            "full_records", "delta_records", "removed_records",
+            "violations", "events")
+
+
+#: How long the failure detector's defaults wait before a prune.
+_DETECTOR = MembershipManager.start_failure_detector.__kwdefaults__
+_PROBE_WINDOW = _DETECTOR["interval"] * _DETECTOR["misses"]
 
 
 def _net_model(cfg: FuzzConfig) -> Tuple[NetModel, int]:
@@ -467,7 +571,7 @@ def _net_model(cfg: FuzzConfig) -> Tuple[NetModel, int]:
 
 def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
                    trial_index: int = 0) -> Dict[str, object]:
-    """Run the schedule under every deployment and apply both oracles.
+    """Run the schedule under every deployment and apply the oracle.
 
     Returns a JSON-able, fully deterministic record: per-deployment
     summaries, the unified coverage key list + signature, and a
@@ -478,66 +582,71 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
             for dep in cfg.deployments]
     reasons: List[str] = []
     expected = len(schedule.sources)
+    silenced = {e.ip for e in schedule.churn if e.kind == "crash"} | {
+        inc.target[1] for inc in schedule.incidents
+        if inc.kind == "host" and inc.repair_at - inc.at > _PROBE_WINDOW}
     for run in runs:
         dep = run["deployment"]
         for v in run["violations"]:
             reasons.append(f"invariant:{dep}:{v['invariant']}")
         if run["completed"] < expected or not run["source_idle"]:
             reasons.append(f"liveness:{dep}:{run['completed']}/{expected}")
-        # A failed membership delta is only a bug on a healthy fabric;
-        # with incidents in play, a join/leave racing a severed link is
-        # *supposed* to exhaust its retries (the outcome still lands in
-        # coverage as an mmdelta/ key).
+        else:
+            # Exactly-once for every member of the final epoch (departed
+            # members legitimately miss the tail of an in-flight message).
+            for ip, got, owed in run["mismatched"]:
+                reasons.append(f"final-epoch:{dep}:{ip}:{got}/{owed}")
+        # A failed membership delta is only a bug on a healthy fabric: a
+        # delta racing a severed link may exhaust its retries.
         if run["delta_failures"] and not schedule.incidents:
             reasons.append(f"delta-failure:{dep}")
+        # Pruning a crashed receiver is the failure detector's whole job;
+        # it may also prune one whose host link an incident cut for longer
+        # than its probe window.  Any other prune evicted a live receiver.
+        for ip in run["unpruned"]:
+            reasons.append(f"unpruned:{dep}:{ip}")
+        for ip in sorted(set(run["pruned"]) - silenced):
+            reasons.append(f"spurious-prune:{dep}:{ip}")
 
-    # Oracle (a): byte-identical delivery sequences across deployments
-    # for every stable receiver.  Only meaningful when every deployment
-    # finished — an incomplete run already failed liveness above, and
-    # its truncated sequences would double-report the same root cause.
-    # Lane kills exempt the trial: failover re-spray timing (and hence
-    # the post-kill lane assignment of every byte) is legitimately
+    # Per-receiver delivery counts and, across deployments, byte-identical
+    # delivery sequences for every stable receiver, once every deployment
+    # finished (an incomplete run already failed liveness).  Lane kills
+    # exempt the trial: the post-kill lane of every byte is legitimately
     # deployment-dependent; the reassembly invariant still guards
-    # exactly-once coverage inside each deployment.
+    # exactly-once inside each deployment.
     def _ip_of(key) -> int:
         return key[0] if isinstance(key, tuple) else key
 
-    churned = {e.ip for e in schedule.churn}
-    hosts_in_group = ({_ip_of(k) for k in runs[0]["seq"]} if runs else ())
-    stable = sorted(ip for ip in hosts_in_group if ip not in churned)
-    stable_set = set(stable)
+    # A receiver the failure detector pruned is churned too.
+    churned = ({e.ip for e in schedule.churn}
+               | {ip for run in runs for ip in run["pruned"]})
+    stable = sorted({_ip_of(k) for k in runs[0]["seq"]} - churned)
     size = cfg.msg_packets * constants.MTU_BYTES
     all_complete = all(r["completed"] == expected and r["source_idle"]
                        for r in runs)
-    if all_complete and len(runs) > 1 and not schedule.lane_kills:
+    if all_complete and not schedule.lane_kills:
         base = runs[0]
         for run in runs[1:]:
             keys = set(base["seq"]) | set(run["seq"])
             for key in sorted(keys):
-                if _ip_of(key) not in stable_set:
+                if _ip_of(key) not in stable:
                     continue
                 if run["seq"].get(key, []) != base["seq"].get(key, []):
                     reasons.append(
                         f"diff-payload:{base['deployment']}"
                         f"vs{run['deployment']}:{key}")
-        owed = {ip: sum(cfg.msg_packets
-                        for s in schedule.sources if s != ip)
-                for ip in stable}
         for run in runs:
-            got_by_ip: Dict[int, int] = {}
+            got: Counter = Counter()
             for key, deliveries in run["seq"].items():
-                ip = _ip_of(key)
-                got_by_ip[ip] = got_by_ip.get(ip, 0) + len(deliveries)
+                got[_ip_of(key)] += len(deliveries)
             for ip in stable:
-                got = got_by_ip.get(ip, 0)
-                if got != owed[ip]:
-                    reasons.append(
-                        f"delivery-count:{run['deployment']}:{ip}:"
-                        f"{got}/{owed[ip]}")
+                owed = cfg.msg_packets * sum(s != ip for s in schedule.sources)
+                if got[ip] != owed:
+                    reasons.append(f"delivery-count:{run['deployment']}:"
+                                   f"{ip}:{got[ip]}/{owed}")
 
-    # Oracle (b): throughput within tolerance of the analytic model.
-    # Floor always (nothing beats wire serialization); ceiling only for
-    # quiescent schedules where the §II JCT model is the contract.
+    # Throughput: a floor always (nothing beats wire serialization), a
+    # ceiling on quiescent schedules, where the §II JCT model is the contract.
     net, depth = _net_model(cfg)
     floor = net.wire(size)
     quiescent = (not schedule.incidents and not schedule.churn
@@ -559,14 +668,8 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
         "schedule_hash": schedule.content_hash(),
         "coverage": coverage.to_list(),
         "coverage_signature": coverage.signature(),
-        "deployments": [{
-            "deployment": r["deployment"],
-            "completed": r["completed"],
-            "durations_us": [round(d * 1e6, 3) for d in r["durations"]],
-            "source_idle": r["source_idle"],
-            "violations": r["violations"],
-            "events": r["events"],
-        } for r in runs],
+        "deployments": [dict({k: r[k] for k in _SUMMARY}, durations_us=[
+            round(d * 1e6, 3) for d in r["durations"]]) for r in runs],
         "stable_receivers": stable,
         "fail_reasons": sorted(reasons),
         "failing": bool(reasons),
@@ -575,7 +678,8 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
 
 CAMPAIGN = Campaign(
     name="fuzz", config_cls=FuzzConfig, schedule_cls=FuzzSchedule,
-    generate=generate_fuzz_schedule, run_trial=run_fuzz_trial,
+    generate=partial(generate_fuzz_schedule, at_caps=True),
+    run_trial=run_fuzz_trial,
     droppable=("incidents", "churn", "lane_kills"),
     trailing=("sources", "offsets"),
     extras=("fail_reasons",),
@@ -590,14 +694,10 @@ def run_fuzz(cfg: FuzzConfig, seed: int, budget_trials: int,
              corpus: Optional[List[FuzzSchedule]] = None,
              shrink: bool = True) -> Dict[str, object]:
     """Coverage-guided fuzzing session; deterministic for (cfg, seed,
-    budget, corpus).
-
-    The first trials replay the given corpus (its coverage is the
-    baseline); the rest of the budget mutates corpus entries biased
-    toward recent coverage finds, crosses pairs over, or draws fresh
-    schedules.  The returned document carries the evolved corpus so
-    callers can persist it with :func:`save_corpus`.
-    """
+    budget, corpus).  The first trials replay the corpus (the coverage
+    baseline); the rest mutate entries, cross pairs over or draw fresh
+    schedules.  The document carries the evolved corpus
+    (:func:`save_corpus` persists it)."""
     shape = _Shape(cfg)
     corpus = list(corpus or [])
     seen = {s.content_hash() for s in corpus}
@@ -695,11 +795,9 @@ def _replay_entry(entry: Tuple[FuzzConfig, FuzzSchedule]
                   ) -> Dict[str, object]:
     """Worker for parallel corpus replay (module-level: picklable)."""
     record = run_fuzz_trial(*entry)
-    return {"schedule_hash": record["schedule_hash"],
-            "coverage": record["coverage"],
-            "coverage_signature": record["coverage_signature"],
-            "fail_reasons": record["fail_reasons"],
-            "failing": record["failing"]}
+    return {key: record[key] for key in (
+        "schedule_hash", "coverage", "coverage_signature", "fail_reasons",
+        "failing")}
 
 
 def replay_corpus(dirpath: str, jobs: int = 1) -> Dict[str, object]:

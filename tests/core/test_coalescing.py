@@ -15,6 +15,7 @@ that safe:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -261,25 +262,26 @@ class TestAggregateRelease:
 
 class TestChurnHarnessWithCoalescing:
     def test_churn_campaign_clean_under_invariant_checker(self):
-        """The full churn harness (joins, leaves, a crash auto-pruned by
-        the failure detector) with coalescing enabled: exactly-once
-        delivery and every invariant — including the member-index sync
-        check — must hold."""
-        from repro.harness.churn import CAMPAIGN, ChurnConfig
+        """The fuzz campaign's churn preset (joins, leaves, a crash
+        auto-pruned by the failure detector) with coalescing enabled:
+        exactly-once delivery, no failed delta and every invariant —
+        including the member-index sync check — must hold."""
+        from repro.harness.fuzz import CAMPAIGN, CHURN
 
-        cfg = ChurnConfig(coalesce_window=WINDOW)
+        cfg = replace(CHURN, coalesce_window=WINDOW)
         doc = CAMPAIGN.run(cfg, seed=11, trials=2, shrink=False)
         assert doc["failing_trials"] == []
         for r in doc["records"]:
-            assert r["violations"] == []
-            assert r["mismatched"] == []
-            assert r["delta_failures"] == []
+            assert r["fail_reasons"] == []
+            (run,) = r["deployments"]
+            assert run["violations"] == []
+        assert any(r["deployments"][0]["pruned"] for r in doc["records"])
 
     def test_fat_tree_churn_with_coalescing(self):
-        from repro.harness.churn import CAMPAIGN, ChurnConfig
+        from repro.harness.fuzz import CAMPAIGN, CHURN
 
-        cfg = ChurnConfig(topo="fat_tree", hosts=8, k=4,
-                          coalesce_window=WINDOW)
+        cfg = replace(CHURN, topo="fat_tree", hosts=8, k=4,
+                      coalesce_window=WINDOW)
         doc = CAMPAIGN.run(cfg, seed=7, trials=1, shrink=False)
         assert doc["failing_trials"] == []
 

@@ -67,7 +67,6 @@ def toy_generate(cfg, rng):
 
 def toy_trial(cfg, schedule, trial_index=0):
     PROBES.append(schedule)
-    assert cfg.messages == len(schedule.offsets)
     failing = "bad" in schedule.ops.events and len(schedule.offsets) >= 2
     return {"trial": trial_index, "failing": failing,
             "why": "bad event" if failing else ""}
@@ -76,7 +75,7 @@ def toy_trial(cfg, schedule, trial_index=0):
 TOY = Campaign(name="toy", config_cls=ToyConfig, schedule_cls=ToySchedule,
                generate=toy_generate, run_trial=toy_trial,
                droppable=("ops.events", "ops.noise"), trailing=("offsets",),
-               count_field="messages", extras=("why",))
+               extras=("why",))
 
 
 def test_trial_rng_is_deterministic_and_per_trial():
@@ -96,10 +95,9 @@ def test_shrink_probes_droppable_fields_in_order_then_trailing_messages():
     sched = ToySchedule(9, (0.0, 1.0, 2.0, 3.0),
                         ToyOps(("ok-a", "bad", "ok-b"), (1, 2)))
     del PROBES[:]
-    cfg, minimal = TOY.shrink(ToyConfig(), sched)
+    minimal = TOY.shrink(ToyConfig(), sched)
     assert minimal.ops == ToyOps(("bad",), ())
     assert minimal.offsets == (0.0, 1.0)
-    assert cfg.messages == 2          # count_field tracks the trim
     # Probe order is part of the reproducer contract (it decides which
     # minimal schedule a campaign reports): nested events first, then
     # noise, then the message tail — the last probe is the rejected one.
@@ -116,13 +114,13 @@ def test_run_packages_a_replayable_reproducer(tmp_path):
     assert rep["kind"] == TOY.kind == "cepheus-toy-reproducer"
     assert rep["trial"] == doc["failing_trials"][0]
     assert rep["why"] == "bad event"
-    assert rep["config"] == {"messages": 2, "lanes": [0, 1]}
+    assert rep["config"] == {"messages": 4, "lanes": [0, 1]}
     path = tmp_path / "toy.json"
     # a config dumped by a build with more knobs still loads
     path.write_text(json.dumps(
         dict(rep, config=dict(rep["config"], future_knob=1))))
     cfg, sched = TOY.load(str(path))
-    assert cfg == ToyConfig(messages=2)     # list -> tuple, like the default
+    assert cfg == ToyConfig()               # list -> tuple, like the default
     assert sched.ops.events == ("bad",)
     assert TOY.replay(str(path))["failing"]
     unshrunk = TOY.run(ToyConfig(), seed=1, trials=6, shrink=False)
@@ -214,7 +212,7 @@ def steady_trial(cfg, schedule, trial_index=0):
 STEADY = Campaign(name="steady", config_cls=SteadyConfig,
                   schedule_cls=SteadySchedule, generate=steady_generate,
                   run_trial=steady_trial, droppable=(), trailing=("offsets",),
-                  count_field="messages", extras=("violations",))
+                  extras=("violations",))
 
 
 @pytest.mark.parametrize("paths", [1, 2])
@@ -246,8 +244,9 @@ def test_steady_oracle_bites_and_its_reproducer_round_trips(tmp_path):
 
 #: The smallest configuration of each campaign that still moves traffic.
 TINY = {
-    "chaos": ["--trials", "1", "--hosts", "4", "--messages", "2",
-              "--msg-packets", "4", "--incidents", "1", "--horizon", "0.01"],
+    "chaos": ["--trials", "1", "--hosts", "4", "--members", "4",
+              "--messages", "2", "--msg-packets", "4", "--incidents-max", "1",
+              "--horizon", "0.01"],
     "churn": ["--trials", "1", "--seed", "11"],
     "broker": ["--trials", "1", "--topo", "star", "--hosts", "8",
                "--topics", "3", "--min-subs", "2", "--max-subs", "4",
@@ -276,15 +275,17 @@ def test_cli_run_writes_campaign_document(name, tmp_path):
     assert not rdir.exists()          # nothing failed: nothing written
 
 
-MUTATIONS = [(name, m) for name in sorted(CAMPAIGNS)
-             for m in load_campaign(name).mutations]
+#: The seeded bug (``CEPHEUS_SEEDED_BUG``) each blind preset's tiny run
+#: must find.
+SEEDED_BUGS = [("chaos", "psn-skip"), ("churn", "no-failure-detector")]
 
 
-@pytest.mark.parametrize("name, mutation", MUTATIONS)
+@pytest.mark.parametrize("name, mutation", SEEDED_BUGS)
 def test_cli_armed_mutation_fails_and_its_reproducer_replays(
-        name, mutation, tmp_path, capsys):
+        name, mutation, tmp_path, capsys, monkeypatch):
     rdir = tmp_path / "repros"
-    rc = main([name, "run", *TINY[name], "--mutate", mutation,
+    monkeypatch.setenv("CEPHEUS_SEEDED_BUG", mutation)
+    rc = main([name, "run", *TINY[name],
                "--out", str(tmp_path / "c.json"), "--repro-dir", str(rdir)])
     assert rc == 3
     (path,) = sorted(rdir.glob(f"{name}-seed*-t0.json"))
@@ -294,14 +295,29 @@ def test_cli_armed_mutation_fails_and_its_reproducer_replays(
     captured = capsys.readouterr()
     assert json.loads(captured.out)["failing"]
     assert "still failing" in captured.err
+    monkeypatch.delenv("CEPHEUS_SEEDED_BUG")
+    assert main([name, "replay", str(path)]) == 0
 
 
-@pytest.mark.parametrize("name", sorted({name for name, _ in MUTATIONS}))
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_cli_unknown_mutation_is_a_usage_error(name, capsys):
+    """Self-tests arm a seeded bug through the environment; no campaign
+    takes a mutation flag."""
     with pytest.raises(SystemExit) as exc:
-        main([name, "run", "--mutate", "bogus"])
+        main([name, "run", "--mutate", "psn-skip"])
     assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert "unrecognized arguments: --mutate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, preset", [("chaos", "CHAOS"),
+                                          ("churn", "CHURN")])
+def test_preset_run_without_flags_runs_the_preset(name, preset, tmp_path):
+    from repro.harness import fuzz
+
+    out = tmp_path / "c.json"
+    assert main([name, "run", "--trials", "0", "--out", str(out)]) == 0
+    assert (json.loads(out.read_text())["config"]
+            == getattr(fuzz, preset).to_dict())
 
 
 def _malformed(kind: str, case: str) -> str:

@@ -1,54 +1,76 @@
-"""Chaos campaign runner: determinism, shrinking, reproducer round-trip."""
+"""The fuzz campaign's chaos preset: failure incidents on one deployment,
+every host a member, no churn — determinism, shrinking, reproducer
+round-trip, the ``psn-skip`` seeded bug and the deployment flag."""
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.chaos import (CAMPAIGN, ChaosConfig, Incident, Schedule,
-                                 generate_schedule, run_trial)
+from repro.harness.campaign import Incident
+from repro.harness.fuzz import (CAMPAIGN, CHAOS, FuzzSchedule,
+                                generate_fuzz_schedule, run_fuzz_trial)
 
 # Small-but-real: enough horizon for an incident + RTO recovery.
-QUICK = ChaosConfig(hosts=4, messages=2, msg_packets=4,
-                    incidents=1, horizon=0.01)
+QUICK = replace(CHAOS, hosts=4, initial_members=4, messages=2,
+                msg_packets=4, incidents_max=1, horizon=0.01)
 
 
 def test_schedule_generation_is_deterministic():
-    s1 = generate_schedule(QUICK, random.Random(123))
-    s2 = generate_schedule(QUICK, random.Random(123))
+    s1 = generate_fuzz_schedule(QUICK, random.Random(123))
+    s2 = generate_fuzz_schedule(QUICK, random.Random(123))
     assert s1 == s2
-    s3 = generate_schedule(QUICK, random.Random(124))
+    s3 = generate_fuzz_schedule(QUICK, random.Random(124))
     assert s3 != s1
+    assert s1.churn == ()              # the preset schedules no churn
+
+
+def test_blind_trials_carry_every_incident():
+    """``chaos run`` draws ``incidents_max`` incidents per trial, on
+    distinct devices."""
+    for seed in range(10):
+        sched = CAMPAIGN.generate(CHAOS, random.Random(seed))
+        devices = {inc.target[:2] for inc in sched.incidents}
+        assert len(devices) == len(sched.incidents) == CHAOS.incidents_max
 
 
 def test_schedule_json_round_trip():
-    sched = generate_schedule(QUICK, random.Random(5))
+    sched = generate_fuzz_schedule(QUICK, random.Random(5))
     doc = json.dumps(sched.to_dict(), sort_keys=True)
-    back = Schedule.from_dict(json.loads(doc))
+    back = FuzzSchedule.from_dict(json.loads(doc))
     assert back == sched
 
 
 def test_trial_is_bit_for_bit_deterministic():
-    sched = generate_schedule(QUICK, random.Random(9))
-    r1 = run_trial(QUICK, sched)
-    r2 = run_trial(QUICK, sched)
+    sched = generate_fuzz_schedule(QUICK, random.Random(9))
+    r1 = run_fuzz_trial(QUICK, sched)
+    r2 = run_fuzz_trial(QUICK, sched)
     assert (json.dumps(r1, sort_keys=True)
             == json.dumps(r2, sort_keys=True))
 
 
 def test_trial_survives_incidents_and_delivers():
-    sched = generate_schedule(QUICK, random.Random(9))
-    rec = run_trial(QUICK, sched)
-    assert rec["completed_messages"] == QUICK.messages
-    assert rec["violations"] == []
-    assert rec["delivered_all"]
-    assert not rec["failing"]
-    assert rec["active_failures_at_end"] == 0
+    sched = _with_incident(Incident(kind="host", target=("host", 2),
+                                    at=0.0005, repair_at=0.003))
+    rec = run_fuzz_trial(QUICK, sched)
+    (run,) = rec["deployments"]
+    assert run["deployment"] == "inline"
+    assert run["completed"] == QUICK.messages
+    assert run["violations"] == []
+    assert rec["fail_reasons"] == [] and not rec["failing"]
+    # every member but the source is a stable receiver the exactly-once
+    # and delivery-count checks covered
+    assert rec["stable_receivers"] == [1, 2, 3, 4]
+
+
+def _with_incident(inc):
+    base = generate_fuzz_schedule(QUICK, random.Random(1))
+    return replace(base, incidents=(inc,))
 
 
 def test_incident_kinds_cover_and_repair():
     """Each incident kind individually: fail + repair, clean delivery."""
-    base = generate_schedule(QUICK, random.Random(1))
     kinds = {
         "host": ("host", 2),
         "switch": ("switch", "sw0"),
@@ -57,41 +79,38 @@ def test_incident_kinds_cover_and_repair():
     for kind, target in kinds.items():
         inc = Incident(kind=kind, target=target, at=0.0005,
                        repair_at=0.003)
-        sched = Schedule(trial_seed=base.trial_seed,
-                         sources=base.sources, offsets=base.offsets,
-                         incidents=(inc,))
-        rec = run_trial(QUICK, sched)
-        assert not rec["failing"], (kind, rec["violations"])
+        rec = run_fuzz_trial(QUICK, _with_incident(inc))
+        assert not rec["failing"], (kind, rec["fail_reasons"])
 
 
-def test_mutated_trial_fails_and_shrinks_to_minimum():
-    """End-to-end self-test: the psn-skip mutation must (a) be caught,
+def test_mutated_trial_fails_and_shrinks_to_minimum(monkeypatch):
+    """End-to-end self-test: the psn-skip seeded bug must (a) be caught,
     (b) survive shrinking, and (c) shrink away all irrelevant incidents."""
-    cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
-                      incidents=2, horizon=0.01, mutate="psn-skip")
-    sched = generate_schedule(cfg, random.Random(3))
-    rec = run_trial(cfg, sched)
+    monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "psn-skip")
+    cfg = replace(QUICK, incidents_max=2)
+    sched = next(s for s in (generate_fuzz_schedule(cfg, random.Random(n))
+                             for n in range(20)) if s.incidents)
+    rec = run_fuzz_trial(cfg, sched)
     assert rec["failing"]
-    assert "psn-contiguity" in {v["invariant"] for v in rec["violations"]}
-    _, minimal = CAMPAIGN.shrink(cfg, sched)
-    # the mutation alone causes the failure: no incident is needed
+    assert "invariant:inline:psn-contiguity" in rec["fail_reasons"]
+    minimal = CAMPAIGN.shrink(cfg, sched)
+    # the seeded bug alone causes the failure: no incident is needed
     assert minimal.incidents == ()
     # the skip lands mid-message-2, so both messages must remain
     assert len(minimal.sources) == 2
-    assert run_trial(cfg, minimal)["failing"]
+    assert run_fuzz_trial(cfg, minimal)["failing"]
 
 
-def test_campaign_packages_reproducer(tmp_path):
-    cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
-                      incidents=1, horizon=0.01, mutate="psn-skip")
-    camp = CAMPAIGN.run(cfg, seed=2, trials=1)
+def test_campaign_packages_reproducer(tmp_path, monkeypatch):
+    monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "psn-skip")
+    camp = CAMPAIGN.run(QUICK, seed=2, trials=1)
     assert camp["failing_trials"] == [0]
     (rep,) = camp["reproducers"]
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(rep, sort_keys=True))
     cfg2, sched2 = CAMPAIGN.load(str(path))
-    assert cfg2 == cfg
-    assert run_trial(cfg2, sched2)["failing"]
+    assert cfg2 == QUICK
+    assert run_fuzz_trial(cfg2, sched2)["failing"]
 
 
 def test_campaign_clean_when_unmutated():
@@ -107,23 +126,26 @@ def test_load_reproducer_rejects_other_json(tmp_path):
         CAMPAIGN.load(str(path))
 
 
-def test_cli_chaos_run_and_replay(tmp_path, capsys):
+def test_cli_chaos_run_and_replay(tmp_path, monkeypatch):
     from repro.cli import main
 
     out = tmp_path / "campaign.json"
     rdir = tmp_path / "repros"
+    monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "psn-skip")
     rc = main(["chaos", "run", "--seed", "2", "--trials", "1",
-               "--hosts", "4", "--messages", "2", "--msg-packets", "4",
-               "--incidents", "1", "--horizon", "0.01",
-               "--mutate", "psn-skip",
+               "--hosts", "4", "--members", "4", "--messages", "2",
+               "--msg-packets", "4", "--incidents-max", "1",
+               "--horizon", "0.01",
                "--out", str(out), "--repro-dir", str(rdir)])
     assert rc == 3  # failures found
     files = sorted(rdir.glob("*.json"))
     assert len(files) == 1
     rc = main(["chaos", "replay", str(files[0])])
-    assert rc == 3  # still failing (the mutation is in the config)
+    assert rc == 3  # still failing (the bug is still seeded)
     doc = json.loads(out.read_text())
     assert doc["failing_trials"] == [0]
+    monkeypatch.delenv("CEPHEUS_SEEDED_BUG")
+    assert main(["chaos", "replay", str(files[0])]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +154,7 @@ def test_cli_chaos_run_and_replay(tmp_path, capsys):
 
 @pytest.mark.parametrize("deployment", ["lookaside", "source_routed"])
 def test_campaign_clean_under_alternate_deployments(deployment):
-    cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
-                      incidents=1, horizon=0.01, deployment=deployment)
+    cfg = replace(QUICK, deployments=(deployment,))
     camp = CAMPAIGN.run(cfg, seed=7, trials=2)
     assert camp["failing_trials"] == [], camp
     assert camp["reproducers"] == []
@@ -147,16 +168,18 @@ def test_source_routed_campaign_trial_covers_sp_forward():
     from repro.check import CoverageMap
     from repro.harness.campaign import Trial
 
-    cfg = ChaosConfig(hosts=4, messages=2, msg_packets=4,
-                      incidents=1, horizon=0.01,
-                      deployment="source_routed")
-    sched = generate_schedule(cfg, random.Random(2))
+    cfg = replace(QUICK, deployments=("source_routed",))
+    sched = _with_incident(Incident(kind="switch", target=("switch", "sw0"),
+                                    at=0.0005, repair_at=0.003))
     cov = CoverageMap()
-    with Trial(cfg, sched.trial_seed, coverage=cov) as t:
+    with Trial(cfg, sched.trial_seed, deployment="source_routed",
+               coverage=cov) as t:
         t.install(incidents=sched.incidents)
         done = t.drive(sched.sources, sched.offsets)
         t.run()
         assert t.sweep() == []
+        # every incident window closed by the horizon
+        assert t.injector.active_failures == 0
     assert len(done) == cfg.messages
     assert sum(a.sr_header_hits
                for a in t.cluster.fabric.accelerators.values()) > 0
@@ -171,10 +194,11 @@ def test_cli_chaos_run_accepts_deployment_flag(tmp_path):
 
     out = tmp_path / "campaign.json"
     rc = main(["chaos", "run", "--seed", "7", "--trials", "1",
-               "--hosts", "4", "--messages", "2", "--msg-packets", "4",
-               "--incidents", "1", "--horizon", "0.01",
+               "--hosts", "4", "--members", "4", "--messages", "2",
+               "--msg-packets", "4", "--incidents-max", "1",
+               "--horizon", "0.01",
                "--deployment", "source_routed", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["config"]["deployment"] == "source_routed"
+    assert doc["config"]["deployments"] == ["source_routed"]
     assert doc["failing_trials"] == []

@@ -1,37 +1,57 @@
-"""Membership-churn campaigns: determinism, acceptance, self-tests."""
+"""The fuzz campaign's churn preset: one crash plus joins and a leave —
+determinism, acceptance, the ``no-failure-detector`` seeded bug."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.churn import (CAMPAIGN, ChurnConfig, ChurnSchedule,
-                                 generate_churn_schedule)
+from repro.harness.fuzz import (CAMPAIGN, CHURN, FuzzSchedule,
+                                generate_fuzz_schedule)
 
-CFG = ChurnConfig()
+CFG = CHURN
 
 
 class TestSchedule:
     def test_generation_is_deterministic(self):
-        import random
-        a = generate_churn_schedule(CFG, random.Random(5))
-        b = generate_churn_schedule(CFG, random.Random(5))
+        a = generate_fuzz_schedule(CFG, random.Random(5))
+        b = generate_fuzz_schedule(CFG, random.Random(5))
         assert a == b
 
     def test_events_respect_pools(self):
-        import random
-        sched = generate_churn_schedule(CFG, random.Random(5))
         hosts = list(range(1, CFG.hosts + 1))
         initial = hosts[:CFG.initial_members]
-        for ev in sched.events:
-            if ev.kind == "join":
-                assert ev.ip not in initial
-            else:
-                assert ev.ip in initial[1:]   # never the leader/source
+        kinds = set()
+        for seed in range(10):
+            sched = generate_fuzz_schedule(CFG, random.Random(seed))
+            assert sched.incidents == ()
+            for ev in sched.churn:
+                kinds.add(ev.kind)
+                if ev.kind == "join":
+                    assert ev.ip not in initial
+                else:
+                    # never the leader or a source
+                    assert ev.ip in initial[1:]
+                    assert ev.ip not in sched.sources
+                if ev.kind == "crash":
+                    # the detector needs a message posted after it
+                    assert sched.offsets[-1] > ev.at
+        assert kinds == {"join", "leave", "crash"}
+
+    def test_blind_trials_carry_the_full_load(self):
+        """``churn run`` loads every trial: two joins, a leave and a
+        crash, the leaver and the victim sourcing no message."""
+        for seed in range(10):
+            sched = CAMPAIGN.generate(CFG, random.Random(seed))
+            kinds = sorted(e.kind for e in sched.churn)
+            assert kinds == ["crash", "join", "join", "leave"], seed
+            for ev in sched.churn:
+                assert ev.kind == "join" or ev.ip not in sched.sources
 
     def test_roundtrips_through_json(self):
-        import random
-        sched = generate_churn_schedule(CFG, random.Random(5))
-        again = ChurnSchedule.from_dict(
+        sched = generate_fuzz_schedule(CFG, random.Random(5))
+        again = FuzzSchedule.from_dict(
             json.loads(json.dumps(sched.to_dict())))
         assert again == sched
 
@@ -43,55 +63,57 @@ class TestCampaign:
         stalled aggregates, invariants clean across epochs."""
         doc = CAMPAIGN.run(CFG, seed=11, trials=3, shrink=False)
         assert doc["failing_trials"] == []
+        crashes = 0
         for r in doc["records"]:
-            assert r["completed_messages"] == CFG.messages
-            assert r["mismatched"] == []
-            assert r["violations"] == []
-            assert r["unpruned_crashes"] == []
-            assert r["delta_failures"] == []
+            assert r["fail_reasons"] == []
+            (run,) = r["deployments"]
+            assert run["completed"] == CFG.messages
+            assert run["violations"] == []
+            crashed = [e["ip"] for e in r["schedule"]["churn"]
+                       if e["kind"] == "crash"]
+            crashes += len(crashed)
+            assert set(crashed) <= set(run["pruned"])
             # incremental deltas beat full re-registration per member
-            joins = sum(1 for e in r["schedule"]["events"]
+            joins = sum(1 for e in r["schedule"]["churn"]
                         if e["kind"] == "join")
             if joins:
-                assert r["delta_records"] / joins < r["full_records"]
+                assert run["delta_records"] / joins < run["full_records"]
+        assert crashes > 0
 
     def test_campaign_is_bit_for_bit_deterministic(self):
         a = CAMPAIGN.run(CFG, seed=3, trials=2, shrink=False)
         b = CAMPAIGN.run(CFG, seed=3, trials=2, shrink=False)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_no_detector_mutation_fails(self):
+    def test_no_detector_mutation_fails(self, monkeypatch):
         """Self-test: with the failure detector off, a crash must stall
         the group (the campaign detects real liveness bugs)."""
-        cfg = ChurnConfig(mutate="no-detector")
-        doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=False)
+        monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "no-failure-detector")
+        doc = CAMPAIGN.run(CFG, seed=11, trials=1, shrink=False)
         assert doc["failing_trials"] == [0]
-        rec = doc["records"][0]
-        assert rec["unpruned_crashes"] or \
-            rec["completed_messages"] < cfg.messages
+        reasons = doc["records"][0]["fail_reasons"]
+        assert any(r.startswith("unpruned:inline:") for r in reasons)
 
 
 @pytest.mark.slow
 class TestShrinkAndReplay:
-    def test_shrinker_isolates_the_crash(self):
-        import random
-        cfg = ChurnConfig(mutate="no-detector")
-        sched = generate_churn_schedule(cfg, random.Random(11))
-        _, minimal = CAMPAIGN.shrink(cfg, sched)
-        kinds = [e.kind for e in minimal.events]
+    def test_shrinker_isolates_the_crash(self, monkeypatch):
+        monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "no-failure-detector")
+        sched = generate_fuzz_schedule(CFG, random.Random(11))
+        minimal = CAMPAIGN.shrink(CFG, sched)
+        kinds = [e.kind for e in minimal.churn]
         assert kinds == ["crash"]
         assert len(minimal.offsets) <= len(sched.offsets)
 
-    def test_reproducer_roundtrip(self, tmp_path):
-        cfg = ChurnConfig(mutate="no-detector")
-        doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=True)
+    def test_reproducer_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CEPHEUS_SEEDED_BUG", "no-failure-detector")
+        doc = CAMPAIGN.run(CFG, seed=11, trials=1, shrink=True)
         rep = doc["reproducers"][0]
         path = tmp_path / "repro.json"
         path.write_text(json.dumps(rep))
-        cfg2, sched2 = CAMPAIGN.load(str(path))
-        assert cfg2.mutate == "no-detector"
-        record = CAMPAIGN.replay(str(path))
-        assert record["failing"]
+        cfg2, _ = CAMPAIGN.load(str(path))
+        assert cfg2 == CFG
+        assert CAMPAIGN.replay(str(path))["failing"]
 
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "other.json"
@@ -102,6 +124,6 @@ class TestShrinkAndReplay:
 
 class TestFatTree:
     def test_fat_tree_churn_clean(self):
-        cfg = ChurnConfig(topo="fat_tree", hosts=8, k=4)
+        cfg = replace(CFG, topo="fat_tree", hosts=8, k=4)
         doc = CAMPAIGN.run(cfg, seed=11, trials=1, shrink=False)
         assert doc["failing_trials"] == []

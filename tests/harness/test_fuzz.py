@@ -10,15 +10,17 @@ decoration.
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.fuzz import (CAMPAIGN, FuzzConfig, FuzzSchedule,
-                                MUTATIONS, crossover_schedules,
+from repro.harness.campaign import ChurnEvent, Incident
+from repro.harness.fuzz import (CAMPAIGN, CHAOS, CHURN, FuzzConfig,
+                                FuzzSchedule, MUTATIONS, crossover_schedules,
                                 generate_fuzz_schedule, load_corpus,
                                 mutate_schedule, replay_corpus, run_fuzz,
                                 run_fuzz_trial, save_corpus)
-from repro.harness.fuzz import _Shape
+from repro.harness.fuzz import _Shape, _sanitize
 
 # Small-but-real: three deployments per trial, room for one incident
 # and a couple of churn ops, short horizon.
@@ -55,18 +57,26 @@ def _assert_valid(cfg, shape, sched):
     protected = set(sched.sources) | {shape.leader}
     for s in sched.sources:
         assert s in shape.initial
-    joiners, leavers = set(), set()
+    joiners, leavers, crashed = set(), set(), set()
     for ev in sched.churn:
         assert 0.0 <= ev.at <= 0.6 * cfg.horizon + 1e-12
         if ev.kind == "join":
             assert ev.ip in shape.outsiders
             assert ev.ip not in joiners
             joiners.add(ev.ip)
-        else:
-            assert ev.kind == "leave"
+        elif ev.kind == "leave":
             assert ev.ip in shape.initial and ev.ip not in protected
             assert ev.ip not in leavers
             leavers.add(ev.ip)
+        else:
+            assert ev.kind == "crash"
+            assert ev.ip in shape.initial and ev.ip not in protected
+            crashed.add(ev.ip)
+            # a message is posted after the last crash
+            assert sched.offsets[-1] > ev.at
+    assert len(crashed) <= cfg.crashes_max
+    assert not crashed & leavers
+    assert len(shape.initial) - len(leavers) - len(crashed) >= 2
     assert len(sched.incidents) <= cfg.incidents_max
     targeted = set()
     for inc in sched.incidents:
@@ -82,6 +92,57 @@ def test_generated_schedules_respect_the_validity_contract():
     for seed in range(40):
         sched = generate_fuzz_schedule(QUICK, random.Random(seed), shape)
         _assert_valid(QUICK, shape, sched)
+
+
+def test_crash_schedules_respect_the_validity_contract():
+    cfg = replace(QUICK, crashes_max=2)
+    shape = _Shape(cfg)
+    kinds = set()
+    for seed in range(40):
+        sched = generate_fuzz_schedule(cfg, random.Random(seed), shape)
+        _assert_valid(cfg, shape, sched)
+        kinds.update(e.kind for e in sched.churn)
+        # a crash-free config draws the same schedule minus the crashes
+        plain = generate_fuzz_schedule(QUICK, random.Random(seed), shape)
+        if not any(e.kind == "crash" for e in sched.churn):
+            assert plain == sched
+    assert kinds == {"join", "leave", "crash"}
+    for seed in range(80):
+        _assert_valid(cfg, shape, mutate_schedule(
+            cfg, sched, random.Random(seed), shape))
+
+
+def test_crashes_are_admitted_only_within_the_contract():
+    shape = _Shape(CHURN)
+    base = FuzzSchedule(trial_seed=1, sources=(1, 1), offsets=(0.0, 0.001),
+                        incidents=(), churn=())
+    crash = ChurnEvent("crash", 3, 0.004)
+    # a crash-free config drops it; the preset keeps it and posts the
+    # last message after it
+    assert _sanitize(replace(CHURN, crashes_max=0), shape,
+                     replace(base, churn=(crash,))).churn == ()
+    kept = _sanitize(CHURN, shape, replace(base, churn=(crash,)))
+    assert kept.churn == (crash,)
+    assert kept.offsets == (0.0, round(0.004 + 0.05 * CHURN.horizon, 9))
+    # never the leader, a source, a leaver or a second victim past the
+    # cap; never with a single message
+    for churn, sources in (((ChurnEvent("crash", 1, 0.004),), (1, 1)),
+                           ((crash,), (1, 3)),
+                           ((ChurnEvent("leave", 3, 0.002), crash), (1, 1)),
+                           ((crash,), (1,))):
+        out = _sanitize(CHURN, shape, replace(
+            base, sources=sources, offsets=base.offsets[:len(sources)],
+            churn=churn))
+        assert all(e.kind != "crash" for e in out.churn), churn
+    two = (crash, ChurnEvent("crash", 4, 0.005))
+    assert len(_sanitize(replace(CHURN, crashes_max=2), shape,
+                         replace(base, churn=two)).churn) == 2
+    # ... and never below two initial members neither leaving nor
+    # crashing (5 initial members: a leave and three crashes is too many)
+    out = _sanitize(replace(CHURN, crashes_max=3), shape, replace(
+        base, churn=(ChurnEvent("leave", 2, 0.001),) + two
+        + (ChurnEvent("crash", 5, 0.006),)))
+    assert [e.kind for e in out.churn] == ["leave", "crash", "crash"]
 
 
 def test_every_mutation_operator_preserves_validity():
@@ -147,6 +208,180 @@ def test_churny_trial_with_incident_still_passes():
         sched = generate_fuzz_schedule(QUICK, random.Random(seed), shape)
         rec = run_fuzz_trial(QUICK, sched)
         assert not rec["failing"], (seed, rec["fail_reasons"])
+
+
+def test_single_deployment_trial_checks_delivery_counts(monkeypatch):
+    """One deployment has no second run to diff payloads against, but a
+    stable receiver that misses one ``deliver`` is still reported."""
+    from repro.harness import fuzz
+    from repro.net.pipeline import ObserverBus
+
+    cfg = replace(QUICK, deployments=("inline",))
+    sched = FuzzSchedule(trial_seed=5, sources=(1, 2), offsets=(0.0, 0.005),
+                         incidents=(), churn=())
+    assert run_fuzz_trial(cfg, sched)["fail_reasons"] == []
+    subscribe = ObserverBus.subscribe
+
+    def lossy_log(bus, channel, fn):
+        if channel != "deliver" or fn.__module__ != fuzz.__name__:
+            return subscribe(bus, channel, fn)
+        missed = []
+
+        def log(qp, pkt):
+            if qp.nic.ip == 3 and not missed:
+                missed.append(pkt)          # the receiver's log skips it
+                return
+            fn(qp, pkt)
+        return subscribe(bus, channel, log)
+
+    monkeypatch.setattr(ObserverBus, "subscribe", lossy_log)
+    rec = run_fuzz_trial(cfg, sched)
+    assert rec["fail_reasons"] == [f"delivery-count:inline:3:"
+                                   f"{2 * cfg.msg_packets - 1}/"
+                                   f"{2 * cfg.msg_packets}"]
+
+
+def test_final_epoch_exactly_once_covers_joiners(monkeypatch):
+    """A joiner is owed every message posted after its JOIN; one it
+    never completes is reported, though no stable receiver missed a
+    packet."""
+    from repro.harness.campaign import Trial
+
+    cfg = replace(QUICK, deployments=("inline",))
+    sched = FuzzSchedule(trial_seed=5, sources=(1, 2), offsets=(0.0, 0.005),
+                         incidents=(), churn=(ChurnEvent("join", 7, 0.002),))
+    assert run_fuzz_trial(cfg, sched)["fail_reasons"] == []
+    init = Trial.__init__
+
+    def deaf_joiner(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        heard = self.algo.on_delivery
+
+        def on_delivery(ip, *rest):
+            if ip != 7:
+                heard(ip, *rest)
+        self.algo.on_delivery = on_delivery
+
+    monkeypatch.setattr(Trial, "__init__", deaf_joiner)
+    rec = run_fuzz_trial(cfg, sched)
+    assert rec["fail_reasons"] == ["final-epoch:inline:7:0/1"]
+
+
+def test_crash_passes_the_three_deployment_differential():
+    """A crashed receiver is pruned on every deployment, and the stable
+    receivers still see byte-identical delivery sequences."""
+    cfg = replace(QUICK, crashes_max=1)
+    sched = FuzzSchedule(trial_seed=5, sources=(1, 2), offsets=(0.0, 0.005),
+                         incidents=(), churn=(ChurnEvent("crash", 4, 0.002),))
+    assert _sanitize(cfg, _Shape(cfg), sched) == sched
+    rec = run_fuzz_trial(cfg, sched)
+    assert rec["fail_reasons"] == []
+    assert [d["deployment"] for d in rec["deployments"]] == list(
+        cfg.deployments)
+    for dep in rec["deployments"]:
+        assert dep["pruned"] == [4]
+        assert dep["completed"] == 2
+    assert 4 not in rec["stable_receivers"] and rec["stable_receivers"]
+
+
+def test_joiner_is_owed_what_is_posted_after_its_batch_flushes():
+    """A JOIN waiting in a coalescing window is re-based at the flush,
+    past message 1 posted 10 us after it; without a window it is owed
+    both messages.  Either way the oracle passes."""
+    sched = FuzzSchedule(trial_seed=5, sources=(1, 1, 1),
+                         offsets=(0.0, 0.002, 0.004), incidents=(),
+                         churn=(ChurnEvent("join", 7, 0.00199),))
+    for window, heard in ((200e-6, {2}), (None, {1, 2})):
+        cfg = replace(QUICK, deployments=("inline",),
+                      coalesce_window=window)
+        assert run_fuzz_trial(cfg, sched)["fail_reasons"] == []
+        assert _messages_heard(cfg, sched, "inline", 7) == heard
+
+
+#: Crash of 3 while 5's host link is cut for 2.2 ms: the detector,
+#: armed for the crash, prunes 5 as well.
+OUTAGE = FuzzSchedule(
+    trial_seed=1778837931, sources=(1, 1, 1),
+    offsets=(0.0, 0.005493766, 0.016102851),
+    incidents=(Incident("host", ("host", 5), 0.004203241, 0.006364862),),
+    churn=(ChurnEvent("crash", 3, 0.010828051),))
+OUTAGE_CFG = FuzzConfig(crashes_max=1, deployments=("inline",))
+
+
+def test_only_a_crash_or_a_long_host_outage_excuses_a_prune():
+    """The detector may prune a crash victim, or a receiver whose host
+    link was cut for longer than its probe window; any other prune
+    evicted a live receiver and fails the trial."""
+    rec = run_fuzz_trial(OUTAGE_CFG, OUTAGE)
+    assert rec["deployments"][0]["pruned"] == [3, 5]
+    assert rec["fail_reasons"] == []
+    blackhole = Incident("switch", ("switch", "sw0"), 0.0042, 0.0064)
+    rec = run_fuzz_trial(OUTAGE_CFG, replace(OUTAGE, incidents=(blackhole,)))
+    assert rec["fail_reasons"] == [f"spurious-prune:inline:{ip}"
+                                   for ip in (2, 4, 5)]
+
+
+def _messages_heard(cfg, schedule, deployment, ip):
+    from repro.check import CoverageMap
+    from repro.harness.fuzz import _run_one_deployment
+
+    run = _run_one_deployment(cfg, schedule, deployment, CoverageMap())
+    return {ordinal for ordinal, _psn, _payload in run["seq"].get(ip, [])}
+
+
+@pytest.mark.xfail(strict=True, reason="a receiver pruned for a transient "
+                   "outage is never readmitted (ROADMAP item 1)")
+def test_receiver_repaired_after_its_prune_hears_later_messages():
+    # Message 2 is posted 9.7 ms after 5's link came back.
+    assert 2 in _messages_heard(OUTAGE_CFG, OUTAGE, "inline", 5)
+
+
+@pytest.mark.xfail(strict=True, reason="a JOIN held up by an incident "
+                   "misses the message posted while it is in flight "
+                   "(ROADMAP item 1)")
+@pytest.mark.parametrize("deployment", ["inline", "lookaside",
+                                        "source_routed"])
+def test_joiner_held_by_an_incident_hears_the_next_message(deployment):
+    """Schedule ``cf378e69de60`` (trial 31 of the CI fuzz session): 8
+    joins at 9.54 ms while the leader's host link is down, and message
+    2 is posted at 10.26 ms with the JOIN still in flight."""
+    sched = FuzzSchedule.from_dict({
+        "trial_seed": 659890191, "sources": [1, 1, 3],
+        "offsets": [0.0, 0.004447378, 0.010260902],
+        "incidents": [{"kind": "host", "target": ["host", 1],
+                       "at": 0.004626568, "repair_at": 0.009679439}],
+        "churn": [{"kind": "leave", "ip": 6, "at": 0.00523726},
+                  {"kind": "join", "ip": 7, "at": 0.006467109},
+                  {"kind": "join", "ip": 8, "at": 0.009544069},
+                  {"kind": "leave", "ip": 2, "at": 0.009726876}]})
+    assert sched.content_hash().startswith("cf378e69de60")
+    cfg = FuzzConfig(msg_packets=6, horizon=0.03)
+    assert 2 in _messages_heard(cfg, sched, deployment, 8)
+
+
+@pytest.mark.parametrize("cfg, bug", [
+    (replace(CHAOS, hosts=4, initial_members=4, messages=2, msg_packets=4,
+             incidents_max=2, horizon=0.01), "psn-skip"),
+    (CHURN, "no-failure-detector"),
+], ids=["psn-skip", "no-failure-detector"])
+def test_preset_seeded_bug_is_found_shrunk_and_blamed(cfg, bug, monkeypatch):
+    """Each preset's seeded bug fails a blind run, shrinks to the one op
+    (or none) it needs, and its reproducer passes once the variable is
+    unset — the oracle blames the bug, not the schedule."""
+    monkeypatch.setenv("CEPHEUS_SEEDED_BUG", bug)
+    doc = CAMPAIGN.run(cfg, seed=11, trials=1)
+    assert doc["failing_trials"] == [0]
+    rep = doc["reproducers"][0]
+    minimal = FuzzSchedule.from_dict(rep["schedule"])
+    if bug == "psn-skip":
+        assert "invariant:inline:psn-contiguity" in rep["fail_reasons"]
+        assert minimal.incidents == () and minimal.churn == ()
+    else:
+        assert any(r.startswith("unpruned:") for r in rep["fail_reasons"])
+        assert [e.kind for e in minimal.churn] == ["crash"]
+    assert run_fuzz_trial(cfg, minimal)["failing"]
+    monkeypatch.delenv("CEPHEUS_SEEDED_BUG")
+    assert run_fuzz_trial(cfg, minimal)["fail_reasons"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class TestHarnessImportBoundary:
                "repro.net.switch", "repro.net.pool", "repro.core.feedback",
                "repro.core.mft", "repro.core.source_routing")
     UNUSED = tuple(f"repro.harness.{name}" for name in (
-        "ablations", "bench", "chaos", "churn", "experiments",
+        "ablations", "bench", "experiments",
         "extensions", "fuzz", "report", "runner", "sweeps",
         "workloads")) + ("multiprocessing", "concurrent.futures")
 
