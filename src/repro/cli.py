@@ -6,7 +6,7 @@ Installed as the ``cepheus-repro`` console script::
     cepheus-repro experiments --full             # paper-scale params
     cepheus-repro demo                           # 60-second tour
     cepheus-repro sweep --sizes 64,1048576 --groups 4,8 \
-                        --algorithms cepheus,chain
+                        --algorithms cepheus,chain --jobs 2
     cepheus-repro chaos run --seed 7 --trials 5  # fuzz campaign, chaos preset
     cepheus-repro chaos replay repro.json        # re-run a reproducer
     cepheus-repro churn run --seed 11 --trials 3 # fuzz campaign, churn preset
@@ -69,15 +69,14 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness.report import format_table
-    from repro.harness.sweeps import BcastSweep
+    from repro.harness.experiments import broadcast_sweep
+    from repro.harness.runner import run_experiments
 
-    sweep = BcastSweep(
+    run_experiments([broadcast_sweep(
         sizes=[int(s) for s in args.sizes.split(",")],
-        group_sizes=[int(g) for g in args.groups.split(",")],
+        groups=[int(g) for g in args.groups.split(",")],
         algorithms=[a.strip() for a in args.algorithms.split(",")],
-    )
-    print(format_table(sweep.run()))
+    )], quick=False, jobs=args.jobs)
     return 0
 
 
@@ -444,6 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sizes", default="65536,1048576")
     p_sweep.add_argument("--groups", default="4")
     p_sweep.add_argument("--algorithms", default="cepheus,binomial,chain")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="cell worker processes (default 1)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     campaign_parsers = {name: _add_campaign(sub, name) for name in CAMPAIGNS}

@@ -1,7 +1,9 @@
 """Experiment harness: one registry entry per paper table/figure,
-ablation and extension study, and the one way to run them
-(`repro.harness.runner`: `ALL_EXPERIMENTS`, `run_experiments`), the
-machine-readable bench documents + regression gate
+ablation and extension study, each a grid of independent cells
+(`repro.harness.experiments.Experiment`: grid + cell + quick sample),
+and the one way to run them (`repro.harness.runner`: `ALL_EXPERIMENTS`,
+`run_experiments`, whose `ordered_map` is the harness's one process
+pool), the machine-readable bench documents + regression gate
 (`repro.harness.bench`), plus the campaign kernel
 (`repro.harness.campaign`: schedule -> `Trial` -> shrink -> reproducer,
 one JSON codec, the timed `Incident` / `ChurnEvent` vocabulary)

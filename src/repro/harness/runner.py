@@ -1,18 +1,17 @@
 """The evaluation registry and the one way to run it.
 
-:data:`ALL_EXPERIMENTS` is the only way an evaluation table is
-produced.  Its entries are independent pure functions of ``(id,
-quick)``: every experiment builds its own cluster and simulator, and
-all randomness is seeded from the topology.  :func:`run_experiments`
-runs a selection serially or across ``jobs`` worker processes and
-prints each table in request order, so serial and parallel runs emit
-byte-identical ``ExperimentResult.to_json()`` payloads (tables can
-differ only in the wall-clock provenance line).
+:data:`ALL_EXPERIMENTS` maps each id to its
+:class:`~repro.harness.experiments.Experiment` declaration, a grid of
+independent cells.  :func:`run_experiments` fans every selected cell
+through one :func:`ordered_map` (serial, or across ``jobs`` worker
+processes) and reassembles rows in grid order, so results and event
+counts are equal at every ``jobs`` (tables differ only in the
+wall-clock provenance line).
 
-``cepheus-repro experiments`` and ``cepheus-repro bench emit`` are the
-two front-ends of :func:`run_cli`; ``bench emit`` always writes the
-consolidated BENCH document (see ``repro.harness.bench``) and silences
-the tables.
+``cepheus-repro experiments`` and ``bench emit`` are the two front-ends
+of :func:`run_cli` (``bench emit`` writes the BENCH document, see
+``repro.harness.bench``, and silences the tables); ``cepheus-repro
+sweep`` runs a user-declared grid.
 """
 
 from __future__ import annotations
@@ -22,20 +21,21 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.harness import ablations, bench, experiments, extensions
 from repro.harness.cache import code_fingerprint
+from repro.harness.experiments import Experiment, Row
 from repro.harness.report import ExperimentResult, format_table
 from repro.net.simulator import Simulator
 
-__all__ = ["ALL_EXPERIMENTS", "select", "execute_one", "Run",
+__all__ = ["ALL_EXPERIMENTS", "select", "ordered_map", "run_cell", "Run",
            "run_experiments", "add_arguments", "run_cli"]
 
-ALL_EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
+#: id -> its declaration, given the suite's ``quick`` flag.
+ALL_EXPERIMENTS: Dict[str, Callable[[bool], Experiment]] = {
     "fig7b": experiments.fig7b_memory,
     "fig8": experiments.fig8_bcast_small,
     "fig9": experiments.fig9_bcast_large,
@@ -79,20 +79,25 @@ def select(only: str = "") -> List[str]:
     return names
 
 
-def execute_one(name: str, quick: bool) -> Dict[str, Any]:
-    """Run one registry experiment; returns its bench entry.
+def ordered_map(fn: Callable, items: Sequence, jobs: int = 1) -> Iterator:
+    """``map(fn, items)``, on ``jobs`` worker processes when more than
+    one and there are items to share (``fn`` and the items must then
+    pickle).  Results come back in item order either way, each as soon
+    as it and those before it are done."""
+    if jobs <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, items)
 
-    Module-level (picklable) so it can serve as the process-pool
-    worker; the registry lookup happens inside the worker, so the
-    parent never ships the experiment callable itself.
-    """
-    events_before = Simulator.lifetime_events
-    t0 = time.perf_counter()
-    result = ALL_EXPERIMENTS[name](quick)
-    wall = time.perf_counter() - t0
-    result.mode = "quick" if quick else "full"
-    return bench.make_entry(result, wall_s=wall,
-                            events=Simulator.lifetime_events - events_before)
+
+def run_cell(task: Tuple[Callable[[Any], Row], Any]) -> Tuple[Row, int, float]:
+    """One ``(cell, point)``: its row, the simulator events it ran and
+    its wall time, in whichever process runs it."""
+    cell, point = task
+    events, t0 = Simulator.lifetime_events, time.perf_counter()
+    row = cell(point)
+    return row, Simulator.lifetime_events - events, time.perf_counter() - t0
 
 
 @dataclass
@@ -112,25 +117,32 @@ class Run:
             fingerprint=code_fingerprint(), total_wall_s=self.total_wall_s)
 
 
-def run_experiments(names: List[str], *, quick: bool = True, jobs: int = 1,
-                    stream=None) -> Run:
-    """Run registry ids ``names`` on ``jobs`` worker processes (in this
-    process when 1); each table prints to ``stream`` (stdout by
-    default) once it and every table requested before it are done."""
+def run_experiments(experiments: Sequence[Union[str, Experiment]], *,
+                    quick: bool = True, jobs: int = 1, stream=None) -> Run:
+    """Run ``experiments`` (registry ids, or declared grids such as
+    ``cepheus-repro sweep``'s): every cell through one
+    :func:`ordered_map` on ``jobs`` processes, then each table's rows in
+    grid order.  Each table prints to ``stream`` (stdout by default)
+    once it and every table requested before it are done; its entry's
+    ``events`` and ``wall_s`` sum its cells'."""
     out = stream if stream is not None else sys.stdout
     run = Run(mode="quick" if quick else "full", jobs=jobs)
     t_start = time.perf_counter()
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else nullcontext()) as pool:
-        entries = (pool.map if pool else map)(
-            execute_one, names, itertools.repeat(quick))
-        for name, entry in zip(names, entries):
-            result = ExperimentResult.from_dict(entry["result"])
-            result.wall_time_s = entry["wall_s"]
-            run.entries[name] = entry
-            run.results.append(result)
-            print(format_table(result), file=out)
-            print(file=out)
+    declared = [ALL_EXPERIMENTS[e](quick) if isinstance(e, str) else e
+                for e in experiments]
+    grids = [exp.points(quick) for exp in declared]
+    cells = ordered_map(run_cell, [(exp.cell, point) for exp, grid
+                                   in zip(declared, grids) for point in grid],
+                        jobs)
+    for exp, grid in zip(declared, grids):
+        rows, events, walls = zip(*itertools.islice(cells, len(grid)))
+        result = exp.result(list(rows))
+        result.mode, result.wall_time_s = run.mode, sum(walls)
+        run.entries[exp.exp_id] = bench.make_entry(
+            result, wall_s=result.wall_time_s, events=sum(events))
+        run.results.append(result)
+        print(format_table(result), file=out)
+        print(file=out)
     run.total_wall_s = time.perf_counter() - t_start
     return run
 
@@ -144,7 +156,7 @@ def add_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--only", default="",
                         help="comma-separated experiment ids")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="experiment worker processes (default 1)")
+                        help="cell worker processes (default 1)")
     parser.add_argument(emit_flag, dest="emit", default="",
                         help="write the consolidated BENCH JSON here")
 

@@ -8,17 +8,18 @@ single quick run of each id (:func:`quick_entry`).
 """
 
 import functools
+import io
 
 import pytest
 
-from repro.harness.runner import execute_one
+from repro.harness.runner import run_experiments
 from repro.harness.report import ExperimentResult
 
 
 @functools.lru_cache(maxsize=None)
 def quick_entry(exp_id):
     """The bench entry of this session's one quick run of ``exp_id``."""
-    return execute_one(exp_id, True)
+    return run_experiments([exp_id], stream=io.StringIO()).entries[exp_id]
 
 
 def quick_result(exp_id):

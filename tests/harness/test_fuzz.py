@@ -267,6 +267,32 @@ def test_final_epoch_exactly_once_covers_joiners(monkeypatch):
     assert rec["fail_reasons"] == ["final-epoch:inline:7:0/1"]
 
 
+def test_joiner_in_flight_under_an_incident_may_receive_the_message():
+    """Census trial 21 (``Random(2026)``, fat_tree paths=1, the 22nd
+    draw): 16's JOIN starts 3.8 us before message 2 is posted, while a
+    loss window on ``edge3_0`` is open.  The oracle cannot tell whether
+    the delta lands before the message completes, so 16 may receive
+    message 2 or not; receiving it is not an over-delivery."""
+    cfg = FuzzConfig(topo="fat_tree", k=4, hosts=16, initial_members=6,
+                     messages=3, paths=1, leaves_max=2, joins_max=2)
+    sched = FuzzSchedule.from_dict({
+        "trial_seed": 998634558, "sources": [5, 3, 3],
+        "offsets": [0.0, 0.00949453, 0.019224261],
+        "incidents": [{"kind": "loss", "target": ["loss", "edge3_0", 0.1644],
+                       "at": 0.01822875, "repair_at": 0.025610884}],
+        "churn": [{"kind": "join", "ip": 11, "at": 1.8893e-05},
+                  {"kind": "leave", "ip": 4, "at": 0.00949649},
+                  {"kind": "leave", "ip": 6, "at": 0.013504094},
+                  {"kind": "join", "ip": 16, "at": 0.019220509}]})
+    assert sched.content_hash().startswith("6b6ade325fdd")
+    rng = random.Random(2026)
+    assert [generate_fuzz_schedule(cfg, rng) for _ in range(22)][-1] == sched
+    rec = run_fuzz_trial(cfg, sched, 21)
+    assert rec["fail_reasons"] == []
+    assert all(2 in _messages_heard(cfg, sched, dep, 16)
+               for dep in cfg.deployments)
+
+
 def test_crash_passes_the_three_deployment_differential():
     """A crashed receiver is pruned on every deployment, and the stable
     receivers still see byte-identical delivery sequences."""

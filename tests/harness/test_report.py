@@ -73,16 +73,21 @@ class TestRunnerRegistry:
 class TestCheapExperiments:
     """Smoke the cheap experiment functions end-to-end."""
 
+    @staticmethod
+    def _run(exp_id):
+        import io
+
+        from repro.harness.runner import run_experiments
+        return run_experiments([exp_id], stream=io.StringIO()).results[0]
+
     def test_fig7b(self):
-        from repro.harness.experiments import fig7b_memory
-        res = fig7b_memory()
+        res = self._run("fig7b")
         row = res.rows[0]
         assert row["total_MB"] < 0.8
         assert row["bytes_per_group"] == 724
 
     def test_ablation_memory(self):
-        from repro.harness.ablations import ablation_state_memory
-        res = ablation_state_memory()
+        res = self._run("abl-mem")
         ratios = res.column("ratio")
         assert ratios == sorted(ratios)
         assert ratios[-1] > 50  # 4096-member group vs port-bounded state

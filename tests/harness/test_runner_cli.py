@@ -1,8 +1,9 @@
 """The registry runner and its two CLI front-ends.
 
-An experiment is a pure function of (id, quick), so serial and parallel
-runs must be indistinguishable at the ``ExperimentResult.to_json()``
-byte level, in request order.
+Every cell of an experiment's grid is a pure function of its point, so
+serial and parallel runs, and cells run in any order, must be
+indistinguishable at the ``ExperimentResult.to_json()`` byte level and
+in event counts, in request order.
 """
 
 import io
@@ -12,8 +13,10 @@ import pytest
 
 from repro import cli
 from repro.harness.cache import code_fingerprint
-from repro.harness.runner import (ALL_EXPERIMENTS, execute_one,
+from repro.harness.experiments import Experiment
+from repro.harness.runner import (ALL_EXPERIMENTS, ordered_map, run_cell,
                                   run_experiments, select)
+from tests.harness.test_experiments import quick_entry
 
 #: Cheap experiments (< ~0.5 s each) exercising both the analytic and
 #: packet-level paths — enough to prove the fan-out without tier-2 cost.
@@ -60,10 +63,34 @@ class TestDeterminism:
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
 
-    def test_execute_one_sets_provenance(self):
-        entry = execute_one("fig7b", True)
+    def test_run_sets_provenance(self):
+        entry = run_experiments(["fig7b"], stream=io.StringIO()).entries[
+            "fig7b"]
         assert entry["result"]["mode"] == "quick"
         assert entry["wall_s"] >= 0
+
+
+@pytest.mark.parametrize("name", ["srmc_scaling", "fig10"])
+def test_cells_reassemble_in_grid_order_whatever_runs_them(name):
+    """The cells of one grid, run last-to-first in this process and then
+    on two workers, give the serial run's rows (``finish`` included:
+    srmc_scaling normalises to its first row) and event count."""
+    serial = quick_entry(name)
+    exp = ALL_EXPERIMENTS[name](True)
+    cells = [run_cell((exp.cell, point))
+             for point in reversed(exp.points(True))][::-1]
+    result = exp.result([row for row, _, _ in cells])
+    result.mode = "quick"
+    assert result.to_dict() == serial["result"]
+    assert sum(events for _, events, _ in cells) == serial["events"]
+    parallel = run_experiments([name], jobs=2, stream=io.StringIO())
+    assert parallel.entries[name]["result"] == serial["result"]
+    assert parallel.entries[name]["events"] == serial["events"]
+
+
+def test_ordered_map_keeps_item_order():
+    assert list(ordered_map(abs, [3, -1, -2], jobs=2)) == [3, 1, 2]
+    assert list(ordered_map(abs, [3, -1, -2])) == [3, 1, 2]
 
 
 class TestRunExperiments:
@@ -158,9 +185,30 @@ def test_an_experiments_own_error_propagates(entry, tmp_path, monkeypatch):
     """Only the selection and ``--jobs`` are bad input (exit 2); a
     ``ValueError`` raised inside an experiment escapes with its
     traceback."""
-    def broken(quick):
+    def broken(point):
         raise ValueError("raised inside the simulation")
 
-    monkeypatch.setitem(ALL_EXPERIMENTS, "fig7b", broken)
+    monkeypatch.setitem(ALL_EXPERIMENTS, "fig7b", lambda quick: Experiment(
+        "fig7b", "broken", [], grid=[None], cell=broken))
     with pytest.raises(ValueError, match="raised inside the simulation"):
         ENTRY_POINTS[entry](["--only", "fig7b"], str(tmp_path / "doc.json"))
+
+
+#: The ids whose quick declaration substitutes a smaller scale (the
+#: table in EXPERIMENTS.md's scale-substitution summary); every other
+#: id runs its paper grid, or a sample of it, in quick mode.
+SUBSTITUTES = {"rdmc", "tab1", "fig12", "fig13", "fig14", "churn",
+               "brokerfabric", "mrc_loss", "abl-ack", "abl-nack", "abl-cnp",
+               "abl-retx", "abl-deploy", "ext-irn", "ext-mixed",
+               "ext-workload"}
+
+
+def test_quick_samples_the_grid_unless_it_substitutes():
+    substitutes = set()
+    for name, declare in ALL_EXPERIMENTS.items():
+        quick, full = declare(True), declare(False)
+        assert all(point in quick.grid for point in quick.points(True)), name
+        if (quick.title, quick.notes, quick.grid) != (
+                full.title, full.notes, full.grid):
+            substitutes.add(name)
+    assert substitutes == SUBSTITUTES

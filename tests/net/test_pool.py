@@ -169,12 +169,17 @@ class TestDatapathHygiene:
         """The fig8 experiment end-to-end: hygiene-clean under the debug
         wrappers AND numerically identical to the plain-pool run (the
         wrappers must observe, never perturb)."""
-        from repro.harness.experiments import fig8_bcast_small
+        import io
 
-        plain = fig8_bcast_small(quick=True)
+        from repro.harness.runner import run_experiments
+
+        def rows():
+            run = run_experiments(["fig8"], stream=io.StringIO())
+            return run.results[0].rows
+
+        plain = rows()
         monkeypatch.setenv("CEPHEUS_POOL_DEBUG", "1")
-        debug = fig8_bcast_small(quick=True)
-        assert debug.rows == plain.rows
+        assert rows() == plain
 
     def test_simpools_explicit_debug_flag(self, monkeypatch):
         pools = SimPools(ObserverBus(), debug=True)

@@ -62,7 +62,7 @@ class TestHarnessImportBoundary:
                "repro.core.mft", "repro.core.source_routing")
     UNUSED = tuple(f"repro.harness.{name}" for name in (
         "ablations", "bench", "experiments",
-        "extensions", "fuzz", "report", "runner", "sweeps",
+        "extensions", "fuzz", "report", "runner",
         "workloads")) + ("multiprocessing", "concurrent.futures")
 
     def test_a_benchmark_process_loads_no_experiment_harness(self):
