@@ -31,9 +31,24 @@ from repro.errors import ConfigurationError
 __all__ = ["HplConfig", "HplResult", "HplModel"]
 
 
+#: The machine model.  DGEMM rate per node, and the memory-bound panel
+#: factorization rate.
+NODE_GFLOPS = 420e9
+PF_GFLOPS = 150e9
+#: Double precision.
+ELEM_BYTES = 8
+#: Fraction of the U block each non-root row ships to the root before a
+#: *multicast* Row Swap can start.  HPL's ``long`` algorithm integrates
+#: the swap into its spread-roll, so it pays no separate gather; a
+#: multicast RS must first assemble U at the source.  The value is
+#: calibrated against the paper's pdlaswp traffic split so the overall
+#: RS communication gain lands near Fig. 11b's 18 %.
+RS_GATHER_FACTOR = 0.15
+
+
 @dataclass
 class HplConfig:
-    """Problem + machine model.
+    """The problem (the machine model is the module constants above).
 
     Defaults give a testbed-scale problem whose communication share
     matches Fig. 11: PB (on a 1x4 grid) is ~18 % of JCT under
@@ -43,16 +58,6 @@ class HplConfig:
 
     n: int = 8192                 # matrix order
     nb: int = 256                 # panel block size
-    node_gflops: float = 420e9    # DGEMM rate per node
-    pf_gflops: float = 150e9      # panel factorization rate (memory bound)
-    elem_bytes: int = 8           # double precision
-    rs_gather_factor: float = 0.15
-    """Fraction of the U block each non-root row ships to the root
-    before a *multicast* Row Swap can start.  HPL's ``long`` algorithm
-    integrates the swap into its spread-roll, so it pays no separate
-    gather; a multicast RS must first assemble U at the source.  The
-    value is calibrated against the paper's pdlaswp traffic split so the
-    overall RS communication gain lands near Fig. 11b's 18 %."""
 
 
 @dataclass
@@ -131,22 +136,22 @@ class HplModel:
     def _pf_time(self, trailing: int) -> float:
         """Panel factorization: ~2*m*NB^2 flops on the owning column."""
         flops = 2.0 * trailing * self.cfg.nb ** 2
-        return flops / (self.cfg.pf_gflops * self.p)
+        return flops / (PF_GFLOPS * self.p)
 
     def _update_time(self, trailing: int) -> float:
         """Trailing DGEMM: 2*NB*m^2 flops spread over the whole grid."""
         flops = 2.0 * self.cfg.nb * trailing * trailing
-        return flops / (self.cfg.node_gflops * self.p * self.q)
+        return flops / (NODE_GFLOPS * self.p * self.q)
 
     def _pb_bytes(self, trailing: int) -> int:
         """Panel bytes held by one process row."""
         rows_here = max(trailing // self.p, 1)
-        return max(rows_here * self.cfg.nb * self.cfg.elem_bytes, 1)
+        return max(rows_here * self.cfg.nb * ELEM_BYTES, 1)
 
     def _rs_bytes(self, trailing: int) -> int:
         """Row-swap bytes exchanged within one process column."""
         cols_here = max(trailing // self.q, 1)
-        return max(self.cfg.nb * cols_here * self.cfg.elem_bytes, 1)
+        return max(self.cfg.nb * cols_here * ELEM_BYTES, 1)
 
     def _run_rs_swap(self, col: List[int], root_row: int, nbytes: int) -> float:
         """The gather half of a *multicast* Row Swap.
@@ -160,7 +165,7 @@ class HplModel:
         """
         sim = self.cluster.sim
         root_ip = col[root_row]
-        share = max(int(nbytes * self.cfg.rs_gather_factor), 1)
+        share = max(int(nbytes * RS_GATHER_FACTOR), 1)
         t0 = sim.now
         pending = {"n": len(col) - 1}
         if pending["n"] == 0:

@@ -32,15 +32,15 @@ __all__ = ["StorageConfig", "IopsResult", "ReplicatedStore"]
 
 #: Arena each storage server registers for incoming replicas.
 _ARENA_BYTES = 1 << 30
+#: Reaping one CQE in the storage stack.
+_COMPLETION_COST = 0.14e-6
 
 
 @dataclass
 class StorageConfig:
     """Client/servers cost model."""
 
-    stack_per_io: float = constants.STORAGE_STACK_PER_IO_S
     queue_depth: int = constants.STORAGE_QUEUE_DEPTH
-    completion_cost: float = 0.14e-6  # reap one CQE in the storage stack
 
 
 @dataclass
@@ -162,7 +162,7 @@ class ReplicatedStore:
             "submitted": 0, "completed": 0, "outstanding": 0,
             "cpu_free": sim.now, "t0": sim.now, "t_end": sim.now,
         }
-        cost = self.cfg.stack_per_io * self.copies_per_io
+        cost = constants.STORAGE_STACK_PER_IO_S * self.copies_per_io
 
         def try_submit() -> None:
             while (state["submitted"] < n_ios
@@ -179,7 +179,7 @@ class ReplicatedStore:
             state["outstanding"] -= 1
             # Completion reap also consumes the submission CPU.
             state["cpu_free"] = max(state["cpu_free"], now) + \
-                self.cfg.completion_cost * self.copies_per_io
+                _COMPLETION_COST * self.copies_per_io
             state["t_end"] = now
             try_submit()
 
@@ -202,9 +202,9 @@ class ReplicatedStore:
         for _ in range(samples):
             t0 = sim.now
             done = {}
-            cost = self.cfg.stack_per_io * self.copies_per_io
+            cost = constants.STORAGE_STACK_PER_IO_S * self.copies_per_io
             sim.schedule(cost, self._post_io, io_size,
                          lambda now: done.setdefault("t", now))
             sim.run()
-            total += (done["t"] + self.cfg.completion_cost) - t0
+            total += (done["t"] + _COMPLETION_COST) - t0
         return total / samples

@@ -234,11 +234,6 @@ class InvariantMonitor:
         self._subscribe(qp.bus, "deliver", self.on_qp_deliver)
         self._subscribe(qp.bus, "membership_epoch", self.on_membership_epoch)
 
-    def attach_fabric(self, fabric) -> None:
-        for accel in fabric.accelerators.values():
-            self.attach_accelerator(accel)
-        self._fabrics.append(fabric)
-
     def attach_cluster(self, cluster, trace: bool = True) -> None:
         """Monitor a whole :class:`~repro.apps.cluster.Cluster` through
         its simulator's bus, which every accelerator, feedback engine and

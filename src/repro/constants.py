@@ -60,9 +60,6 @@ MRP_NODES_PER_PACKET: int = 183
 # Switch defaults.
 # --------------------------------------------------------------------------
 
-SWITCH_PORT_COUNT: int = 64
-"""Radix assumed by the scalability analysis (64x100G)."""
-
 SWITCH_QUEUE_BYTES: int = 16_000_000
 """Per-egress-port buffer cap.
 
@@ -201,9 +198,6 @@ STORAGE_STACK_PER_IO_S: float = 0.70e-6
 Calibrated so sustained 8 KB one-to-one writes saturate near the paper's
 1.188 M IOPS (the paper states the bottleneck 'lies in the storage
 protocol stack at end-host')."""
-
-STORAGE_SERVER_PER_IO_S: float = 0.6e-6
-"""Server-side cost to land one IO (NVMe submission path)."""
 
 STORAGE_QUEUE_DEPTH: int = 32
 """Outstanding IOs the client keeps in flight for the IOPS experiment."""

@@ -53,6 +53,8 @@ DEPLOYMENTS = ("inline", "lookaside", "source_routed")
 _DATA, _ACK, _NACK, _CNP, _MRP = (
     PacketType.DATA, PacketType.ACK, PacketType.NACK, PacketType.CNP,
     PacketType.MRP)
+#: The board's fixed per-packet processing latency (§IV).
+_DELAY = constants.ACCELERATOR_DELAY_S
 
 
 @dataclass
@@ -168,11 +170,7 @@ class CepheusAccelerator:
         starting with the fixed per-packet processing latency of the
         board (§IV): every deployment pays it before any table state is
         read."""
-        delay = self.switch.config.accelerator_delay
-        if delay > 0:
-            self.sim.post(delay, self._admitted, pkt, in_port)
-        else:
-            self._admitted(pkt, in_port)
+        self.sim.post(_DELAY, self._admitted, pkt, in_port)
 
     def _drop(self, pkt: Packet, in_port: int, reason: str) -> None:
         bus = self.bus

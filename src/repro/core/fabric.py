@@ -223,9 +223,6 @@ class CepheusFabric:
 
     # -- introspection -----------------------------------------------------------
 
-    def accelerator_of(self, switch_name: str) -> CepheusAccelerator:
-        return self.accelerators[switch_name]
-
     def mdt_switches(self, mcst_id: int) -> Iterable[CepheusAccelerator]:
         """Accelerators holding an MFT for the group (the MDT footprint)."""
         return [a for a in self.accelerators.values() if a.mft_of(mcst_id)]

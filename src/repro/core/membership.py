@@ -71,7 +71,8 @@ class MembershipManager:
         #: started synchronously, no flush event.
         self.coalesce_window = coalesce_window
         self.safeguard = None                 # optional SafeguardMonitor
-        self.on_delta_failure: Optional[Callable[[MrpTransaction], None]] = None
+        #: Called with every delta once it resolves or fails.
+        self.on_delta_done: Optional[Callable[[MrpTransaction], None]] = None
         self.pruned: Set[int] = set()
         self.delta_failures: List[Tuple[str, int, str]] = []  # (op, ip, why)
         #: (epoch, op, ip) log of applied membership changes.
@@ -123,8 +124,8 @@ class MembershipManager:
                 self.safeguard.trip(
                     f"membership {delta.op}({who}) failed: "
                     f"{delta.failed_reason}")
-            if self.on_delta_failure is not None:
-                self.on_delta_failure(delta)
+        if self.on_delta_done is not None:
+            self.on_delta_done(delta)
 
     # -- delta coalescing -------------------------------------------------------
 
@@ -290,9 +291,6 @@ class MembershipManager:
 
     def leave_sync(self, ip: int) -> None:
         self.leave(ip).run_until_resolved()
-
-    def prune_sync(self, ip: int, reason: str = "") -> None:
-        self.prune(ip, reason).run_until_resolved()
 
     # -- leaf-driven failure detector ------------------------------------------
 

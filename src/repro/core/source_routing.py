@@ -104,13 +104,13 @@ class SourceRoutingConfig:
     ``aggregator`` selects the residual-state backend: ``"elmo"`` keys
     spilled rules per group (no sharing); ``"bert"`` shares one
     residual entry among groups whose spilled rule sets are identical.
-    ``residual_rule_cap`` only constrains the analytic
-    :class:`ScalingModel` (the runtime residual tables are dicts).
+    The residual rule cap (``constants.SR_RESIDUAL_RULE_CAP``) only
+    constrains the analytic :class:`ScalingModel` (the runtime residual
+    tables are dicts).
     """
 
     rule_budget_bytes: int = constants.SR_RULE_BUDGET_BYTES
     aggregator: str = "bert"
-    residual_rule_cap: int = constants.SR_RESIDUAL_RULE_CAP
 
     def __post_init__(self) -> None:
         if self.aggregator not in ("elmo", "bert"):
@@ -398,9 +398,10 @@ class ScalingModel:
       every on-tree switch (the :meth:`~repro.core.mft.Mft.memory_bytes`
       formula), one control record per (member, on-path switch);
     * **elmo** — in-header rules are free; spilled rules occupy the
-      per-switch residual table (``residual_rule_cap`` entries).  A
-      full table degrades the group to the switch's *default rule* — a
-      single union bitmap whose extra ports are counted as redundancy;
+      per-switch residual table (``constants.SR_RESIDUAL_RULE_CAP``
+      entries).  A full table degrades the group to the switch's
+      *default rule* — a single union bitmap whose extra ports are
+      counted as redundancy;
     * **bert** — identical spill signatures share one entry
       (control-free reuse); when a table is full the new bitmap
       union-merges into the entry it expands least, keeping state
@@ -454,7 +455,7 @@ class ScalingModel:
         """Charge ``n_groups`` sampled groups to all three backends."""
         rng = random.Random(seed)
         cfg = self.cfg
-        cap = cfg.residual_rule_cap
+        cap = constants.SR_RESIDUAL_RULE_CAP
         view = self.view
 
         mft_state = 0

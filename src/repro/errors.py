@@ -49,8 +49,3 @@ class RegistrationError(ReproError):
 
 class GroupError(ReproError):
     """Multicast-group management error (duplicate member, bad McstID)."""
-
-
-class FallbackTriggered(ReproError):
-    """Raised internally when the safeguard fallback decides to abandon
-    the in-network path; callers catch it and re-run over AMcast."""

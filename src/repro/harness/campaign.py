@@ -274,7 +274,7 @@ class Trial:
         self.injector = FailureInjector(self.cluster.topo)
         self.start = self.sim.now
         self.size = cfg.msg_packets * constants.MTU_BYTES
-        #: Completed messages per receiving host.
+        #: Completed copies per ``(receiving host, message ordinal)``.
         self.deliveries: Counter = Counter()
         #: ``post`` handle -> index of the message in the source plan.
         self.ordinal: Dict[int, int] = {}
@@ -283,7 +283,7 @@ class Trial:
         self._held: Counter = Counter()   # element -> open windows on it
 
         def on_delivery(ip, handle, nbytes, now, meta) -> None:
-            self.deliveries[ip] += 1
+            self.deliveries[ip, self.ordinal.get(handle, -1)] += 1
         self.algo.on_delivery = on_delivery
 
     def __enter__(self) -> "Trial":
@@ -405,7 +405,7 @@ class Trial:
     # -- traffic, run, verdict -------------------------------------------------
 
     def drive(self, sources, offsets=(),
-              before_post: Optional[Callable[[int], None]] = None
+              watch: Callable[[], None] = lambda: None
               ) -> List[Tuple[float, float]]:
         """Post one ``size``-byte message per entry of ``sources``,
         sequentially.
@@ -414,9 +414,9 @@ class Trial:
         that is not the current source) at ``max(start + offsets[i],
         completion of i-1)``, with a short floor that lets residual
         feedback settle first (a source switch needs idle QPs); a
-        missing offset is 0.  ``before_post(i)`` runs just ahead of
-        each post.  Returns the live list of ``(posted_at, done_at)``
-        pairs, one per message completed so far.
+        missing offset is 0.  ``watch()`` runs just ahead of each post
+        and as each message completes.  Returns the live list of
+        ``(posted_at, done_at)`` pairs, one per message completed so far.
         """
         n = len(sources)
         offsets = tuple(offsets[:n]) + (0.0,) * (n - len(offsets))
@@ -429,13 +429,13 @@ class Trial:
 
             def on_done(_handle: int, now: float) -> None:
                 done.append((posted_at, now))
+                watch()
                 if len(done) < n:
                     when = max(self.start + offsets[len(done)],
                                sim.now + 1e-6)
                     sim.schedule(when - sim.now, post_next)
 
-            if before_post is not None:
-                before_post(i)
+            watch()
             if algo.group.current_source != sources[i]:
                 algo.set_source(sources[i])
             self.ordinal[algo.post(self.size, on_complete=on_done)] = i

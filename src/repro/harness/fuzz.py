@@ -17,11 +17,11 @@ to its caps.
   :class:`~repro.harness.campaign.Trial` under the invariant monitor
   and a :class:`~repro.check.CoverageCollector`;
 * **the oracle** (:func:`run_fuzz_trial`) states each check once,
-  from invariants and liveness through exactly-once per epoch and per
-  stable receiver to byte-identical ``(message, psn, payload)``
-  sequences across deployments — replication state may live inline,
-  on a look-aside FPGA or in Elmo-style source headers, but the wire
-  contract cannot change;
+  from invariants and liveness through every receiver's copies of each
+  message inside one owed interval (:func:`_owed`) to byte-identical
+  ``(message, offset, length)`` spans across deployments — replication
+  state may live inline, on a look-aside FPGA or in Elmo-style source
+  headers, but the wire contract cannot change;
 * the **fuzz loop** replays the corpus first, then mutates entries
   (:data:`MUTATIONS`), crosses pairs over or draws fresh schedules;
   failing schedules are shrunk by the shared kernel (through
@@ -485,63 +485,78 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             # pins the aggregate for good.
             mm.stop_failure_detector()
 
-        # Per-receiver delivery log for the payload oracle, by schedule
-        # ordinal (message handles differ across deployments).  A sprayed
-        # packet names its message and lane (PSNs are per lane) in meta.
-        seq: Dict[object, List[Tuple[int, int, int]]] = {}
+        # Each receiver's delivered ``(message, offset, length)`` spans,
+        # by schedule ordinal (handles differ across deployments), and its
+        # bytes of each message: every packet of a single-lane group, every
+        # reassembled message of a sprayed one as its sorted lane ranges
+        # (re-sprayed bytes the reassembler drops never show).
+        spans: Dict[int, List[Tuple[int, int, int]]] = {}
+        got: Counter = Counter()
 
         def on_deliver(qp, pkt) -> None:
-            meta = pkt.meta
-            if isinstance(meta, tuple) and meta and meta[0] == "lane-spray":
-                key, handle = (qp.nic.ip, meta[2]), meta[1]
-            else:
-                key, handle = qp.nic.ip, pkt.msg_id
-            seq.setdefault(key, []).append(
-                (t.ordinal.get(handle, -1), pkt.psn, pkt.payload))
+            # Published before the QP counts the packet in.
+            i = t.ordinal.get(pkt.msg_id, -1)
+            offset = 0 if pkt.first else qp.recv.cur_bytes
+            spans.setdefault(qp.nic.ip, []).append((i, offset, pkt.payload))
+            got[qp.nic.ip, i] += pkt.payload
 
-        # Who is owed message i: every member at its post but its source,
-        # receivers known dead and joiners still in a coalescing batch
-        # (the flush re-bases them past it).  A joiner with its delta in
-        # flight is owed it (the JOIN PSN sync recovers from admission on)
-        # unless incidents may hold that delta until the message completed
-        # without it (a missed message, pinned as a strict xfail): then it
-        # may or may not receive it, so it counts in ``maybe``.
-        owed: Counter = Counter()
-        maybe: Counter = Counter()
-        posts: List[float] = []
+        def on_lane_complete(_reassembler, sid, ip, total, segments) -> None:
+            i = t.ordinal.get(sid, -1)
+            spans.setdefault(ip, []).extend(
+                sorted((i, offset, length) for offset, length, _ in segments))
+            got[ip, i] += total
 
-        def snapshot(i: int) -> None:
-            posts.append(t.sim.now - t.start)
-            for ip in group.members:
-                if (ip != schedule.sources[i] and ip not in t.crashed
-                        and not mm.is_batched(ip)):
-                    if schedule.incidents and mm.has_inflight(ip):
-                        maybe[ip] += 1
-                    else:
-                        owed[ip] += 1
+        # Each receiver's standing at each post and completion, from the
+        # crashes and the deltas that took effect so far (a failed delta
+        # never does); a batched joiner has none: the flush re-bases it.
+        initial = set(t.members)
+        joiners = {e.ip for e in schedule.churn if e.kind == "join"}
+        resolved = set()
+        mm.on_delta_done = lambda delta: resolved.update(
+            (delta.op, ip) for ip in delta.ips()
+            if ip not in delta.unconfirmed())
+        # (time, standings) just ahead of each post and as it completes.
+        views: List[Tuple[float, Dict[int, str]]] = []
 
-        t.sim.bus.subscribe("deliver", on_deliver)
-        done = t.drive(schedule.sources, schedule.offsets,
-                       before_post=snapshot)
+        def standing(ip: int) -> Optional[str]:
+            if ip in t.crashed or (ip in group.members and mm.is_batched(ip)):
+                return None
+            if ip in group.members:
+                joining = ip in joiners and ("join", ip) not in resolved
+                return "joining" if joining else "member"
+            # Pruned alive (item 15(b) may readmit it), or LEAVE unresolved.
+            if ip in mm.pruned or (ip in initial
+                                   and ("leave", ip) not in resolved):
+                return "leaving"
+            return None
+
+        def watch() -> None:
+            views.append((t.sim.now - t.start, {
+                ip: s for ip in sorted(initial | joiners)
+                if (s := standing(ip)) is not None}))
+
+        channel, tap = (("lane_complete", on_lane_complete) if cfg.paths > 1
+                        else ("deliver", on_deliver))
+        t.sim.bus.subscribe(channel, tap)
+        done = t.drive(schedule.sources, schedule.offsets, watch=watch)
         t.run()
-        t.sim.bus.unsubscribe("deliver", on_deliver)
+        t.sim.bus.unsubscribe(channel, tap)
 
         violations = t.sweep()
         for op, _ip, _why in mm.delta_failures:
             coverage.add(f"mmdelta/{deployment}/{op}/failed")
-        exempt = {ip for _op, ip, _why in mm.delta_failures}
+        failed = {(op, ip) for op, ip, _why in mm.delta_failures}
+        posts = [at for at, _ in views[::2]]
         return {
             "deployment": deployment,
             "completed": len(done),
             "durations": [at - posted_at for posted_at, at in done],
-            "seq": seq,
+            "spans": spans,
+            "got": got,
+            "heard": t.deliveries,
+            "owed": _owed(schedule, views, failed),
             "source_idle": t.algo.send_idle,
             "delta_failures": [list(f) for f in mm.delta_failures],
-            "mismatched": [(ip, t.deliveries[ip], owed[ip])
-                           for ip in sorted(group.members)
-                           if ip not in exempt
-                           and not (owed[ip] <= t.deliveries[ip]
-                                    <= owed[ip] + maybe[ip])],
             # A missed-feedback detector needs a post after the crash.
             "unpruned": sorted(ev.ip for ev in schedule.churn
                                if ev.kind == "crash" and ev.ip in group.members
@@ -554,6 +569,44 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
             "violations": violations,
             "events": t.sim.events_run,
         }
+
+
+def _owed(schedule: FuzzSchedule, views, failed
+          ) -> Dict[int, List[Tuple[int, int]]]:
+    """The one model of who is owed what: each receiver's ``(must,
+    may)`` copies of every completed message, from its standing just
+    ahead of the post and as the message completes (``views`` alternate
+    the two) and the ``(op, ip)`` deltas that failed.
+
+    A member at both is owed exactly one copy, and a receiver that is
+    no member at the post (a source, a crash victim, a joiner not yet
+    admitted or still in a coalescing batch) none.  A member leaving,
+    pruned or crashing in flight may miss the tail, and one whose LEAVE
+    is in flight at the post may still be served.  Three widenings
+    until ROADMAP item 15: a JOIN unresolved at the completion may miss
+    the message if it failed or an incident window overlapped it from
+    its start to the completion; a failed LEAVE may still be served; a
+    receiver pruned alive may be readmitted.
+    """
+    join_at = {e.ip: e.at for e in schedule.churn if e.kind == "join"}
+    posts, completions = views[::2], views[1::2]
+    owed: Dict[int, List[Tuple[int, int]]] = {
+        ip: [] for ip in sorted({ip for _, post in posts for ip in post})}
+    for src, (_, post), (at, done) in zip(schedule.sources, posts,
+                                          completions):
+        for ip, row in owed.items():
+            now = done.get(ip)
+            if ip == src or ip not in post:
+                row.append((0, 0))
+            elif post[ip] == "leaving" or now not in ("member", "joining"):
+                row.append((0, 1))
+            elif now == "joining" and (("join", ip) in failed or any(
+                    inc.at <= at and join_at[ip] <= inc.repair_at
+                    for inc in schedule.incidents)):
+                row.append((0, 1))
+            else:
+                row.append((1, 1))
+    return owed
 
 
 #: The keys of a deployment's run its trial record keeps.
@@ -587,6 +640,7 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
             for dep in cfg.deployments]
     reasons: List[str] = []
     expected = len(schedule.sources)
+    size = cfg.msg_packets * constants.MTU_BYTES
     silenced = {e.ip for e in schedule.churn if e.kind == "crash"} | {
         inc.target[1] for inc in schedule.incidents
         if inc.kind == "host" and inc.repair_at - inc.at > _PROBE_WINDOW}
@@ -597,10 +651,26 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
         if run["completed"] < expected or not run["source_idle"]:
             reasons.append(f"liveness:{dep}:{run['completed']}/{expected}")
         else:
-            # Exactly-once for every member of the final epoch (departed
-            # members legitimately miss the tail of an in-flight message).
-            for ip, got, owed in run["mismatched"]:
-                reasons.append(f"final-epoch:{dep}:{ip}:{got}/{owed}")
+            # Every receiver's completed copies (final-epoch) and delivered
+            # bytes (delivery-count, shown in packets) of each message lie
+            # inside its owed interval; an unowed message's is (0, 0).
+            owed = {(ip, i): iv for ip, row in run["owed"].items()
+                    for i, iv in enumerate(row)}
+            for check, got, per, unit in (
+                    ("final-epoch", run["heard"], 1, 1),
+                    ("delivery-count", run["got"], size, constants.MTU_BYTES)):
+                mine: Counter = Counter()
+                must: Counter = Counter()
+                outside = set()
+                for ip, i in set(owed) | set(got):
+                    lo, hi = owed.get((ip, i), (0, 0))
+                    mine[ip] += got[ip, i]
+                    must[ip] += lo
+                    if not lo * per <= got[ip, i] <= hi * per:
+                        outside.add(ip)
+                for ip in sorted(outside):
+                    reasons.append(f"{check}:{dep}:{ip}:{mine[ip] // unit}/"
+                                   f"{must[ip] * per // unit}")
         # A failed membership delta is only a bug on a healthy fabric: a
         # delta racing a severed link may exhaust its retries.
         if run["delta_failures"] and not schedule.incidents:
@@ -613,49 +683,27 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
         for ip in sorted(set(run["pruned"]) - silenced):
             reasons.append(f"spurious-prune:{dep}:{ip}")
 
-    # Per-receiver delivery counts and, across deployments, byte-identical
-    # delivery sequences for every stable receiver, once every deployment
-    # finished (an incomplete run already failed liveness).  Lane kills
-    # exempt the trial: the post-kill lane of every byte is legitimately
-    # deployment-dependent; the reassembly invariant still guards
-    # exactly-once inside each deployment.
-    def _ip_of(key) -> int:
-        return key[0] if isinstance(key, tuple) else key
-
-    # A receiver the failure detector pruned is churned too.
-    churned = ({e.ip for e in schedule.churn}
-               | {ip for run in runs for ip in run["pruned"]})
-    stable = sorted({_ip_of(k) for k in runs[0]["seq"]} - churned)
-    size = cfg.msg_packets * constants.MTU_BYTES
-    all_complete = all(r["completed"] == expected and r["source_idle"]
-                       for r in runs)
-    if all_complete and not schedule.lane_kills:
-        base = runs[0]
+    # Across deployments, identical spans for every stable receiver: one
+    # owed the same exact copies on every deployment, once every
+    # deployment finished (an incomplete run already failed liveness).
+    base = runs[0]
+    stable = sorted(ip for ip, row in base["owed"].items()
+                    if any(lo for lo, _ in row)
+                    and all(lo == hi for lo, hi in row)
+                    and all(run["owed"].get(ip) == row for run in runs))
+    if all(r["completed"] == expected and r["source_idle"] for r in runs):
         for run in runs[1:]:
-            keys = set(base["seq"]) | set(run["seq"])
-            for key in sorted(keys):
-                if _ip_of(key) not in stable:
-                    continue
-                if run["seq"].get(key, []) != base["seq"].get(key, []):
-                    reasons.append(
-                        f"diff-payload:{base['deployment']}"
-                        f"vs{run['deployment']}:{key}")
-        for run in runs:
-            got: Counter = Counter()
-            for key, deliveries in run["seq"].items():
-                got[_ip_of(key)] += len(deliveries)
             for ip in stable:
-                owed = cfg.msg_packets * sum(s != ip for s in schedule.sources)
-                if got[ip] != owed:
-                    reasons.append(f"delivery-count:{run['deployment']}:"
-                                   f"{ip}:{got[ip]}/{owed}")
+                if run["spans"].get(ip) != base["spans"].get(ip):
+                    reasons.append(f"diff-payload:{base['deployment']}"
+                                   f"vs{run['deployment']}:{ip}")
 
     # Throughput: a floor always (nothing beats wire serialization), a
     # ceiling on quiescent schedules, where the §II JCT model is the contract.
     net, depth = _net_model(cfg)
     floor = net.wire(size)
-    quiescent = (not schedule.incidents and not schedule.churn
-                 and not schedule.lane_kills and cfg.loss_rate == 0.0)
+    quiescent = not (schedule.incidents or schedule.churn
+                     or schedule.lane_kills or cfg.loss_rate)
     ceiling = cfg.jct_slack * cepheus_jct(size, cfg.initial_members,
                                           net, mdt_depth=depth)
     for run in runs:

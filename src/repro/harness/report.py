@@ -56,9 +56,6 @@ class ExperimentResult:
     def column(self, key: str) -> List[Any]:
         return [row.get(key) for row in self.rows]
 
-    def to_text(self) -> str:
-        return format_table(self)
-
     def to_csv(self) -> str:
         """Headers + rows as CSV (missing cells are empty)."""
         buf = io.StringIO()

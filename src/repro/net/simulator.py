@@ -310,10 +310,6 @@ class Simulator:
             Simulator.lifetime_events += executed
         return executed
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Run until no events remain (alias of :meth:`run` with no bound)."""
-        return self.run(until=None, max_events=max_events)
-
     def peek_next_time(self) -> Optional[float]:
         """Time of the earliest pending (non-cancelled) event, or None."""
         times = self._times

@@ -47,11 +47,8 @@ class SwitchConfig:
     ecn_kmax: int = constants.ECN_KMAX_BYTES
     ecn_pmax: float = constants.ECN_PMAX
     pfc_enabled: bool = True
-    pfc_xoff: int = constants.PFC_XOFF_BYTES
-    pfc_xon: int = constants.PFC_XON_BYTES
     loss_rate: float = 0.0
     loss_applies_to_feedback: bool = False
-    accelerator_delay: float = constants.ACCELERATOR_DELAY_S
     seed: int = 0
 
 
@@ -85,7 +82,8 @@ class Switch:
         ]
         self.pfc = PfcManager(
             self, n_ports,
-            xoff_bytes=cfg.pfc_xoff, xon_bytes=cfg.pfc_xon,
+            xoff_bytes=constants.PFC_XOFF_BYTES,
+            xon_bytes=constants.PFC_XON_BYTES,
             enabled=cfg.pfc_enabled,
         )
         for p in self.ports:

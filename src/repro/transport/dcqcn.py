@@ -34,7 +34,6 @@ class DcqcnConfig:
     """Reaction-point parameters (defaults from the DCQCN paper / CX-5)."""
 
     g: float = constants.DCQCN_ALPHA_G
-    alpha_timer: float = constants.DCQCN_ALPHA_TIMER_S
     rate_timer: float = constants.DCQCN_RATE_INCREASE_TIMER_S
     byte_counter: int = constants.DCQCN_BYTE_COUNTER
     rai: float = constants.DCQCN_RAI_BPS
@@ -125,7 +124,7 @@ class DcqcnRateController:
     # -- timers: re-armed in place (reschedule: one seq, no tombstone) ----------
 
     def _arm_alpha_timer(self) -> None:
-        ev, delay = self._alpha_ev, self.cfg.alpha_timer
+        ev, delay = self._alpha_ev, constants.DCQCN_ALPHA_TIMER_S
         self._alpha_ev = (self.sim.schedule(delay, self._alpha_tick) if ev is None
                           else self.sim.reschedule(ev, delay))
 

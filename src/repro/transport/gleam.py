@@ -29,19 +29,18 @@ __all__ = ["GleamConfig", "GleamRateController"]
 
 @dataclass(frozen=True)
 class GleamConfig:
-    """AIMD parameters.
+    """AIMD parameters: ``rai`` bps are added every ``rate_timer``
+    seconds while the flow is active, and each CNP cuts the rate by
+    :data:`BETA`."""
 
-    ``beta`` is the multiplicative-decrease factor applied per CNP
-    (``rate *= 1 - beta``); ``rai`` bps are added every ``rate_timer``
-    seconds while the flow is active.
-    """
-
-    beta: float = 0.5
     rate_timer: float = constants.DCQCN_RATE_INCREASE_TIMER_S
     rai: float = constants.DCQCN_RAI_BPS
     min_rate: float = constants.DCQCN_MIN_RATE_BPS
     enabled: bool = True
 
+
+#: Multiplicative decrease per CNP: ``rate *= 1 - BETA``.
+BETA = 0.5
 
 #: Shared by every controller built without a config (safe: frozen).
 _DEFAULT_CONFIG = GleamConfig()
@@ -90,7 +89,7 @@ class GleamRateController:
         if not self.cfg.enabled:
             return
         self.cnp_count += 1
-        self.rate = max(self.rate * (1.0 - self.cfg.beta), self.cfg.min_rate)
+        self.rate = max(self.rate * (1.0 - BETA), self.cfg.min_rate)
 
     def on_bytes_sent(self, nbytes: int) -> None:
         """Gleam's increase is purely timer-clocked; bytes are ignored."""

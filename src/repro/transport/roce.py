@@ -25,7 +25,7 @@ from repro.errors import PsnSpaceExhausted, QPStateError, TransportError
 from repro.net.nic import Nic
 from repro.net.packet import Packet, PacketType, RdmaOp
 from repro.net.simulator import Event, Simulator
-from repro.transport.dcqcn import DcqcnConfig, DcqcnRateController
+from repro.transport.dcqcn import DcqcnRateController
 from repro.transport.gleam import GleamConfig, GleamRateController
 from repro.transport.memory import MrTable
 from repro.transport import qp as qp_state
@@ -43,6 +43,11 @@ _NACK = PacketType.NACK
 _CNP = PacketType.CNP
 _WRITE = RdmaOp.WRITE
 _RTS = QpStateName.RTS
+
+#: A receiver sends at most one CNP per this interval (CX-5).
+_CNP_MIN_INTERVAL = constants.CNP_MIN_INTERVAL_S
+#: IRN: the least gap between two retransmits of one PSN.
+_IRN_RETX_GUARD = 20e-6
 
 
 @dataclass
@@ -72,12 +77,9 @@ class RoceConfig:
     rto: float = constants.ROCE_RTO_S
     max_outstanding: int = constants.ROCE_MAX_OUTSTANDING_PKTS
     line_rate: float = constants.LINK_BANDWIDTH_BPS
-    cnp_min_interval: float = constants.CNP_MIN_INTERVAL_S
-    dcqcn: Optional[DcqcnConfig] = None
     cc: str = "dcqcn"
     gleam: Optional[GleamConfig] = None
     retransmit_mode: str = "gbn"
-    irn_retx_guard: float = 20e-6  # min gap between retransmits of one PSN
 
 
 class RoceQP:
@@ -124,7 +126,7 @@ class RoceQP:
         self._max_sent = 0         # high-water mark: PSNs ever transmitted
         self._rto_event: Optional[Event] = None
         if self.cfg.cc == "dcqcn":
-            self.cc = DcqcnRateController(sim, self.cfg.line_rate, self.cfg.dcqcn)
+            self.cc = DcqcnRateController(sim, self.cfg.line_rate)
         elif self.cfg.cc == "gleam":
             self.cc = GleamRateController(sim, self.cfg.line_rate, self.cfg.gleam)
         else:
@@ -461,7 +463,7 @@ class RoceQP:
 
     def _maybe_send_cnp(self) -> None:
         now = self.sim.now
-        if now - self._last_cnp_time < self.cfg.cnp_min_interval:
+        if now - self._last_cnp_time < _CNP_MIN_INTERVAL:
             return
         self._last_cnp_time = now
         self.cnps_sent += 1
@@ -503,7 +505,7 @@ class RoceQP:
             # so repeated NACKs for one gap don't stampede.
             if epsn >= self.snd_una and epsn < self.snd_nxt:
                 last = self._retx_last.get(epsn, -1e9)
-                if self.sim.now - last >= self.cfg.irn_retx_guard:
+                if self.sim.now - last >= _IRN_RETX_GUARD:
                     self._retx_last[epsn] = self.sim.now
                     self._queue_retx(epsn)
             self._arm_rto()

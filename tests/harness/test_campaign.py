@@ -202,7 +202,8 @@ def steady_trial(cfg, schedule, trial_index=0):
         t.run()
         violations = t.sweep()
         # the oracle: every receiver has every message, exactly once
-        exactly_once = dict(t.deliveries) == {ip: n for ip in t.members[1:]}
+        exactly_once = dict(t.deliveries) == {
+            (ip, i): 1 for ip in t.members[1:] for i in range(n)}
         return {"trial": trial_index, "completed": len(done),
                 "violations": violations, "exactly_once": exactly_once,
                 "failing": bool(violations) or len(done) < n

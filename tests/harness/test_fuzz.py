@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.constants import MTU_BYTES
 from repro.harness.campaign import ChurnEvent, Incident
 from repro.harness.fuzz import (CAMPAIGN, CHAOS, CHURN, FuzzConfig,
                                 FuzzSchedule, MUTATIONS, crossover_schedules,
@@ -267,12 +268,52 @@ def test_final_epoch_exactly_once_covers_joiners(monkeypatch):
     assert rec["fail_reasons"] == ["final-epoch:inline:7:0/1"]
 
 
+def test_an_unresolved_join_on_a_healthy_fabric_is_still_owed(monkeypatch):
+    """The in-flight-joiner widening needs an incident (or a failure):
+    with none in the schedule, a joiner whose JOIN is still unresolved
+    when the message completes is owed it, and one it never completes
+    is reported."""
+    from repro.core.membership import MembershipManager
+    from repro.harness.campaign import Trial
+
+    cfg = replace(QUICK, deployments=("inline",))
+    sched = FuzzSchedule(trial_seed=5, sources=(1, 2), offsets=(0.0, 0.005),
+                         incidents=(), churn=(ChurnEvent("join", 7, 0.002),))
+    finished = MembershipManager._delta_finished
+
+    def unresolved_join(self, delta):
+        # The oracle never sees the JOIN resolve.
+        hook = self.on_delta_done
+        if delta.op == "join":
+            self.on_delta_done = None
+        finished(self, delta)
+        self.on_delta_done = hook
+
+    monkeypatch.setattr(MembershipManager, "_delta_finished", unresolved_join)
+    assert _run(cfg, sched, "inline")["owed"][7] == [(0, 0), (1, 1)]
+    assert run_fuzz_trial(cfg, sched)["fail_reasons"] == []
+    init = Trial.__init__
+
+    def deaf_joiner(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        heard = self.algo.on_delivery
+
+        def on_delivery(ip, *rest):
+            if ip != 7:
+                heard(ip, *rest)
+        self.algo.on_delivery = on_delivery
+
+    monkeypatch.setattr(Trial, "__init__", deaf_joiner)
+    assert run_fuzz_trial(cfg, sched)["fail_reasons"] == [
+        "final-epoch:inline:7:0/1"]
+
+
 def test_joiner_in_flight_under_an_incident_may_receive_the_message():
     """Census trial 21 (``Random(2026)``, fat_tree paths=1, the 22nd
     draw): 16's JOIN starts 3.8 us before message 2 is posted, while a
-    loss window on ``edge3_0`` is open.  The oracle cannot tell whether
-    the delta lands before the message completes, so 16 may receive
-    message 2 or not; receiving it is not an over-delivery."""
+    loss window on ``edge3_0`` is open.  The delta resolves before the
+    message completes, so the in-flight-joiner widening stays off: 16
+    is owed message 2, and receives it."""
     cfg = FuzzConfig(topo="fat_tree", k=4, hosts=16, initial_members=6,
                      messages=3, paths=1, leaves_max=2, joins_max=2)
     sched = FuzzSchedule.from_dict({
@@ -289,8 +330,68 @@ def test_joiner_in_flight_under_an_incident_may_receive_the_message():
     assert [generate_fuzz_schedule(cfg, rng) for _ in range(22)][-1] == sched
     rec = run_fuzz_trial(cfg, sched, 21)
     assert rec["fail_reasons"] == []
-    assert all(2 in _messages_heard(cfg, sched, dep, 16)
-               for dep in cfg.deployments)
+    for dep in cfg.deployments:
+        run = _run(cfg, sched, dep)
+        assert run["owed"][16] == [(0, 0), (0, 0), (1, 1)]
+        assert run["got"][16, 2] == cfg.msg_packets * MTU_BYTES
+
+
+#: Trial 31 of the CI session ``fuzz run --seed 1 --budget-trials 50
+#: --corpus tests/harness/corpus --frozen-corpus``: 8 joins at 9.54 ms
+#: while the leader's host link is down, and message 2 is posted at
+#: 10.26 ms with the JOIN still in flight.
+HELD_JOIN = FuzzSchedule.from_dict({
+    "trial_seed": 659890191, "sources": [1, 1, 3],
+    "offsets": [0.0, 0.004447378, 0.010260902],
+    "incidents": [{"kind": "host", "target": ["host", 1],
+                   "at": 0.004626568, "repair_at": 0.009679439}],
+    "churn": [{"kind": "leave", "ip": 6, "at": 0.00523726},
+              {"kind": "join", "ip": 7, "at": 0.006467109},
+              {"kind": "join", "ip": 8, "at": 0.009544069},
+              {"kind": "leave", "ip": 2, "at": 0.009726876}]})
+HELD_JOIN_CFG = FuzzConfig(msg_packets=6, horizon=0.03)
+
+
+def _run(cfg, schedule, deployment):
+    from repro.check import CoverageMap
+    from repro.harness.fuzz import _run_one_deployment
+
+    return _run_one_deployment(cfg, schedule, deployment, CoverageMap())
+
+
+@pytest.mark.parametrize("deployment", ["inline", "lookaside",
+                                        "source_routed"])
+def test_a_join_unresolved_at_completion_widens_to_may(deployment):
+    """The in-flight-joiner widening, and the trial that needs it: 8's
+    JOIN is still in flight when message 2 completes without it, so 8
+    may miss message 2 (it does: ROADMAP item 15(c)).  Census trial 21
+    above is the narrow side: a JOIN resolved in time is owed."""
+    assert HELD_JOIN.content_hash().startswith("cf378e69de60")
+    run = _run(HELD_JOIN_CFG, HELD_JOIN, deployment)
+    assert run["owed"][8] == [(0, 0), (0, 0), (0, 1)]
+    assert run_fuzz_trial(replace(HELD_JOIN_CFG, deployments=(deployment,)),
+                          HELD_JOIN)["fail_reasons"] == []
+
+
+def test_a_failed_delta_never_resolves():
+    """The failed-delta widening, and the corpus input that needs it:
+    on ``input-70afedd06d29`` the leader's host link is cut, JOIN(7)
+    and LEAVE(6) time out, and 7 stays in ``group.members`` yet hears
+    nothing (ROADMAP item 15(a)).  A failed JOIN stays unresolved, so 7
+    may miss every later message; a failed LEAVE keeps 6 leaving, so it
+    may still hear one."""
+    import os
+    cfg, sched = next(
+        entry for entry in load_corpus(os.path.join(
+            os.path.dirname(__file__), "corpus"))
+        if entry[1].content_hash().startswith("70afedd06d29"))
+    for dep in cfg.deployments:
+        run = _run(cfg, sched, dep)
+        assert [op for op, _ip, _why in run["delta_failures"]] == [
+            "leave", "join"]
+        assert run["owed"][7] == [(0, 0), (0, 0), (0, 1)]
+        assert run["owed"][6] == [(1, 1), (1, 1), (0, 1)]
+    assert run_fuzz_trial(cfg, sched)["fail_reasons"] == []
 
 
 def test_crash_passes_the_three_deployment_differential():
@@ -307,7 +408,9 @@ def test_crash_passes_the_three_deployment_differential():
     for dep in rec["deployments"]:
         assert dep["pruned"] == [4]
         assert dep["completed"] == 2
-    assert 4 not in rec["stable_receivers"] and rec["stable_receivers"]
+    # 4 is owed message 0 exactly, and nothing after its crash, on every
+    # deployment, so its spans are diffed with the other receivers'.
+    assert 4 in rec["stable_receivers"]
 
 
 def test_joiner_is_owed_what_is_posted_after_its_batch_flushes():
@@ -347,16 +450,23 @@ def test_only_a_crash_or_a_long_host_outage_excuses_a_prune():
                                    for ip in (2, 4, 5)]
 
 
-def _messages_heard(cfg, schedule, deployment, ip):
-    from repro.check import CoverageMap
-    from repro.harness.fuzz import _run_one_deployment
+def test_a_receiver_pruned_alive_may_be_readmitted():
+    """The pruned-receiver widening, on ``OUTAGE``: 5 is pruned during
+    its host outage and hears nothing after it, yet message 2 is only a
+    *may*, so the model does not make the missing readmission (ROADMAP
+    item 15(b)) correct.  3, pruned as crashed, is owed nothing."""
+    run = _run(OUTAGE_CFG, OUTAGE, "inline")
+    assert run["owed"][5] == [(1, 1), (0, 1), (0, 1)]
+    assert run["owed"][3] == [(1, 1), (1, 1), (0, 0)]
 
-    run = _run_one_deployment(cfg, schedule, deployment, CoverageMap())
-    return {ordinal for ordinal, _psn, _payload in run["seq"].get(ip, [])}
+
+def _messages_heard(cfg, schedule, deployment, ip):
+    run = _run(cfg, schedule, deployment)
+    return {ordinal for ordinal, _offset, _length in run["spans"].get(ip, [])}
 
 
 @pytest.mark.xfail(strict=True, reason="a receiver pruned for a transient "
-                   "outage is never readmitted (ROADMAP item 1)")
+                   "outage is never readmitted (ROADMAP item 15(b))")
 def test_receiver_repaired_after_its_prune_hears_later_messages():
     # Message 2 is posted 9.7 ms after 5's link came back.
     assert 2 in _messages_heard(OUTAGE_CFG, OUTAGE, "inline", 5)
@@ -364,25 +474,13 @@ def test_receiver_repaired_after_its_prune_hears_later_messages():
 
 @pytest.mark.xfail(strict=True, reason="a JOIN held up by an incident "
                    "misses the message posted while it is in flight "
-                   "(ROADMAP item 1)")
+                   "(ROADMAP item 15(c))")
 @pytest.mark.parametrize("deployment", ["inline", "lookaside",
                                         "source_routed"])
 def test_joiner_held_by_an_incident_hears_the_next_message(deployment):
-    """Schedule ``cf378e69de60`` (trial 31 of the CI fuzz session): 8
-    joins at 9.54 ms while the leader's host link is down, and message
-    2 is posted at 10.26 ms with the JOIN still in flight."""
-    sched = FuzzSchedule.from_dict({
-        "trial_seed": 659890191, "sources": [1, 1, 3],
-        "offsets": [0.0, 0.004447378, 0.010260902],
-        "incidents": [{"kind": "host", "target": ["host", 1],
-                       "at": 0.004626568, "repair_at": 0.009679439}],
-        "churn": [{"kind": "leave", "ip": 6, "at": 0.00523726},
-                  {"kind": "join", "ip": 7, "at": 0.006467109},
-                  {"kind": "join", "ip": 8, "at": 0.009544069},
-                  {"kind": "leave", "ip": 2, "at": 0.009726876}]})
-    assert sched.content_hash().startswith("cf378e69de60")
-    cfg = FuzzConfig(msg_packets=6, horizon=0.03)
-    assert 2 in _messages_heard(cfg, sched, deployment, 8)
+    """``HELD_JOIN``: 8 is owed message 2 once item 15(c) makes the
+    message wait for its admission."""
+    assert 2 in _messages_heard(HELD_JOIN_CFG, HELD_JOIN, deployment, 8)
 
 
 @pytest.mark.parametrize("cfg, bug", [

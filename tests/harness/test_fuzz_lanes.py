@@ -8,12 +8,13 @@ hash-stability guarantee (pre-lane inputs keep their content hashes).
 """
 
 import random
-
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.check import CoverageMap
+from repro.constants import MTU_BYTES
 from repro.harness.campaign import ChurnEvent, Incident, Trial
 from repro.harness.fuzz import (MUTATIONS, FuzzConfig, FuzzSchedule,
                                 _run_one_deployment, _sanitize, _Shape,
@@ -34,14 +35,13 @@ def _clean_schedule(cfg, shape):
         offsets=(0.0, 0.002), incidents=(), churn=()))
 
 
-def _bytes_by_ip(seq):
-    """Collapse a delivery log to {ip: {message ordinal: byte total}}."""
+def _bytes_by_ip(spans):
+    """Collapse delivered spans to {ip: {message ordinal: byte total}}."""
     out = {}
-    for key, deliveries in seq.items():
-        ip = key[0] if isinstance(key, tuple) else key
-        for ordinal, _psn, payload in deliveries:
+    for ip, deliveries in spans.items():
+        for ordinal, _offset, length in deliveries:
             per_msg = out.setdefault(ip, {})
-            per_msg[ordinal] = per_msg.get(ordinal, 0) + payload
+            per_msg[ordinal] = per_msg.get(ordinal, 0) + length
     return out
 
 
@@ -57,8 +57,26 @@ class TestLaneCountDifferential:
             assert run["completed"] == 2
             assert run["source_idle"]
             assert run["violations"] == []
-            results[paths] = _bytes_by_ip(run["seq"])
+            results[paths] = _bytes_by_ip(run["spans"])
         assert results[1] == results[2] == results[4]
+
+    def test_sprayed_spans_are_the_lane_ranges(self):
+        """On a sprayed group a receiver's spans of a message are the
+        lane ranges it was reassembled from, sorted by offset: one per
+        lane, tiling the message, so ``diff-payload`` sees the split."""
+        cfg = _cfg(2)
+        shape = _Shape(cfg)
+        run = _run_one_deployment(cfg, _clean_schedule(cfg, shape),
+                                  "inline", CoverageMap())
+        size = cfg.msg_packets * MTU_BYTES
+        assert set(run["spans"]) == set(shape.initial[1:])
+        for spans in run["spans"].values():
+            for i in (0, 1):
+                ranges = [(o, n) for j, o, n in spans if j == i]
+                assert len(ranges) == cfg.paths
+                ends = [0] + [o + n for o, n in ranges]
+                assert [o for o, _ in ranges] == ends[:-1]
+                assert ends[-1] == size
 
     def test_full_trial_passes_at_k2(self):
         cfg = _cfg(2)
@@ -79,6 +97,33 @@ class TestLaneKillScheduling:
         assert not doc["failing"], doc["fail_reasons"]
         for dep in cfg.deployments:
             assert f"lanekill/{dep}/installed" in doc["coverage"]
+
+    def test_a_span_handed_twice_fails_delivery_count(self, monkeypatch):
+        """Lane-kill trials are checked like any other: a reassembler
+        that hands receiver 3 one message twice over-delivers."""
+        from repro.transport.spray import LaneReassembler
+
+        cfg = _cfg(2)
+        shape = _Shape(cfg)
+        schedule = _sanitize(cfg, shape, replace(
+            _clean_schedule(cfg, shape),
+            lane_kills=((1, 0.004, 0.02),)))
+        assert run_fuzz_trial(cfg, schedule)["fail_reasons"] == []
+        on_message = LaneReassembler.on_message
+
+        def twice(self, msg_id, nbytes, now, meta):
+            before = len(self._completed)
+            on_message(self, msg_id, nbytes, now, meta)
+            if self.ip == 3 and len(self._completed) == 1 > before:
+                total = meta[5]
+                self.bus.publish("lane_complete", self, meta[1], self.ip,
+                                 total, [(0, total, meta[2])])
+
+        monkeypatch.setattr(LaneReassembler, "on_message", twice)
+        packets = cfg.msg_packets
+        assert run_fuzz_trial(cfg, schedule)["fail_reasons"] == [
+            f"delivery-count:{dep}:3:{3 * packets}/{2 * packets}"
+            for dep in cfg.deployments]
 
     def test_lane_kill_skipped_on_star(self):
         cfg = _cfg(2, topo="star")
@@ -214,3 +259,19 @@ class TestCorpusStability:
                 assert 0.0 <= at <= 0.55 * cfg.horizon + 1e-12
                 assert at < repair_at <= 0.75 * cfg.horizon + 1e-12
         assert hit
+
+
+@pytest.mark.slow
+def test_paths2_census_cell_owes_every_copy_it_sees():
+    """The fault census's paths-2 cell (``Random(2026)``, 200 draws):
+    no receiver's copies fall outside its owed interval.  Before spans,
+    12 trials failed ``delivery-count 28/24`` on re-sprayed bytes the
+    reassembler drops."""
+    cfg = FuzzConfig(topo="fat_tree", k=4, hosts=16, initial_members=6,
+                     messages=3, paths=2, leaves_max=2, joins_max=2)
+    rng = random.Random(2026)
+    classes = Counter()
+    for i in range(200):
+        rec = run_fuzz_trial(cfg, generate_fuzz_schedule(cfg, rng), i)
+        classes.update({r.split(":")[0] for r in rec["fail_reasons"]})
+    assert not {"delivery-count", "final-epoch"} & set(classes), classes
